@@ -12,9 +12,21 @@ Load model: a closed loop with one client. Each pass runs the workload's
 a time, with ``src/`` on PYTHONPATH, BLAS pinned to one thread and
 SOURCE_DATE_EPOCH pinned. Passes repeat up to the pass boundary nearest to
 ``--seconds`` (at least two, so the outputs of two passes can be compared
-byte for byte); each timing is the median of the run's samples. Inputs are
-generated from ``--seed`` by ``corpus.py``; the corpus seed is
-20180601 + seed, so seed 0 at fixture size reproduces ``data/mini/``.
+byte for byte); set-ups repeat between the passes. Each timing is the median
+of the run's samples. Inputs are generated from ``--seed`` by ``corpus.py``;
+the corpus seed is 20180601 + seed, so seed 0 at fixture size reproduces
+``data/mini/``.
+
+Host speed: the small shared hosts this runs on alternate between speeds
+about 1.4x apart, each lasting from seconds to minutes, so a run's wall-clock
+medians depend on how much of it fell in the slow state. The benchmark times a
+fixed pure-Python loop (``host_probe``) in its own process before the first
+and after every command and set-up, and reports each timing scaled to the
+probe's reference time (``REFERENCE_PROBE_S``): the step's wall time times
+the reference over the mean of the two probes around it. The probe runs no
+program code, so a change in the program moves a scaled timing as much as
+its wall time. The unscaled wall-clock samples are kept in the result file
+and the median of each is printed beside the scaled one.
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs one CLI pass
 for per-command rusage, then untraced, traced and untraced in-process passes
@@ -57,10 +69,13 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = Path.cwd()
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
-SETUP_MIN_REPEATS = 3
+SETUP_MIN_REPEATS = 5
 SETUP_MIN_SECONDS = 1.0  # cheap set-ups repeat until this much time is spent
 STARTUP_PROBES = 3
 MIN_PASSES = 2
+# host_probe() on a 2-vCPU x86-64 host (Python 3.11) at the faster of the
+# speeds it alternates between; scaled timings read as seconds at that speed
+REFERENCE_PROBE_S = 0.014
 FIXTURE_AUC = 0.843453  # evaluate on data/mini/en_es with the default GbdtConfig
 AUC_TOLERANCE = 1e-9
 MB = 1024.0
@@ -93,8 +108,8 @@ WORKLOADS = {
         ),
         Workload(
             "audit_large_dev",
-            "fixture-size train, 100x dev exercises, 20-tree GBDT trained in set-up; the parse, encode, score and audit read path",
-            CorpusSpec(tracks=("en_es",), dev=100),
+            "fixture-size train, 25x dev exercises, 20-tree GBDT trained in set-up; the parse, encode, score and audit read path",
+            CorpusSpec(tracks=("en_es",), dev=25),
             "gbdt",
             config={"n_trees": 20},
             pretrained=True,
@@ -153,6 +168,7 @@ class Command:
     returncode: int | None = None
     auc: float | None = None  # evaluate's full-precision AUC, from its --out JSON
     problems: list[str] = field(default_factory=list)
+    probes: tuple[float, float] | None = None  # host_probe() just before and just after
 
     @property
     def key(self) -> tuple:
@@ -369,6 +385,7 @@ def summarize(values: list[float], better: str) -> dict:
 @dataclass
 class Setup:
     seconds: float
+    probes: tuple[float, float]  # host_probe() just before and just after
     data: Path
     hashes: dict[str, str]
     stats: dict
@@ -384,27 +401,32 @@ def do_setup(gen, w: Workload, seed: int, run_dir: Path, index: int) -> Setup:
     base = run_dir / "setup"
     shutil.rmtree(base, ignore_errors=True)
     data = base / "data"
+    before = host_probe()
     t0 = time.perf_counter()
     stats = corpus.generate(gen, w.corpus, FIXTURE_SEED + seed, data)
+    seconds = time.perf_counter() - t0
     train = None
     if w.pretrained:
         config = base / "config.json"
         config.write_text(json.dumps(w.config, sort_keys=True) + "\n", encoding="utf-8")
+        mid = host_probe()
         train = run_cli(train_command(w, data, base, config), run_dir / "logs",
                         f"setup{index}-train")
-    seconds = time.perf_counter() - t0
+        seconds += train.wall
+    after = host_probe()
     model_sha256 = None
     if train is not None:
+        train.probes = (mid, after)
         check_command(train, data, w)
         if train.returncode == 0:
             model_sha256 = tree_digest(base / "model.json")
     hashes = corpus.sha256_files(data, corpus.input_files(w.corpus))
-    return Setup(seconds, data, hashes, stats, train, model_sha256)
+    return Setup(seconds, (before, after), data, hashes, stats, train, model_sha256)
 
 
 @dataclass
 class Pass:
-    wall: float  # the full command sequence, first command start to last command end
+    wall: float  # the full command sequence: the sum of its commands' walls
     commands: list[Command]
 
 
@@ -414,56 +436,88 @@ def cli_pass(w: Workload, setup: Setup, run_dir: Path, k: int) -> Pass:
     model = setup.data.parent / "model.json" if w.pretrained else out / "model.json"
     cmds = [] if w.pretrained else [train_command(w, setup.data, out, None)]
     cmds += scoring_commands(w, setup.data, model, out)
-    t0 = time.perf_counter()
+    before = host_probe()
     for i, cmd in enumerate(cmds):
         run_cli(cmd, run_dir / "logs", f"pass{k}-{i}-{cmd.kind}")
-    wall = time.perf_counter() - t0
+        after = host_probe()
+        cmd.probes, before = (before, after), after
+    wall = sum(c.wall for c in cmds)
     for cmd in cmds:
         check_command(cmd, setup.data, w)
     return Pass(wall, cmds)
 
 
-def end_to_end(w: Workload, setups: list[Setup], passes: list[Pass]) -> dict:
-    stats = setups[0].stats.values()
-    dev_rows = sum(s["dev_n"] for s in stats)
-    train_rows = sum(s["train_n"] for s in stats)
+def host_probe() -> float:
+    """Seconds for a fixed pure-Python loop: the host's speed at this moment.
+    It runs in this process, between the commands, and no program code."""
+    t0 = time.perf_counter()
+    x = 0
+    for i in range(200_000):
+        x += i * i % 7
+    return time.perf_counter() - t0
 
-    def walls(p: Pass, kind: str) -> float:
-        return sum(c.wall for c in p.commands if c.kind == kind)
+
+def scaled(wall: float, probes: tuple[float, float]) -> float:
+    """A wall time at the reference host speed: times the probe's reference
+    time over its mean just before and just after the timed step."""
+    return wall * 2.0 * REFERENCE_PROBE_S / (probes[0] + probes[1])
+
+
+def end_to_end(w: Workload, setups: list[Setup], passes: list[Pass], scale: bool) -> dict:
+    """Samples of every end-to-end metric; timings at the reference host
+    speed if ``scale``, else as read on the wall clock."""
+    train_rows = sum(s["train_n"] for s in setups[0].stats.values())
+
+    def t(c: Command) -> float:
+        return scaled(c.wall, c.probes) if scale else c.wall
 
     every = [c for p in passes for c in p.commands] + [s.train for s in setups if s.train]
     if w.pretrained:  # training happens only in set-up, so that train is the sample
-        train = [train_rows / s.train.wall for s in setups]
+        trains = [s.train for s in setups]
     else:
-        train = [train_rows / walls(p, "train") for p in passes]
+        trains = [c for p in passes for c in p.commands if c.kind == "train"]
     aucs = [c.auc for c in passes[0].commands if c.auc is not None]
     return {
-        "setup_s": [s.seconds for s in setups],
-        "pipeline_s": [p.wall for p in passes],
-        "train_rows_per_s": train,
-        "score_rows_per_s": [dev_rows / walls(p, "predict") for p in passes],
-        "audit_s": [walls(p, "audit") for p in passes],
+        "setup_s": [scaled(s.seconds, s.probes) if scale else s.seconds for s in setups],
+        "pipeline_s": [sum(t(c) for c in p.commands) for p in passes],
+        "train_rows_per_s": [train_rows / t(c) for c in trains],
+        "score_rows_per_s": [setups[0].stats[c.track]["dev_n"] / t(c)
+                             for p in passes for c in p.commands if c.kind == "predict"],
+        "audit_s": [sum(t(c) for c in p.commands if c.kind == "audit") for p in passes],
         "peak_rss_mb": [max(c.maxrss_mb for c in every)],
         "dev_auc": [statistics.fmean(aucs)] if aucs else [],
     }
 
 
 def measure(gen, w: Workload, seed: int, seconds: float, run_dir: Path) -> dict:
-    """End-to-end run: set-ups, a warm-up startup probe, then timed passes."""
-    setups = []
-    while len(setups) < SETUP_MIN_REPEATS or sum(s.seconds for s in setups) < SETUP_MIN_SECONDS:
-        setups.append(do_setup(gen, w, seed, run_dir, len(setups)))
+    """End-to-end run: a warm-up startup probe, then timed passes.
+
+    The set-up repeats are spread over the run, one after each pass until
+    enough are done, because the host's speed drifts over tens of seconds:
+    repeats made back to back would all sample one moment of it."""
     probe_cli(run_dir, 1)  # warm the import path and byte-code cache
+
+    def setups_wanted() -> bool:
+        return (len(setups) < SETUP_MIN_REPEATS
+                or sum(s.seconds for s in setups) < SETUP_MIN_SECONDS)
+
+    setups = [do_setup(gen, w, seed, run_dir, 0)]
     passes: list[Pass] = []
-    t0 = time.perf_counter()
+    elapsed = 0.0
     while True:
         passes.append(cli_pass(w, setups[-1], run_dir, len(passes)))
-        elapsed = time.perf_counter() - t0
-        # stop at the pass boundary nearest to --seconds
+        elapsed += passes[-1].wall
+        # stop at the pass boundary nearest to --seconds of passes
         if len(passes) >= MIN_PASSES and elapsed * (1 + 0.5 / len(passes)) >= seconds:
             break
+        if setups_wanted():
+            setups.append(do_setup(gen, w, seed, run_dir, len(setups)))
+    while setups_wanted():
+        setups.append(do_setup(gen, w, seed, run_dir, len(setups)))
     compare_outputs([c for p in passes[1:] for c in p.commands], passes[0].commands, "pass 0")
-    return {"setups": setups, "passes": passes, "samples": end_to_end(w, setups, passes)}
+    return {"setups": setups, "passes": passes,
+            "samples": end_to_end(w, setups, passes, scale=True),
+            "wall_samples": end_to_end(w, setups, passes, scale=False)}
 
 
 def probe_cli(run_dir: Path, repeats: int) -> list[Command]:
@@ -653,6 +707,9 @@ def _run_workload(gen, w: Workload, args, run_dir: Path) -> dict:
             values = res["samples"][name]
             table[name] = {**summarize(values, better), "unit": unit} if values else {
                 "value": None, "unit": unit, "n": 0}
+            walls = res["wall_samples"][name]
+            if walls != values:
+                table[name]["wall"] = statistics.median(walls)
     result = {
         "workload": w.name,
         "seed": args.seed,
@@ -672,6 +729,11 @@ def _run_workload(gen, w: Workload, args, run_dir: Path) -> dict:
         result["inprocess_walls_s"] = res["walls"]
     else:
         result["samples"] = res["samples"]
+        result["wall_samples"] = res["wall_samples"]
+        probes = [p for s in res["setups"] for p in s.probes]
+        for ps in res["passes"]:  # a pass's commands share the probes between them
+            probes += [ps.commands[0].probes[0]] + [c.probes[1] for c in ps.commands]
+        result["probe_s"] = probes
     results_dir = WORK / "results"
     results_dir.mkdir(parents=True, exist_ok=True)
     (results_dir / f"{w.name}-seed{args.seed}-trace{args.trace}.json").write_text(
@@ -690,7 +752,7 @@ def print_table(result: dict) -> None:
     print("  inputs sha256: " + " ".join(
         f"{name}={digest[:12]}" for name, digest in result["inputs_sha256"].items()))
     for name, m in result["metrics"].items():
-        tail = "".join(f" {k}={fmt(v)}" for k, v in m.items() if k.startswith("p"))
+        tail = "".join(f" {k}={fmt(v)}" for k, v in m.items() if k.startswith(("p", "wall")))
         print(f"  {name:32s} {fmt(m['value']):>14s} {m['unit']:7s} n={m['n']}{tail}")
     print(f"  {'failed_ops_ratio':32s} {fmt(result['failed_ops_ratio']):>14s} 1       "
           f"n={result['attempted']}")
