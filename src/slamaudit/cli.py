@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import SlamAuditError, AuditError, DataError
@@ -91,6 +91,26 @@ def _model_scores(kind: str, model, dataset: Dataset):
     return predict_mt_scores(model, dataset)
 
 
+def _config_from(cls, payload, path: str):
+    """Build a config dataclass from a --config payload, naming any bad key."""
+    if not isinstance(payload, dict):
+        raise DataError(f"config file {path} must hold a JSON object")
+    expected = {f.name: type(f.default) for f in fields(cls)}
+    for key, value in payload.items():
+        if key not in expected:
+            raise DataError(
+                f"unknown key {key!r} in config file {path}; "
+                f"{cls.__name__} takes {', '.join(expected)}"
+            )
+        allowed = (int, float) if expected[key] is float else expected[key]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise DataError(
+                f"config key {key!r} in {path} must be {expected[key].__name__}, "
+                f"got {value!r}"
+            )
+    return cls(**payload)
+
+
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -116,14 +136,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.model == "gbdt":
         if len(datasets) != 1:
             raise DataError("gbdt training takes exactly one track")
-        config = GbdtConfig(**config_payload)
+        config = _config_from(GbdtConfig, config_payload, args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         vocab = build_vocab(datasets[0])
         model = train_gbdt(datasets[0], vocab, config)
         save_model(model, args.out)
     else:
-        config = MtConfig(**config_payload)
+        config = _config_from(MtConfig, config_payload, args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         vocab = build_vocab(datasets)

@@ -3,13 +3,15 @@
 Second-order (Newton) boosting: each round fits a regression tree to the
 gradients g = p - y and hessians h = p(1 - p) of the logistic loss, with
 L2-regularized leaf values -G/(H + lambda) and the standard split gain
-GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l). Splits are exact greedy over sorted
-feature values; no histograms. Training is fully deterministic, so two runs
-with the same data and config produce byte-identical models.
-
-The inner split scan runs on a compiled kernel when available and on a numpy
-fallback otherwise; the two are bit-identical by construction (see
-_backend.py).
+GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l). Splits are exact greedy: every cut
+of every feature is scored. Training reads the sparse encoding. Every
+feature but the three numeric ones is a one-hot binary, so one bincount per
+node over the node's active (row, feature) entries gives the value-1 side
+of all binary features at once, and the value-0 side is the node total
+minus that (sparsity-aware split finding, Chen & Guestrin 2016, Alg. 3).
+The numeric features are scanned over their sorted values. Training is
+fully deterministic, so two runs with the same data and config produce
+byte-identical models.
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError, TrainingError
-from ..features import Vocabulary, encode, labels_array, to_dense
+from ..features import NUMERIC_FEATURES, Vocabulary, encode, labels_array, to_dense
 from ..numerics import log_loss_from_raw, sigmoid
 from ..slam_format import Dataset, TokenInstance
-from ._backend import active_backend, scan_splits
+from ._scan_python import scan_splits
 
 MODEL_FORMAT_VERSION = 1
+_MODEL_KEYS = ("trees", "config", "base_score", "vocab", "train_losses")
 
 __all__ = [
     "GbdtConfig",
@@ -40,7 +44,6 @@ __all__ = [
     "predict_scores",
     "save_model",
     "load_model",
-    "active_backend",
 ]
 
 
@@ -228,30 +231,115 @@ def _cut_threshold(sorted_vals: np.ndarray, pos: int) -> float:
     return thr
 
 
-class _TreeBuilder:
-    """Grows one tree on fixed gradients/hessians.
+@dataclass(frozen=True)
+class _Node:
+    """The training rows that reach one tree node.
 
-    Each node carries `cols`, an (F, k) array whose row f lists the node's
-    member row ids sorted by feature f; children inherit filtered copies of
-    the parent's rows, so per-feature sort order is established once per
-    tree and never recomputed. `vals` is X gathered the same way. The
-    partition after a split is taken directly from the winning feature's
-    sorted slice, which keeps it exactly consistent with the positions the
-    scan counted (and with the serialized `value > threshold` rule).
+    `rows` lists the member row ids in ascending order; `entry_rows` and
+    `entry_feats` are their active (row, binary feature) pairs in row-major
+    order. Row j of `num_rows` lists the member rows sorted by numeric column
+    j (stable, so equal values keep row order) and row j of `num_vals` holds
+    the values in that order. Children take filtered copies, so each numeric
+    column is sorted once per training run.
     """
 
-    def __init__(self, X, g, h, config):
-        self.X = X
+    rows: np.ndarray
+    entry_rows: np.ndarray
+    entry_feats: np.ndarray
+    num_rows: np.ndarray
+    num_vals: np.ndarray
+
+    @classmethod
+    def root(cls, entry_rows, entry_feats, numeric) -> "_Node":
+        num_rows = np.ascontiguousarray(np.argsort(numeric, axis=0, kind="stable").T)
+        num_vals = np.ascontiguousarray(np.take_along_axis(numeric.T, num_rows, axis=1))
+        return cls(np.arange(len(numeric)), entry_rows, entry_feats, num_rows, num_vals)
+
+    def right_rows(self, split: SplitCandidate, n_binary: int) -> np.ndarray:
+        """Member rows with value > split.threshold on split.feature."""
+        if split.feature < n_binary:
+            return self.entry_rows[self.entry_feats == split.feature]
+        j = split.feature - n_binary
+        return self.num_rows[j][self.num_vals[j] > split.threshold]
+
+    def partition(self, go_right: np.ndarray) -> tuple["_Node", "_Node"]:
+        """(left, right) children; go_right is a mask over all training rows."""
+        m = len(self.num_rows)
+
+        def child(sel, entry_sel, num_sel) -> _Node:
+            size = int(sel.sum())
+            return _Node(
+                self.rows[sel],
+                self.entry_rows[entry_sel],
+                self.entry_feats[entry_sel],
+                self.num_rows[num_sel].reshape(m, size),
+                self.num_vals[num_sel].reshape(m, size),
+            )
+
+        in_right = go_right[self.rows]
+        entry_right = go_right[self.entry_rows]
+        num_right = go_right[self.num_rows]
+        left = child(~in_right, ~entry_right, ~num_right)
+        return left, child(in_right, entry_right, num_right)
+
+
+def _find_split(
+    node: _Node, g: np.ndarray, h: np.ndarray, n_binary: int, lam: float, min_leaf: int
+) -> SplitCandidate | None:
+    """Best split of a node, or None without a positive-gain split.
+
+    Binary features 0..n_binary-1 split at 0.5. One bincount each over the
+    node's active entries gives count, G and H of every feature's value-1
+    side; the value-0 side is the node total minus that. The numeric
+    features n_binary.. take the exact scan over their sorted values. Ties
+    go to the lowest feature id, then the lowest cut.
+    """
+    k = len(node.rows)
+    big_g = g[node.rows].sum()
+    big_h = h[node.rows].sum()
+    best = None
+    count1 = np.bincount(node.entry_feats, minlength=n_binary)
+    valid = np.flatnonzero((count1 >= min_leaf) & (k - count1 >= min_leaf))
+    if valid.size:
+        feats, rows = node.entry_feats, node.entry_rows
+        g1 = np.bincount(feats, weights=g[rows], minlength=n_binary)[valid]
+        h1 = np.bincount(feats, weights=h[rows], minlength=n_binary)[valid]
+        g0 = big_g - g1
+        h0 = big_h - h1
+        gain = g0 * g0 / (h0 + lam) + g1 * g1 / (h1 + lam) - big_g * big_g / (big_h + lam)
+        i = int(np.argmax(gain))  # first occurrence: lowest feature id
+        if gain[i] > 0.0:
+            best = SplitCandidate(feature=int(valid[i]), threshold=0.5, gain=float(gain[i]))
+    j, pos, num_gain = scan_splits(
+        node.num_vals,
+        np.ascontiguousarray(g[node.num_rows]),
+        np.ascontiguousarray(h[node.num_rows]),
+        lam,
+        min_leaf,
+    )
+    if j >= 0 and (best is None or num_gain > best.gain):
+        best = SplitCandidate(
+            feature=n_binary + int(j),
+            threshold=_cut_threshold(node.num_vals[j], pos),
+            gain=num_gain,
+        )
+    return best
+
+
+class _TreeBuilder:
+    """Grows one tree on fixed gradients/hessians over the sparse rows."""
+
+    def __init__(self, n_binary, g, h, config):
+        self.n_binary = n_binary
         self.g = g
         self.h = h
         self.config = config
-        self.n = len(X)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
-        self.contrib = np.zeros(self.n, dtype=np.float64)
+        self.contrib = np.zeros(len(g), dtype=np.float64)
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -261,43 +349,31 @@ class _TreeBuilder:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _leaf(self, node: int, rows: np.ndarray):
+    def _leaf(self, index: int, rows: np.ndarray):
         lam = self.config.l2_leaf_reg
         value = -self.g[rows].sum() / (self.h[rows].sum() + lam)
-        self.value[node] = value
+        self.value[index] = value
         self.contrib[rows] = value
 
-    def build(self, cols: np.ndarray, vals: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        F, k = cols.shape
+    def build(self, node: _Node, depth: int) -> int:
+        index = self._new_node()
         cfg = self.config
-        if depth >= cfg.max_depth or k < 2 * cfg.min_samples_leaf:
-            self._leaf(node, cols[0])
-            return node
-        f, pos, _gain = scan_splits(
-            vals,
-            np.ascontiguousarray(self.g[cols]),
-            np.ascontiguousarray(self.h[cols]),
-            cfg.l2_leaf_reg,
-            cfg.min_samples_leaf,
-        )
-        if f < 0:
-            self._leaf(node, cols[0])
-            return node
-        thr = _cut_threshold(vals[f], pos)
-        go_right = np.zeros(self.n, dtype=bool)
-        go_right[cols[f, pos + 1 :]] = True
-        sel = go_right[cols]
-        k_right = k - (pos + 1)
-        right_cols = cols[sel].reshape(F, k_right)
-        left_cols = cols[~sel].reshape(F, k - k_right)
-        right_vals = vals[sel].reshape(F, k_right)
-        left_vals = vals[~sel].reshape(F, k - k_right)
-        self.feature[node] = int(f)
-        self.threshold[node] = thr
-        self.left[node] = self.build(left_cols, left_vals, depth + 1)
-        self.right[node] = self.build(right_cols, right_vals, depth + 1)
-        return node
+        split = None
+        if depth < cfg.max_depth and len(node.rows) >= 2 * cfg.min_samples_leaf:
+            split = _find_split(
+                node, self.g, self.h, self.n_binary, cfg.l2_leaf_reg, cfg.min_samples_leaf
+            )
+        if split is None:
+            self._leaf(index, node.rows)
+            return index
+        go_right = np.zeros(len(self.g), dtype=bool)
+        go_right[node.right_rows(split, self.n_binary)] = True
+        left, right = node.partition(go_right)
+        self.feature[index] = split.feature
+        self.threshold[index] = split.threshold
+        self.left[index] = self.build(left, depth + 1)
+        self.right[index] = self.build(right, depth + 1)
+        return index
 
     def tree(self) -> Tree:
         return Tree(
@@ -316,21 +392,25 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
     the recorded seed only documents the run.
     """
     y = labels_array(train)
-    X = to_dense((encode(i, vocab) for i in train.instances), vocab)
-    return _train_on_matrix(X, y, vocab, config)
-
-
-def _train_on_matrix(
-    X: np.ndarray, y: np.ndarray, vocab: Vocabulary, config: GbdtConfig
-) -> GbdtModel:
     n = len(y)
     positives = float(y.sum())
     if n < 2 or positives == 0.0 or positives == float(n):
         raise TrainingError("training data must contain both classes")
     base = math.log(positives / (n - positives))
 
-    root_cols = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-    root_vals = np.ascontiguousarray(np.take_along_axis(X.T, root_cols, axis=1))
+    fvs = [encode(inst, vocab) for inst in train.instances]
+    n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
+    sizes = [len(fv.indices) for fv in fvs]
+    entry_rows = np.repeat(np.arange(n), sizes)
+    entry_feats = np.fromiter(
+        chain.from_iterable(fv.indices for fv in fvs), dtype=np.intp, count=sum(sizes)
+    )
+    numeric = np.zeros((n, len(NUMERIC_FEATURES)), dtype=np.float64)
+    for i, fv in enumerate(fvs):
+        for dim, value in fv.numeric:
+            numeric[i, dim - n_binary] = value
+    root = _Node.root(entry_rows, entry_feats, numeric)
+
     raw = np.full(n, base, dtype=np.float64)
     losses = [log_loss_from_raw(raw, y)]
     trees = []
@@ -338,8 +418,8 @@ def _train_on_matrix(
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        builder = _TreeBuilder(X, g, h, config)
-        builder.build(root_cols, root_vals, 0)
+        builder = _TreeBuilder(n_binary, g, h, config)
+        builder.build(root, 0)
         trees.append(builder.tree())
         raw = raw + config.learning_rate * builder.contrib
         loss = log_loss_from_raw(raw, y)
@@ -397,10 +477,20 @@ def load_model(path: str | Path) -> GbdtModel:
         raise DataError(
             f"unsupported model format version {payload.get('format_version')!r}"
         )
-    return GbdtModel(
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise DataError(f"model file {path} lacks {', '.join(missing)}")
+    model = GbdtModel(
         config=GbdtConfig(**payload["config"]),
         base_score=payload["base_score"],
         trees=tuple(Tree.from_dict(d) for d in payload["trees"]),
         vocab=Vocabulary.from_dict(payload["vocab"]),
         train_losses=tuple(payload["train_losses"]),
     )
+    for i, tree in enumerate(model.trees):
+        if max(tree.feature) >= model.vocab.total_dims:
+            raise DataError(
+                f"model file {path}: tree {i} splits on feature {max(tree.feature)}, "
+                f"beyond the vocabulary's {model.vocab.total_dims} dimensions"
+            )
+    return model

@@ -1,10 +1,9 @@
-"""Pure-numpy split scan, the fallback for the compiled kernel.
+"""Exact split scan over pre-sorted feature values, in numpy.
 
-Must stay bit-identical to the compiled version: prefix sums via cumsum
-(sequential accumulation, same order as the C loop), totals taken from the
-last cumsum column rather than a separate reduction, the gain expression
-written in the same operation order, and first-maximum tie-breaking via a
-C-order argmax (lowest feature id, then lowest split position).
+The GBDT trainer runs it on the numeric features. Prefix sums come from
+cumsum, which accumulates left to right, and totals from the last cumsum
+column rather than a separate reduction. Ties resolve by a C-order argmax:
+lowest feature row, then lowest split position.
 """
 
 from __future__ import annotations

@@ -46,8 +46,13 @@ def sha256_config(config_dict: dict) -> str:
 def run_timestamp() -> str:
     """ISO-8601 UTC timestamp, pinned by SOURCE_DATE_EPOCH when set."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    seconds = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(seconds))
+    try:
+        stamp = time.gmtime(int(epoch) if epoch else int(time.time()))
+    except (ValueError, OverflowError):
+        raise DataError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {epoch!r}"
+        ) from None
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ class MtConfig:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise TrainingError("learning_rate must be finite and >= 0")
         if self.l2 < 0.0:
             raise TrainingError("l2 must be >= 0")
 

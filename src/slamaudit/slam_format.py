@@ -10,6 +10,7 @@ two-column key files.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -141,6 +142,8 @@ def _build_meta(meta: dict[str, str], prompt: str | None,
         days = float(meta["days"])
     except ValueError:
         raise ParseError(f"bad days value {meta['days']!r}", lineno) from None
+    if not math.isfinite(days):
+        raise ParseError(f"non-finite days value {meta['days']!r}", lineno)
     if days < 0:
         raise ParseError(f"negative days value {meta['days']!r}", lineno)
 

@@ -130,6 +130,54 @@ class TestTrain:
         assert code == 1
         assert "counts must match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("days", ["nan", "inf", "-inf"])
+    def test_non_finite_days_rejected(self, tmp_path, mini_dir, capsys, days):
+        data = tmp_path / "train.slam"
+        text = (mini_dir / "en_es.train.slam").read_text()
+        data.write_text(text.replace("days:1.645 ", f"days:{days} ", 1))
+        code = run(
+            [
+                "train",
+                "--data", str(data),
+                "--track", "en_es",
+                "--model", "gbdt",
+                "--out", str(tmp_path / "x.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "non-finite days" in err[0]
+
+    @pytest.mark.parametrize(
+        "model, payload, key",
+        [
+            ("gbdt", {"n_tree": 5}, "n_tree"),
+            ("gbdt", {"n_trees": "5"}, "n_trees"),
+            ("gbdt", {"learning_rate": True}, "learning_rate"),
+            ("multitask", {"epoch": 1}, "epoch"),
+            ("multitask", {"embed_dim": 4.0}, "embed_dim"),
+        ],
+    )
+    def test_bad_config_key_named(self, tmp_path, mini_dir, capsys, model, payload, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code = run(
+            [
+                "train",
+                "--data", str(mini_dir / "en_es.train.slam"),
+                "--track", "en_es",
+                "--model", model,
+                "--config", str(config),
+                "--out", str(tmp_path / "x.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert repr(key) in err[0]
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestPredict:
     def test_scores_csv(self, tmp_path, gbdt_model, mini_dir):
@@ -150,6 +198,26 @@ class TestPredict:
         for line in lines[1:]:
             _, score = line.split(",")
             assert 0.0 < float(score) < 1.0
+
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+    def test_unusable_source_date_epoch_rejected(
+        self, tmp_path, gbdt_model, mini_dir, capsys, monkeypatch, epoch
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code = run(
+            [
+                "predict",
+                "--model", str(gbdt_model),
+                "--data", str(mini_dir / "en_es.dev.slam"),
+                "--track", "en_es",
+                "--out", str(tmp_path / "scores.csv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "SOURCE_DATE_EPOCH" in err[0]
 
 
 class TestEvaluate:

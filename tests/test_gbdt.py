@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import slamaudit.gbdt as gbdt_mod
-from slamaudit.errors import TrainingError
-from slamaudit.features import build_vocab
+from slamaudit.errors import DataError, TrainingError
+from slamaudit.features import build_vocab, encode, labels_array, to_dense
 from slamaudit.gbdt import (
     GbdtConfig,
     GbdtModel,
@@ -20,7 +20,6 @@ from slamaudit.gbdt import (
     save_model,
     train_gbdt,
 )
-from slamaudit.gbdt._scan_python import scan_splits as scan_python
 from slamaudit.numerics import log_loss_from_raw, sigmoid
 from slamaudit.slam_format import (
     Client,
@@ -31,7 +30,10 @@ from slamaudit.slam_format import (
     Split,
     TokenInstance,
     Track,
+    read_dataset,
 )
+
+from oracles import oracle_best_split, oracle_split_candidates, oracle_train_raw
 
 
 def make_dataset(rows, track=Track.EN_ES):
@@ -241,8 +243,6 @@ class TestTraining:
         vocab = build_vocab(ds)
         cfg = GbdtConfig(n_trees=8, max_depth=3, min_samples_leaf=5)
         model = train_gbdt(ds, vocab, cfg)
-        from slamaudit.features import encode, labels_array, to_dense
-
         X = to_dense((encode(i, vocab) for i in ds.instances), vocab)
         y = labels_array(ds)
         raw = np.full(len(y), model.base_score)
@@ -303,47 +303,92 @@ class TestSerialization:
         with pytest.raises(Exception, match="cannot read"):
             load_model(tmp_path / "missing.json")
 
+    @staticmethod
+    def saved_payload(tmp_path):
+        ds = make_dataset([("aa", 1), ("aa", 1), ("bb", 0), ("bb", 0)])
+        model = train_gbdt(
+            ds, build_vocab(ds), GbdtConfig(n_trees=2, max_depth=1, min_samples_leaf=1)
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        return path, json.loads(path.read_text())
 
-class TestBackends:
-    def scan_cases(self, rng, n_cases=300):
+    @pytest.mark.parametrize(
+        "key", ["trees", "config", "base_score", "vocab", "train_losses"]
+    )
+    def test_missing_key_rejected(self, tmp_path, key):
+        path, payload = self.saved_payload(tmp_path)
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=key):
+            load_model(path)
+
+    def test_feature_beyond_vocabulary_rejected(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        tree = payload["trees"][1]
+        assert tree["feature"][0] >= 0  # the root splits
+        tree["feature"][0] = load_model(path).vocab.total_dims
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="beyond the vocabulary"):
+            load_model(path)
+
+
+class TestSparseSplitFinder:
+    """The sparse trainer against the brute-force exact scan in oracles.py."""
+
+    @staticmethod
+    def node_problems(rng, n_cases=300):
         for _ in range(n_cases):
-            F = rng.randint(1, 6)
             k = rng.randint(2, 40)
-            vals = np.sort(
-                np.array(
-                    [[rng.randrange(8) / 2.0 for _ in range(k)] for _ in range(F)]
-                ),
-                axis=1,
-            )
-            g = np.array([[rng.uniform(-1, 1) for _ in range(k)] for _ in range(F)])
-            h = np.array([[rng.uniform(0.01, 1) for _ in range(k)] for _ in range(F)])
+            n_binary = rng.randint(1, 6)
+            n_numeric = rng.randint(1, 3)
+            X = np.zeros((k, n_binary + n_numeric))
+            for f in range(n_binary):
+                density = rng.choice([0.1, 0.5, 0.9])
+                X[:, f] = [float(rng.random() < density) for _ in range(k)]
+            for f in range(n_binary, n_binary + n_numeric):
+                X[:, f] = [rng.randrange(8) / 2.0 for _ in range(k)]
             lam = rng.choice([0.0, 0.5, 1.0])
-            msl = rng.randint(1, 5)
-            yield (
-                np.ascontiguousarray(vals), np.ascontiguousarray(g),
-                np.ascontiguousarray(h), lam, msl,
-            )
+            if lam > 0.0 and rng.random() < 0.1:
+                # equal g and h on every row: each cut has negative gain, so
+                # no split may be returned (lam = 0 would make every gain 0)
+                g = np.full(k, rng.uniform(-1, 1))
+                h = np.full(k, rng.uniform(0.01, 1))
+            else:
+                g = np.array([rng.uniform(-1, 1) for _ in range(k)])
+                h = np.array([rng.uniform(0.01, 1) for _ in range(k)])
+            yield X, n_binary, g, h, lam, rng.randint(1, 5)
 
-    def test_python_and_cython_scans_bit_identical(self):
-        scan_cython = pytest.importorskip("slamaudit.gbdt._scan_cython").scan_splits
+    def test_best_gain_matches_oracle_on_random_nodes(self):
         rng = random.Random(3008)
-        for vals, g, h, lam, msl in self.scan_cases(rng):
-            a = scan_python(vals, g, h, lam, msl)
-            b = scan_cython(vals, g, h, lam, msl)
-            assert a == b  # including exact float gain equality
+        splits = 0
+        for X, n_binary, g, h, lam, msl in self.node_problems(rng):
+            entry_rows, entry_feats = np.nonzero(X[:, :n_binary])
+            node = gbdt_mod._Node.root(entry_rows, entry_feats, X[:, n_binary:])
+            found = gbdt_mod._find_split(node, g, h, n_binary, lam, msl)
+            candidates = oracle_split_candidates(X, g, h, lam, msl)
+            best = oracle_best_split(candidates)
+            if best is None:
+                assert found is None
+                continue
+            splits += 1
+            assert found.gain == pytest.approx(best[2], rel=1e-12, abs=0.0)
+            at_choice = {(f, t): gain for f, t, gain in candidates}
+            assert at_choice[(found.feature, found.threshold)] == pytest.approx(
+                best[2], rel=1e-12, abs=0.0
+            )
+        assert splits >= 200  # most problems must exercise a real split
 
-    def test_full_model_identical_across_backends(self, tmp_path, monkeypatch):
-        pytest.importorskip("slamaudit.gbdt._scan_cython")
-        rng = random.Random(3009)
-        ds = separable_dataset(rng, n=150)
-        vocab = build_vocab(ds)
-        cfg = GbdtConfig(n_trees=10, max_depth=4, min_samples_leaf=3)
-
-        model_active = train_gbdt(ds, vocab, cfg)
-        monkeypatch.setattr(gbdt_mod, "scan_splits", scan_python)
-        model_python = train_gbdt(ds, vocab, cfg)
-
-        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        save_model(model_active, pa)
-        save_model(model_python, pb)
-        assert pa.read_bytes() == pb.read_bytes()
+    @pytest.mark.parametrize("track", [Track.EN_ES, Track.ES_EN, Track.FR_EN])
+    def test_fixture_train_scores_match_oracle_trainer(self, mini_dir, track):
+        train = read_dataset(mini_dir / f"{track.value}.train.slam", track, Split.TRAIN)
+        vocab = build_vocab(train)
+        cfg = GbdtConfig()
+        model = train_gbdt(train, vocab, cfg)
+        X = to_dense((encode(i, vocab) for i in train.instances), vocab)
+        raw = oracle_train_raw(
+            X, labels_array(train), n_trees=cfg.n_trees, max_depth=cfg.max_depth,
+            learning_rate=cfg.learning_rate, min_samples_leaf=cfg.min_samples_leaf,
+            l2_leaf_reg=cfg.l2_leaf_reg,
+        )
+        assert np.abs(model.predict_proba(X) - sigmoid(raw)).max() <= 1e-12

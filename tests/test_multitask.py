@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(TrainingError, match="l2"):
             MtConfig(l2=-0.1)
 
+    @pytest.mark.parametrize("rate", [-5.0, float("nan"), float("inf")])
+    def test_bad_learning_rate_rejected(self, rate):
+        with pytest.raises(TrainingError, match="learning_rate"):
+            MtConfig(learning_rate=rate)
+
 
 class TestForward:
     def test_all_zero_parameters_give_half(self):
