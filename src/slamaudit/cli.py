@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import SlamAuditError, AuditError, DataError
@@ -41,6 +41,7 @@ from .multitask import (
 )
 from .slam_format import Dataset, Split, Track, join_labels, read_dataset, read_label_key
 from .svgplot import render_roc_plot
+from .validation import config_from, read_json_object
 
 TRACK_CHOICES = [t.value for t in Track]
 SPLIT_CHOICES = [s.value for s in Split]
@@ -60,11 +61,7 @@ def _read_labeled(data_path: str, track: Track, split: Split, labels_path: str |
 
 def _load_any_model(path: str):
     """Load a model file of either kind; returns (kind, model)."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    kind = payload.get("kind")
+    kind = read_json_object(path, "model file").get("kind")
     if kind == "gbdt":
         return kind, load_model(path)
     if kind == "multitask":
@@ -91,26 +88,6 @@ def _model_scores(kind: str, model, dataset: Dataset):
     return predict_mt_scores(model, dataset)
 
 
-def _config_from(cls, payload, path: str):
-    """Build a config dataclass from a --config payload, naming any bad key."""
-    if not isinstance(payload, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    expected = {f.name: type(f.default) for f in fields(cls)}
-    for key, value in payload.items():
-        if key not in expected:
-            raise DataError(
-                f"unknown key {key!r} in config file {path}; "
-                f"{cls.__name__} takes {', '.join(expected)}"
-            )
-        allowed = (int, float) if expected[key] is float else expected[key]
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise DataError(
-                f"config key {key!r} in {path} must be {expected[key].__name__}, "
-                f"got {value!r}"
-            )
-    return cls(**payload)
-
-
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -124,10 +101,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     split = Split(args.split)
     config_payload = {}
     if args.config is not None:
-        try:
-            config_payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config file {args.config}: {exc}") from exc
+        config_payload = read_json_object(args.config, "config file")
+    source = f"config file {args.config}"
 
     datasets = [
         read_dataset(path, track, split) for path, track in zip(args.data, tracks)
@@ -136,14 +111,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.model == "gbdt":
         if len(datasets) != 1:
             raise DataError("gbdt training takes exactly one track")
-        config = _config_from(GbdtConfig, config_payload, args.config)
+        config = config_from(GbdtConfig, config_payload, source)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         vocab = build_vocab(datasets[0])
         model = train_gbdt(datasets[0], vocab, config)
         save_model(model, args.out)
     else:
-        config = _config_from(MtConfig, config_payload, args.config)
+        config = config_from(MtConfig, config_payload, source)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         vocab = build_vocab(datasets)

@@ -74,11 +74,29 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Vocabulary":
+        if not isinstance(payload, dict):
+            raise DataError("vocabulary must be a JSON object")
         if payload.get("format_version") != VOCAB_FORMAT_VERSION:
             raise DataError(
                 f"unsupported vocabulary format version {payload.get('format_version')!r}"
             )
-        maps = {ns: dict(payload["namespaces"][ns]) for ns in NAMESPACES}
+        namespaces = payload.get("namespaces")
+        if not isinstance(namespaces, dict):
+            raise DataError("vocabulary lacks a namespaces object")
+        maps = {}
+        for ns in NAMESPACES:
+            local = namespaces.get(ns)
+            # local indices must be exactly 0..n-1, or encoded dimensions
+            # would collide across namespaces or run past total_dims
+            if not (
+                isinstance(local, dict)
+                and all(type(i) is int for i in local.values())
+                and sorted(local.values()) == list(range(len(local)))
+            ):
+                raise DataError(
+                    f"vocabulary namespace {ns!r} must map strings to the indices 0..n-1"
+                )
+            maps[ns] = dict(local)
         return _assemble(maps)
 
     def sha256(self) -> str:

@@ -28,6 +28,7 @@ from ..errors import DataError, TrainingError
 from ..features import NUMERIC_FEATURES, Vocabulary, encode, labels_array, to_dense
 from ..numerics import log_loss_from_raw, sigmoid
 from ..slam_format import Dataset, TokenInstance
+from ..validation import config_from, read_json_object, require_keys
 from ._scan_python import scan_splits
 
 MODEL_FORMAT_VERSION = 1
@@ -467,21 +468,18 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GbdtModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
+    payload = read_json_object(path, "model file")
     if payload.get("kind") != "gbdt":
         raise DataError(f"not a gbdt model file: {path}")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported model format version {payload.get('format_version')!r}"
         )
-    missing = [key for key in _MODEL_KEYS if key not in payload]
-    if missing:
-        raise DataError(f"model file {path} lacks {', '.join(missing)}")
+    require_keys(payload, _MODEL_KEYS, f"model file {path}")
     model = GbdtModel(
-        config=GbdtConfig(**payload["config"]),
+        config=config_from(
+            GbdtConfig, payload["config"], f"the config in model file {path}"
+        ),
         base_score=payload["base_score"],
         trees=tuple(Tree.from_dict(d) for d in payload["trees"]),
         vocab=Vocabulary.from_dict(payload["vocab"]),

@@ -21,8 +21,18 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DataError
+from .validation import read_json_object, require_keys
 
 MANIFEST_FORMAT_VERSION = 1
+_MANIFEST_KEYS = (
+    "track",
+    "model_kind",
+    "split",
+    "config_hashes",
+    "dataset_hashes",
+    "timestamps",
+    "tool_version",
+)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -83,6 +93,10 @@ class RunManifest:
             raise DataError(
                 f"unsupported manifest format version {payload.get('format_version')!r}"
             )
+        require_keys(payload, _MANIFEST_KEYS, "manifest")
+        for key in ("config_hashes", "dataset_hashes", "timestamps"):
+            if not isinstance(payload[key], dict):
+                raise DataError(f"manifest {key} must be a JSON object")
         return cls(
             track=payload["track"],
             model_kind=payload["model_kind"],
@@ -126,8 +140,4 @@ def write_manifest(manifest: RunManifest, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> RunManifest:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read manifest file {path}: {exc}") from exc
-    return RunManifest.from_dict(payload)
+    return RunManifest.from_dict(read_json_object(path, "manifest file"))

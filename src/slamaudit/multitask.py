@@ -11,13 +11,26 @@ The L2 penalty applies to weights only (active embedding rows, the hidden
 map, the active head), never to biases, and per instance only to rows that
 instance actually touched; embedding rows of inactive features therefore
 get exactly zero gradient.
+
+Training packs each track once into CSR rows of mixing weights (1/k on each
+of an instance's k active binary dimensions, the value on each nonzero
+numeric one). A mini-batch gathers its rows into a small dense matrix M over
+the u distinct dimensions it touches, so the batch embeds as
+``M @ embedding[u]``; one vectorized forward and backward pass gives the
+batch's summed gradient, and only the rows u of the embedding are updated.
+The final loss pass and ``predict_mt_scores`` run the same forward pass over
+bounded row chunks. The per-instance ``forward``, ``instance_loss`` and
+``grad`` are the reference: the finite-difference checks test ``grad``, and
+the batched step is tested against the sum of ``grad`` over a batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,8 +40,21 @@ from .errors import DataError, TrainingError
 from .features import FeatureVector, Vocabulary, encode
 from .numerics import sigmoid
 from .slam_format import Dataset, Track
+from .validation import config_from, read_json_object, require_keys
 
 MT_FORMAT_VERSION = 1
+_MT_MODEL_KEYS = (
+    "config",
+    "vocab",
+    "embedding",
+    "hidden_weight",
+    "hidden_bias",
+    "heads",
+    "train_losses",
+)
+# rows per forward chunk when scoring a whole track; bounds the dense
+# (rows x distinct dims) mixing matrix to a few MB
+_CHUNK_ROWS = 256
 
 __all__ = [
     "MtConfig",
@@ -222,24 +248,95 @@ def grad(model: MtModel, track: Track, fv: FeatureVector, label: int) -> MtGradi
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _PackedRows:
+    """Instances as CSR rows of mixing weights: row i of the implied
+    (n, total_dims) matrix M holds 1/k on each of its k active binary
+    dimensions and the value of each nonzero numeric dimension, so
+    ``M @ embedding`` is every instance's ``_embed``. No (row, dim) pair
+    repeats: binary indices are a set and numeric dims are disjoint from
+    them. The nonzero pattern of a row is exactly the embedding rows that
+    instance touches, which is also its L2 penalty set."""
+
+    indptr: np.ndarray  # (n + 1,) int64
+    cols: np.ndarray  # (nnz,) int64
+    vals: np.ndarray  # (nnz,) float64
+    labels: np.ndarray | None  # (n,) float64
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+
+def _pack(fvs: Iterable[FeatureVector], labels=None) -> _PackedRows:
+    indptr, cols, vals = array("q", [0]), array("q"), array("d")
+    for fv in fvs:
+        cols.extend(fv.indices)
+        vals.extend(repeat(1.0 / len(fv.indices), len(fv.indices)))
+        for dim, value in fv.numeric:
+            if value != 0.0:
+                cols.append(dim)
+                vals.append(value)
+        indptr.append(len(cols))
+    return _PackedRows(
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        cols=np.frombuffer(cols, dtype=np.int64),
+        vals=np.frombuffer(vals, dtype=np.float64),
+        labels=None if labels is None else np.array(labels, dtype=np.float64),
+    )
+
+
+def _gather(packed: _PackedRows, rows: np.ndarray):
+    """Dense (len(rows), u) mixing matrix of the given rows over the sorted
+    distinct dims ``u`` they touch, and each entry's position in ``u``."""
+    starts = packed.indptr[rows]
+    counts = packed.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), counts)
+    first = np.cumsum(counts) - counts  # each row's first slot in the gather
+    entries = np.repeat(starts - first, counts) + np.arange(counts.sum())
+    u, inv = np.unique(packed.cols[entries], return_inverse=True)
+    mix = np.zeros((len(rows), len(u)))
+    mix[owner, inv] = packed.vals[entries]
+    return mix, u, inv
+
+
+def _batch_forward(model: MtModel, track: Track, mix: np.ndarray, u: np.ndarray):
+    """Embeddings, hidden activations and logits of a gathered batch."""
+    e = mix @ model.embedding[u]
+    a = np.tanh(e @ model.hidden_weight + model.hidden_bias)
+    w, b = model.heads[track]
+    return e, a, a @ w + b
+
+
+def _chunked(model: MtModel, track: Track, packed: _PackedRows, per_chunk) -> np.ndarray:
+    """One value per row from ``per_chunk(rows, mix, u, logits)``, run over
+    bounded row chunks so the dense mixing matrix stays small."""
+    out = np.empty(packed.n)
+    for lo in range(0, packed.n, _CHUNK_ROWS):
+        rows = np.arange(lo, min(lo + _CHUNK_ROWS, packed.n))
+        mix, u, _inv = _gather(packed, rows)
+        *_, logits = _batch_forward(model, track, mix, u)
+        out[rows] = per_chunk(rows, mix, u, logits)
+    return out
+
+
 def _prepare_tracks(
     datasets: Sequence[Dataset], vocab: Vocabulary
-) -> dict[Track, tuple[list[FeatureVector], list[int]]]:
-    by_track: dict[Track, tuple[list[FeatureVector], list[int]]] = {}
+) -> dict[Track, _PackedRows]:
+    by_track: dict[Track, _PackedRows] = {}
     for ds in datasets:
         if ds.track in by_track:
             raise TrainingError(f"duplicate dataset for track {ds.track.value!r}")
-        fvs, labels = [], []
+        labels = []
         for inst in ds.instances:
             if inst.label is None:
                 raise DataError(f"unlabeled instance {inst.instance_id!r}")
-            fvs.append(encode(inst, vocab))
             labels.append(inst.label)
         if len(set(labels)) < 2:
             raise TrainingError(
                 f"track {ds.track.value!r} contains a single class"
             )
-        by_track[ds.track] = (fvs, labels)
+        by_track[ds.track] = _pack((encode(i, vocab) for i in ds.instances), labels)
     if not by_track:
         raise TrainingError("no datasets given")
     return by_track
@@ -262,13 +359,12 @@ def train_multitask(
     lr = config.learning_rate
 
     for _epoch in range(config.epochs):
-        batches: dict[Track, list[list[int]]] = {}
+        batches: dict[Track, list[np.ndarray]] = {}
         for t in tracks:
-            n = len(by_track[t][0])
-            perm = rng.permutation(n)
+            perm = rng.permutation(by_track[t].n)
             batches[t] = [
-                list(perm[i : i + config.batch_size])
-                for i in range(0, n, config.batch_size)
+                perm[i : i + config.batch_size]
+                for i in range(0, len(perm), config.batch_size)
             ]
         rounds = max(len(b) for b in batches.values())
         for r in range(rounds):
@@ -278,46 +374,78 @@ def train_multitask(
                 _apply_batch(model, t, by_track[t], batches[t][r], lr)
 
     for t in tracks:
-        fvs, labels = by_track[t]
-        losses = [
-            instance_loss(model, t, fv, y) for fv, y in zip(fvs, labels)
-        ]
-        model.train_losses[t] = float(np.mean(losses))
+        model.train_losses[t] = float(np.mean(_track_losses(model, t, by_track[t])))
     model.validate_finite()
     return model
 
 
-def _apply_batch(model, track, data, batch, lr):
-    fvs, labels = data
-    scale = lr / len(batch)
-    acc_emb = np.zeros_like(model.embedding)
-    acc_hw = np.zeros_like(model.hidden_weight)
-    acc_hb = np.zeros_like(model.hidden_bias)
-    acc_w = np.zeros_like(model.heads[track][0])
-    acc_b = 0.0
-    for i in batch:
-        g = grad(model, track, fvs[i], labels[i])
-        acc_emb += g.embedding
-        acc_hw += g.hidden_weight
-        acc_hb += g.hidden_bias
-        gw, gb = g.heads[track]
-        acc_w += gw
-        acc_b += gb
-    model.embedding -= scale * acc_emb
-    model.hidden_weight -= scale * acc_hw
-    model.hidden_bias -= scale * acc_hb
+def _batch_grad(model: MtModel, track: Track, packed: _PackedRows, rows: np.ndarray):
+    """Gradient of the summed ``instance_loss`` over a batch, equal up to
+    summation order to the sum of per-instance ``grad`` results. The
+    embedding part covers only the touched rows ``u``; every other row's
+    gradient is exactly zero. Returns (u, d_emb_u, d_hidden_w, d_hidden_b,
+    d_head_w, d_head_b)."""
+    mix, u, inv = _gather(packed, rows)
+    m, l2 = len(rows), model.config.l2
+    emb_u = model.embedding[u]
+    e, a, logits = _batch_forward(model, track, mix, u)
+    dlogit = sigmoid(logits) - packed.labels[rows]
+    w, _b = model.heads[track]
+    d_head_w = a.T @ dlogit + m * l2 * w
+    d_head_b = float(dlogit.sum())
+    dz = np.outer(dlogit, w) * (1.0 - a * a)
+    d_hidden_w = e.T @ dz + m * l2 * model.hidden_weight
+    d_hidden_b = dz.sum(axis=0)
+    # each touched row takes its mixing-weighted share of dL/de, plus the L2
+    # pull once per instance that touched it
+    d_emb_u = mix.T @ (dz @ model.hidden_weight.T)
+    d_emb_u += l2 * np.bincount(inv)[:, None] * emb_u
+    return u, d_emb_u, d_hidden_w, d_hidden_b, d_head_w, d_head_b
+
+
+def _apply_batch(model: MtModel, track: Track, packed: _PackedRows, rows, lr: float):
+    u, d_emb_u, d_hidden_w, d_hidden_b, d_head_w, d_head_b = _batch_grad(
+        model, track, packed, rows
+    )
+    scale = lr / len(rows)
+    model.embedding[u] -= scale * d_emb_u
+    model.hidden_weight -= scale * d_hidden_w
+    model.hidden_bias -= scale * d_hidden_b
     w, b = model.heads[track]
-    model.heads[track] = (w - scale * acc_w, b - scale * acc_b)
+    model.heads[track] = (w - scale * d_head_w, b - scale * d_head_b)
+
+
+def _track_losses(model: MtModel, track: Track, packed: _PackedRows) -> np.ndarray:
+    """``instance_loss`` of every row, computed batch-wise."""
+    l2 = model.config.l2
+    w, _b = model.heads[track]
+    shared = 0.5 * l2 * float((model.hidden_weight**2).sum())
+    head = 0.5 * l2 * float((w**2).sum())
+
+    def losses(rows, mix, u, logits):
+        y = packed.labels[rows]
+        loss = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - y * logits
+        if l2 > 0.0:
+            touched = (mix != 0.0) @ (model.embedding[u] ** 2).sum(axis=1)
+            loss += 0.5 * l2 * touched
+            loss += shared
+            loss += head
+        return loss
+
+    return _chunked(model, track, packed, losses)
 
 
 def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
     """Probabilities for every instance; the dataset's track must have a head."""
-    return np.array(
-        [
-            forward(model, dataset.track, encode(inst, model.vocab))
-            for inst in dataset.instances
-        ]
-    )
+    track = dataset.track
+    if track not in model.heads:
+        raise DataError(f"model has no head for track {track.value!r}")
+    packed = _pack(encode(inst, model.vocab) for inst in dataset.instances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _chunked(model, track, packed, lambda rows, mix, u, logits: sigmoid(logits))
+    if not np.isfinite(scores).all():
+        raise DataError("model gives non-finite scores: its parameters overflow")
+    return scores
 
 
 def save_mt_model(model: MtModel, path: str | Path) -> None:
@@ -343,29 +471,74 @@ def save_mt_model(model: MtModel, path: str | Path) -> None:
     )
 
 
-def load_mt_model(path: str | Path) -> MtModel:
+def _float_array(value, shape: tuple, source: str) -> np.ndarray:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DataError(f"{source} must be an array of numbers")
+    if arr.shape != shape:
+        raise DataError(f"{source} has shape {arr.shape}, expected {shape}")
+    return arr.astype(np.float64)
+
+
+def _number(value, source: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{source} must be a number, got {value!r}")
+    return float(value)
+
+
+def _track_map(value, source: str) -> dict[Track, object]:
+    if not isinstance(value, dict):
+        raise DataError(f"{source} must be a JSON object")
+    try:
+        return {Track(name): v for name, v in value.items()}
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from None
+
+
+def load_mt_model(path: str | Path) -> MtModel:
+    """Read a multitask model file, checking every key, type and shape, so a
+    bad file ends in one DataError and never loads half-valid."""
+    payload = read_json_object(path, "model file")
     if payload.get("kind") != "multitask":
         raise DataError(f"not a multitask model file: {path}")
     if payload.get("format_version") != MT_FORMAT_VERSION:
         raise DataError(
             f"unsupported model format version {payload.get('format_version')!r}"
         )
+    where = f"model file {path}"
+    require_keys(payload, _MT_MODEL_KEYS, where)
+    config = config_from(MtConfig, payload["config"], f"the config in {where}")
+    vocab = Vocabulary.from_dict(payload["vocab"])
+    d, hdim = config.embed_dim, config.hidden_dim
+    heads = {}
+    for track, head in _track_map(payload["heads"], f"{where}: heads").items():
+        name = f"{where}: head {track.value!r}"
+        if not isinstance(head, dict):
+            raise DataError(f"{name} must be a JSON object")
+        require_keys(head, ("weight", "bias"), name)
+        heads[track] = (
+            _float_array(head["weight"], (hdim,), f"{name} weight"),
+            _number(head["bias"], f"{name} bias"),
+        )
+    if not heads:
+        raise DataError(f"{where} has no heads")
+    losses = _track_map(payload["train_losses"], f"{where}: train_losses")
     model = MtModel(
-        config=MtConfig(**payload["config"]),
-        vocab=Vocabulary.from_dict(payload["vocab"]),
-        embedding=np.array(payload["embedding"], dtype=np.float64),
-        hidden_weight=np.array(payload["hidden_weight"], dtype=np.float64),
-        hidden_bias=np.array(payload["hidden_bias"], dtype=np.float64),
-        heads={
-            Track(name): (np.array(d["weight"], dtype=np.float64), float(d["bias"]))
-            for name, d in payload["heads"].items()
-        },
+        config=config,
+        vocab=vocab,
+        embedding=_float_array(
+            payload["embedding"], (vocab.total_dims, d), f"{where}: embedding"
+        ),
+        hidden_weight=_float_array(
+            payload["hidden_weight"], (d, hdim), f"{where}: hidden_weight"
+        ),
+        hidden_bias=_float_array(payload["hidden_bias"], (hdim,), f"{where}: hidden_bias"),
+        heads=heads,
         train_losses={
-            Track(name): float(v) for name, v in payload["train_losses"].items()
+            t: _number(v, f"{where}: train_losses {t.value!r}") for t, v in losses.items()
         },
     )
     model.validate_finite()

@@ -1,13 +1,17 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here favours obviousness over speed: exhaustive threshold sweeps,
-quadratic pair counting, dense-grid quadrature. Keep these independent of the
-library internals so agreement means something.
+quadratic pair counting, dense-grid quadrature, per-instance gradient sums.
+Keep these independent of the library internals so agreement means
+something.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from slamaudit.features import encode
+from slamaudit.multitask import grad, init_model, instance_loss
 
 
 def oracle_roc_points(scores, labels):
@@ -194,3 +198,64 @@ def _oracle_node_cut(X, g, h, lam, min_leaf):
     if threshold >= hi:
         threshold = lo
     return int(live[j]), threshold
+
+
+def oracle_train_multitask(datasets, vocab, config):
+    """Per-instance reference for ``train_multitask``: the same seeded
+    initialization, shuffles and round-robin batch order, with each batch's
+    step the sum of per-instance ``grad`` results and the final losses the
+    mean of per-instance ``instance_loss``."""
+    data = {
+        ds.track: ([encode(i, vocab) for i in ds.instances], [i.label for i in ds.instances])
+        for ds in datasets
+    }
+    model = init_model(vocab, data, config)
+    rng = np.random.default_rng(config.seed + 1)
+    tracks = sorted(data, key=lambda t: t.value)
+    size = config.batch_size
+    for _epoch in range(config.epochs):
+        batches = {}
+        for t in tracks:
+            perm = rng.permutation(len(data[t][0]))
+            batches[t] = [perm[i : i + size] for i in range(0, len(perm), size)]
+        for r in range(max(len(b) for b in batches.values())):
+            for t in tracks:
+                if r < len(batches[t]):
+                    oracle_mt_step(model, t, data[t], batches[t][r], config.learning_rate)
+    for t in tracks:
+        fvs, labels = data[t]
+        losses = [instance_loss(model, t, fv, y) for fv, y in zip(fvs, labels)]
+        model.train_losses[t] = float(np.mean(losses))
+    return model
+
+
+def oracle_mt_summed_grad(model, track, fvs, labels):
+    """Sum of per-instance ``grad`` results as dense arrays: (embedding,
+    hidden_weight, hidden_bias, head weight, head bias)."""
+    acc_emb = np.zeros_like(model.embedding)
+    acc_hw = np.zeros_like(model.hidden_weight)
+    acc_hb = np.zeros_like(model.hidden_bias)
+    acc_w = np.zeros_like(model.heads[track][0])
+    acc_b = 0.0
+    for fv, y in zip(fvs, labels):
+        g = grad(model, track, fv, y)
+        acc_emb += g.embedding
+        acc_hw += g.hidden_weight
+        acc_hb += g.hidden_bias
+        gw, gb = g.heads[track]
+        acc_w += gw
+        acc_b += gb
+    return acc_emb, acc_hw, acc_hb, acc_w, acc_b
+
+
+def oracle_mt_step(model, track, data, batch, lr):
+    fvs, labels = data
+    acc_emb, acc_hw, acc_hb, acc_w, acc_b = oracle_mt_summed_grad(
+        model, track, [fvs[i] for i in batch], [labels[i] for i in batch]
+    )
+    scale = lr / len(batch)
+    model.embedding -= scale * acc_emb
+    model.hidden_weight -= scale * acc_hw
+    model.hidden_bias -= scale * acc_hb
+    w, b = model.heads[track]
+    model.heads[track] = (w - scale * acc_w, b - scale * acc_b)

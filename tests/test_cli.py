@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from slamaudit.cli import main
+from slamaudit.errors import DataError
+from slamaudit.manifest import read_manifest
 
 EN_TRAIN = "data/mini/en_es.train.slam"
 EN_DEV = "data/mini/en_es.dev.slam"
@@ -38,6 +40,34 @@ def fast_mt_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "mt.json"
     path.write_text(json.dumps({"embed_dim": 4, "hidden_dim": 4, "epochs": 1}))
     return path
+
+
+@pytest.fixture(scope="module")
+def mt_model(tmp_path_factory, mini_dir, fast_mt_config):
+    out = tmp_path_factory.mktemp("model") / "mt_es_fr.json"
+    code = run(
+        [
+            "train",
+            "--data",
+            str(mini_dir / "es_en.train.slam"),
+            str(mini_dir / "fr_en.train.slam"),
+            "--track", "es_en", "fr_en",
+            "--model", "multitask",
+            "--config", str(fast_mt_config),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    return out
+
+
+def predict_error_lines(model, data, track, out, capsys):
+    """Run predict; return (exit code, stderr lines)."""
+    code = run(
+        ["predict", "--model", str(model), "--data", str(data), "--track", track,
+         "--out", str(out)]
+    )
+    return code, capsys.readouterr().err.splitlines()
 
 
 class TestTrain:
@@ -219,6 +249,50 @@ class TestPredict:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "SOURCE_DATE_EPOCH" in err[0]
 
+    @pytest.mark.parametrize("kind", ["gbdt", "multitask"])
+    def test_unknown_model_config_key_named(
+        self, tmp_path, gbdt_model, mt_model, mini_dir, capsys, kind
+    ):
+        source = gbdt_model if kind == "gbdt" else mt_model
+        payload = json.loads(source.read_text())
+        payload["config"]["n_tree"] = 5
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code, err = predict_error_lines(
+            model, mini_dir / "es_en.dev.slam", "es_en", tmp_path / "s.csv", capsys
+        )
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'n_tree'" in err[0]
+
+    def test_model_file_not_an_object(self, tmp_path, mini_dir, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[1, 2]")
+        code, err = predict_error_lines(
+            model, mini_dir / "es_en.dev.slam", "es_en", tmp_path / "s.csv", capsys
+        )
+        assert code == 1
+        assert err == [f"error: model file {model} must hold a JSON object"]
+
+    def test_manifest_sidecar_not_an_object(self, tmp_path, mt_model, mini_dir, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(mt_model.read_bytes())
+        Path(str(model) + ".manifest.json").write_text("[1, 2]")
+        code, err = predict_error_lines(
+            model, mini_dir / "es_en.dev.slam", "es_en", tmp_path / "s.csv", capsys
+        )
+        assert code == 1
+        assert len(err) == 1 and "manifest file" in err[0]
+
+    def test_multitask_scores_byte_identical_across_runs(self, tmp_path, mt_model, mini_dir):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert run(
+                ["predict", "--model", str(mt_model), "--data",
+                 str(mini_dir / "fr_en.dev.slam"), "--track", "fr_en", "--out", str(out)]
+            ) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestEvaluate:
     def test_report_fields(self, tmp_path, gbdt_model, mini_dir, capsys):
@@ -394,3 +468,28 @@ class TestAudit:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestReadManifest:
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="must hold a JSON object"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("key", ["track", "config_hashes", "tool_version"])
+    def test_missing_key_named(self, tmp_path, gbdt_model, key):
+        payload = json.loads(Path(str(gbdt_model) + ".manifest.json").read_text())
+        del payload[key]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=key):
+            read_manifest(path)
+
+    def test_non_object_hashes_rejected(self, tmp_path, gbdt_model):
+        payload = json.loads(Path(str(gbdt_model) + ".manifest.json").read_text())
+        payload["config_hashes"] = ["vocab"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="config_hashes"):
+            read_manifest(path)

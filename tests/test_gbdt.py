@@ -323,6 +323,20 @@ class TestSerialization:
         with pytest.raises(DataError, match=key):
             load_model(path)
 
+    def test_unknown_config_key_named(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        payload["config"]["n_tree"] = 5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="'n_tree' in the config in model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_non_object_file_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="must hold a JSON object"):
+            load_model(path)
+
     def test_feature_beyond_vocabulary_rejected(self, tmp_path):
         path, payload = self.saved_payload(tmp_path)
         tree = payload["trees"][1]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -18,9 +19,11 @@ from slamaudit.multitask import (
     save_mt_model,
     train_multitask,
 )
+from slamaudit.multitask import _batch_grad, _pack
 from slamaudit.numerics import sigmoid
-from slamaudit.slam_format import Track
+from slamaudit.slam_format import Split, Track, read_dataset
 
+from oracles import oracle_mt_summed_grad, oracle_train_multitask
 from test_gbdt import make_dataset, separable_dataset
 
 TRACKS = (Track.EN_ES, Track.FR_EN)
@@ -333,3 +336,181 @@ class TestSerialization:
         path.write_text('{"kind": "gbdt", "format_version": 1}')
         with pytest.raises(DataError, match="not a multitask model"):
             load_mt_model(path)
+
+
+def batch_fv(rng, vocab):
+    """Like random_fv, but each numeric value is zero a third of the time."""
+    fv = random_fv(rng, vocab)
+    numeric = tuple((dim, 0.0 if rng.random() < 1 / 3 else v) for dim, v in fv.numeric)
+    return FeatureVector(indices=fv.indices, numeric=numeric)
+
+
+def assert_params_close(got, want, tol):
+    assert np.max(np.abs(got.embedding - want.embedding)) <= tol
+    assert np.max(np.abs(got.hidden_weight - want.hidden_weight)) <= tol
+    assert np.max(np.abs(got.hidden_bias - want.hidden_bias)) <= tol
+    assert set(got.heads) == set(want.heads)
+    for t, (w, b) in want.heads.items():
+        assert np.max(np.abs(got.heads[t][0] - w)) <= tol
+        assert abs(got.heads[t][1] - b) <= tol
+
+
+class TestBatchedStep:
+    def test_matches_summed_instance_gradients(self):
+        # a 20-dim vocabulary, so the instances of a batch share most rows
+        rng = random.Random(4012)
+        vocab = tiny_vocab()
+        seen_m = set()
+        for draw in range(80):
+            cfg = small_config(seed=draw, l2=(0.0, 1e-3)[draw % 2])
+            model = init_model(vocab, TRACKS, cfg)
+            track = rng.choice(TRACKS)
+            n = rng.randint(1, 12)
+            fvs = [batch_fv(rng, vocab) for _ in range(n)]
+            labels = [rng.randint(0, 1) for _ in range(n)]
+            m = 1 if draw % 4 < 2 else rng.randint(1, n)
+            rows = np.array(rng.sample(range(n), m))
+            seen_m.add(min(m, 2))
+            u, d_emb_u, d_hw, d_hb, d_w, d_b = _batch_grad(
+                model, track, _pack(fvs, labels), rows
+            )
+            want = oracle_mt_summed_grad(
+                model, track, [fvs[i] for i in rows], [labels[i] for i in rows]
+            )
+            d_emb = np.zeros_like(model.embedding)
+            d_emb[u] = d_emb_u
+            for got, ref in zip((d_emb, d_hw, d_hb, d_w, d_b), want):
+                assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-12
+        assert seen_m == {1, 2}
+
+
+@pytest.fixture(scope="module")
+def joint_tracks(mini_dir):
+    return [
+        read_dataset(mini_dir / f"{t.value}.train.slam", t, Split.TRAIN)
+        for t in (Track.ES_EN, Track.FR_EN)
+    ]
+
+
+@pytest.fixture(scope="module")
+def joint_model(joint_tracks):
+    return train_multitask(joint_tracks, build_vocab(joint_tracks), MtConfig())
+
+
+class TestBatchedTraining:
+    def test_fixture_model_matches_reference_trainer(self, joint_tracks, joint_model):
+        want = oracle_train_multitask(joint_tracks, joint_model.vocab, MtConfig())
+        assert_params_close(joint_model, want, 1e-12)
+        assert set(joint_model.train_losses) == set(want.train_losses)
+        for t, loss in want.train_losses.items():
+            assert abs(joint_model.train_losses[t] - loss) <= 1e-12
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_train_losses_are_mean_instance_loss(self, l2):
+        major, minor = two_track_datasets(random.Random(4013))
+        vocab = build_vocab([major, minor])
+        model = train_multitask([major, minor], vocab, small_config(l2=l2))
+        for ds in (major, minor):
+            losses = [
+                instance_loss(model, ds.track, encode(i, vocab), i.label)
+                for i in ds.instances
+            ]
+            assert abs(model.train_losses[ds.track] - np.mean(losses)) <= 1e-12
+
+    def test_fixture_train_losses_are_mean_instance_loss(self, joint_tracks, joint_model):
+        # more rows than one forward chunk holds
+        for ds in joint_tracks:
+            losses = [
+                instance_loss(joint_model, ds.track, encode(i, joint_model.vocab), i.label)
+                for i in ds.instances
+            ]
+            assert abs(joint_model.train_losses[ds.track] - np.mean(losses)) <= 1e-12
+
+    @pytest.mark.parametrize("track", [Track.ES_EN, Track.FR_EN])
+    def test_predict_matches_instance_forward(self, mini_dir, joint_model, track):
+        dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
+        want = [forward(joint_model, track, encode(i, joint_model.vocab)) for i in dev.instances]
+        got = predict_mt_scores(joint_model, dev)
+        assert got.shape == (len(dev.instances),)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_predict_unknown_track_rejected(self, mini_dir, joint_model):
+        dev = read_dataset(mini_dir / "en_es.dev.slam", Track.EN_ES, Split.DEV)
+        with pytest.raises(DataError, match="no head for track 'en_es'"):
+            predict_mt_scores(joint_model, dev)
+
+
+class TestLoadValidation:
+    @staticmethod
+    def saved(tmp_path):
+        rng = random.Random(4014)
+        major, minor = two_track_datasets(rng)
+        vocab = build_vocab([major, minor])
+        model = train_multitask([major, minor], vocab, small_config(epochs=1))
+        path = tmp_path / "mt.json"
+        save_mt_model(model, path)
+        return path, json.loads(path.read_text()), minor
+
+    @pytest.mark.parametrize(
+        "key",
+        ["config", "vocab", "embedding", "hidden_weight", "hidden_bias", "heads",
+         "train_losses"],
+    )
+    def test_missing_key_rejected(self, tmp_path, key):
+        path, payload, _ = self.saved(tmp_path)
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=key):
+            load_mt_model(path)
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda p: p["embedding"].pop(), "embedding"),
+            (lambda p: p["embedding"].append(p["embedding"][0]), "embedding"),
+            (lambda p: p["embedding"][3].pop(), "embedding"),
+            (lambda p: p["hidden_weight"].pop(), "hidden_weight"),
+            (lambda p: p["hidden_weight"][0].append(0.5), "hidden_weight"),
+            (lambda p: p["hidden_bias"].pop(), "hidden_bias"),
+            (lambda p: p["heads"]["fr_en"]["weight"].pop(), "head 'fr_en' weight"),
+            (lambda p: p["heads"]["en_es"].update(weight=[[0.1, 0.2]]), "head 'en_es' weight"),
+            (lambda p: p["heads"]["en_es"].update(weight="abc"), "head 'en_es' weight"),
+            (lambda p: p["heads"]["en_es"].update(bias="0.5"), "head 'en_es' bias"),
+            (lambda p: p["heads"]["en_es"].pop("bias"), "head 'en_es' lacks bias"),
+            (lambda p: p["heads"].update(xx_yy=p["heads"]["en_es"]), "heads"),
+            (lambda p: p.update(heads={}), "no heads"),
+            (lambda p: p["train_losses"].update(en_es=None), "train_losses"),
+        ],
+    )
+    def test_bad_field_named(self, tmp_path, damage, field):
+        path, payload, _ = self.saved(tmp_path)
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=field):
+            load_mt_model(path)
+
+    def test_unknown_config_key_named(self, tmp_path):
+        path, payload, _ = self.saved(tmp_path)
+        payload["config"]["n_tree"] = 5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="'n_tree' in the config in model file"):
+            load_mt_model(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"multitask"', "null"])
+    def test_non_object_file_rejected(self, tmp_path, text):
+        path = tmp_path / "mt.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="must hold a JSON object"):
+            load_mt_model(path)
+
+    def test_overflowing_parameters_give_no_scores(self, tmp_path):
+        path, payload, minor = self.saved(tmp_path)
+        # every product overflows, with alternating signs: inf - inf = nan
+        payload["embedding"] = [[1e308] * len(row) for row in payload["embedding"]]
+        payload["hidden_weight"] = [
+            [(-1) ** i * 1e308] * len(row) for i, row in enumerate(payload["hidden_weight"])
+        ]
+        path.write_text(json.dumps(payload))
+        model = load_mt_model(path)
+        with pytest.raises(DataError, match="non-finite scores"):
+            predict_mt_scores(model, minor)
