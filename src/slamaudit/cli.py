@@ -149,7 +149,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     scores = _model_scores(kind, model, dataset)
     lines = ["instance_id,score"]
     lines.extend(
-        f"{inst.instance_id},{float(s)!r}" for inst, s in zip(dataset.instances, scores)
+        f"{inst.instance_id},{s!r}" for inst, s in zip(dataset.instances, scores.tolist())
     )
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = build_manifest(
@@ -172,8 +172,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _read_labeled(args.data, track, split, args.labels)
     scores = _model_scores(kind, model, dataset)
     preds = [
-        Prediction(inst.instance_id, float(s), inst.label)
-        for inst, s in zip(dataset.instances, scores)
+        Prediction(inst.instance_id, s, inst.label)
+        for inst, s in zip(dataset.instances, scores.tolist())
     ]
     auc = auc_trapezoid(roc_curve(preds))
     f1 = f1_at_threshold(preds, args.threshold)
@@ -216,11 +216,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     preds = [
         Prediction(
             inst.instance_id,
-            float(s),
+            s,
             inst.label,
             group=tag_instance(inst, classification),
         )
-        for inst, s in zip(dataset.instances, scores)
+        for inst, s in zip(dataset.instances, scores.tolist())
     ]
 
     vocab_hash = model.vocab.sha256()

@@ -6,6 +6,13 @@ ranges, each with a trailing OOV slot. Three numeric dimensions follow:
 days/100, time clamped to [0, 60] and divided by 60, and a time-present
 indicator. Stateless scaling keeps encoding a pure function of (instance,
 vocabulary).
+
+``encode_rows`` encodes a whole sequence of instances at once into CSR
+arrays plus the ``(n, 3)`` numeric block; both learners train and score from
+it. It looks up each exercise's metadata once and each distinct
+(token, POS, morph, dep) combination once. ``encode`` is the per-instance
+reference that it equals row for row; ``FeatureVector``, ``encode_dataset``
+and ``to_dense`` remain for tests and single-instance use.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -180,6 +188,97 @@ def encode(inst: TokenInstance, vocab: Vocabulary) -> FeatureVector:
         (vocab.numeric_index("time_present"), present),
     )
     return FeatureVector(indices=tuple(sorted(indices)), numeric=numeric)
+
+
+def _numeric_values(meta) -> tuple[float, float, float]:
+    """days, time and time-present values of one exercise's metadata."""
+    days_value = meta.days / _DAYS_SCALE
+    if meta.time is None:
+        return days_value, 0.0, 0.0
+    return days_value, min(max(float(meta.time), 0.0), _TIME_CLAMP) / _TIME_CLAMP, 1.0
+
+
+def encode_rows(
+    instances: Sequence[TokenInstance], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode instances as CSR rows: ``(indptr, indices, numeric)``.
+
+    Row i's active binary dimensions are ``indices[indptr[i]:indptr[i+1]]``,
+    strictly increasing, and ``numeric[i]`` holds its days, time and
+    time-present values; together they equal ``encode(instances[i], vocab)``.
+    Tokens of one exercise share one metadata object, so user, format,
+    session, client and the numerics are looked up once per run of tokens
+    with the same metadata object; token, POS, dep and the morph set once
+    per distinct combination. Namespaces occupy increasing index ranges, so a row laid out
+    in ``NAMESPACES`` order is sorted without a per-row sort.
+    """
+    maps, offsets, sizes = vocab.maps, vocab.offsets, vocab.sizes
+
+    def index(ns: str, value: str) -> int:
+        return offsets[ns] + maps[ns].get(value, sizes[ns] - 1)
+
+    meta_rows: list[tuple[int, ...]] = []  # user, format, session, client
+    numeric_rows: list[tuple[float, float, float]] = []
+    meta_ids: list[int] = []
+    token_ids: list[int] = []
+    token_keys: dict[tuple, int] = {}
+    token_parts: list[tuple[int, ...]] = []  # token, POS, sorted morph, dep
+    last_meta = None
+    for inst in instances:
+        meta = inst.meta
+        if meta is not last_meta:
+            last_meta = meta
+            meta_rows.append(
+                (
+                    index("user", meta.user_id),
+                    index("format", meta.format.value),
+                    index("session", meta.session.value),
+                    index("client", meta.client.value),
+                )
+            )
+            numeric_rows.append(_numeric_values(meta))
+        meta_ids.append(len(meta_rows) - 1)
+        key = (inst.token, inst.part_of_speech, inst.morph_features, inst.dep_label)
+        tid = token_keys.get(key)
+        if tid is None:
+            tid = token_keys[key] = len(token_parts)
+            morph = sorted({index("morph", m) for m in inst.morph_features})
+            token_parts.append(
+                (
+                    index("token", inst.token.lower()),
+                    index("pos", inst.part_of_speech),
+                    *morph,
+                    index("dep", inst.dep_label),
+                )
+            )
+        token_ids.append(tid)
+
+    n = len(meta_ids)
+    meta_id = np.array(meta_ids, dtype=np.intp)
+    token_id = np.array(token_ids, dtype=np.intp)
+    part_len = np.array([len(p) for p in token_parts], dtype=np.intp)
+    part_start = np.zeros(len(token_parts) + 1, dtype=np.intp)
+    np.cumsum(part_len, out=part_start[1:])
+    part_flat = np.fromiter(
+        chain.from_iterable(token_parts), dtype=np.intp, count=int(part_start[-1])
+    )
+    counts = part_len[token_id]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts + 4, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.intp)
+    meta_idx = np.array(meta_rows, dtype=np.intp).reshape(-1, 4)[meta_id]
+    starts, ends = indptr[:-1], indptr[1:]
+    indices[starts] = meta_idx[:, 0]  # user comes first
+    for j in range(1, 4):  # format, session, client come last
+        indices[ends - 4 + j] = meta_idx[:, j]
+    # every row's token part, copied in one gather: slot t of row i reads
+    # part_flat[part_start[token_id[i]] + t] and lands at indptr[i] + 1 + t
+    within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    src = np.repeat(part_start[:-1][token_id], counts) + within
+    dst = np.repeat(starts + 1, counts) + within
+    indices[dst] = part_flat[src]
+    numeric = np.array(numeric_rows, dtype=np.float64).reshape(-1, len(NUMERIC_FEATURES))
+    return indptr, indices, numeric[meta_id]
 
 
 def encode_dataset(dataset: Dataset, vocab: Vocabulary) -> list[FeatureVector]:

@@ -12,9 +12,10 @@ map, the active head), never to biases, and per instance only to rows that
 instance actually touched; embedding rows of inactive features therefore
 get exactly zero gradient.
 
-Training packs each track once into CSR rows of mixing weights (1/k on each
-of an instance's k active binary dimensions, the value on each nonzero
-numeric one). A mini-batch gathers its rows into a small dense matrix M over
+Training packs each track once, from the batch encoding of
+``features.encode_rows``, into CSR rows of mixing weights (1/k on each of an
+instance's k active binary dimensions, the value on each nonzero numeric
+one). A mini-batch gathers its rows into a small dense matrix M over
 the u distinct dimensions it touches, so the batch embeds as
 ``M @ embedding[u]``; one vectorized forward and backward pass gives the
 batch's summed gradient, and only the rows u of the embedding are updated.
@@ -28,19 +29,23 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, TrainingError
-from .features import FeatureVector, Vocabulary, encode
+from .features import (  # noqa: F401 (encode)
+    NUMERIC_FEATURES,
+    FeatureVector,
+    Vocabulary,
+    encode,  # unused here, but bench/tracing.py wraps slamaudit.multitask.encode
+    encode_rows,
+)
 from .numerics import sigmoid
-from .slam_format import Dataset, Track
-from .validation import config_from, read_json_object, require_keys
+from .slam_format import Dataset, TokenInstance, Track
+from .validation import config_from, number, read_json_object, require_keys
 
 MT_FORMAT_VERSION = 1
 _MT_MODEL_KEYS = (
@@ -268,20 +273,29 @@ class _PackedRows:
         return len(self.indptr) - 1
 
 
-def _pack(fvs: Iterable[FeatureVector], labels=None) -> _PackedRows:
-    indptr, cols, vals = array("q", [0]), array("q"), array("d")
-    for fv in fvs:
-        cols.extend(fv.indices)
-        vals.extend(repeat(1.0 / len(fv.indices), len(fv.indices)))
-        for dim, value in fv.numeric:
-            if value != 0.0:
-                cols.append(dim)
-                vals.append(value)
-        indptr.append(len(cols))
+def _pack(
+    instances: Sequence[TokenInstance], vocab: Vocabulary, labels=None
+) -> _PackedRows:
+    """Pack instances from their ``encode_rows`` CSR: each row's k binary
+    entries at 1/k, then its nonzero numerics in dimension order."""
+    indptr, indices, numeric = encode_rows(instances, vocab)
+    k = np.diff(indptr)
+    nonzero = numeric != 0.0
+    out_ptr = np.zeros(len(k) + 1, dtype=np.int64)
+    np.cumsum(k + nonzero.sum(axis=1), out=out_ptr[1:])
+    cols = np.empty(int(out_ptr[-1]), dtype=np.int64)
+    vals = np.empty(int(out_ptr[-1]), dtype=np.float64)
+    at = np.arange(len(indices)) + np.repeat(out_ptr[:-1] - indptr[:-1], k)
+    cols[at] = indices
+    vals[at] = np.repeat(1.0 / k, k)
+    row, dim = np.nonzero(nonzero)  # row-major, so dims ascend within a row
+    at = out_ptr[row] + k[row] + np.cumsum(nonzero, axis=1)[row, dim] - 1
+    cols[at] = vocab.total_dims - len(NUMERIC_FEATURES) + dim
+    vals[at] = numeric[row, dim]
     return _PackedRows(
-        indptr=np.frombuffer(indptr, dtype=np.int64),
-        cols=np.frombuffer(cols, dtype=np.int64),
-        vals=np.frombuffer(vals, dtype=np.float64),
+        indptr=out_ptr,
+        cols=cols,
+        vals=vals,
         labels=None if labels is None else np.array(labels, dtype=np.float64),
     )
 
@@ -336,7 +350,7 @@ def _prepare_tracks(
             raise TrainingError(
                 f"track {ds.track.value!r} contains a single class"
             )
-        by_track[ds.track] = _pack((encode(i, vocab) for i in ds.instances), labels)
+        by_track[ds.track] = _pack(ds.instances, vocab, labels)
     if not by_track:
         raise TrainingError("no datasets given")
     return by_track
@@ -440,7 +454,7 @@ def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
     track = dataset.track
     if track not in model.heads:
         raise DataError(f"model has no head for track {track.value!r}")
-    packed = _pack(encode(inst, model.vocab) for inst in dataset.instances)
+    packed = _pack(dataset.instances, model.vocab)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = _chunked(model, track, packed, lambda rows, mix, u, logits: sigmoid(logits))
     if not np.isfinite(scores).all():
@@ -483,12 +497,6 @@ def _float_array(value, shape: tuple, source: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _number(value, source: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"{source} must be a number, got {value!r}")
-    return float(value)
-
-
 def _track_map(value, source: str) -> dict[Track, object]:
     if not isinstance(value, dict):
         raise DataError(f"{source} must be a JSON object")
@@ -521,7 +529,7 @@ def load_mt_model(path: str | Path) -> MtModel:
         require_keys(head, ("weight", "bias"), name)
         heads[track] = (
             _float_array(head["weight"], (hdim,), f"{name} weight"),
-            _number(head["bias"], f"{name} bias"),
+            number(head["bias"], f"{name} bias"),
         )
     if not heads:
         raise DataError(f"{where} has no heads")
@@ -538,7 +546,7 @@ def load_mt_model(path: str | Path) -> MtModel:
         hidden_bias=_float_array(payload["hidden_bias"], (hdim,), f"{where}: hidden_bias"),
         heads=heads,
         train_losses={
-            t: _number(v, f"{where}: train_losses {t.value!r}") for t, v in losses.items()
+            t: number(v, f"{where}: train_losses {t.value!r}") for t, v in losses.items()
         },
     )
     model.validate_finite()

@@ -9,8 +9,6 @@ uses, so the picture and the number always agree.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .fairness import difference_intervals
 from .metrics import RocCurve, auc_trapezoid
 
@@ -26,6 +24,12 @@ _COLOR_B = "#c23b22"
 _COLOR_SHADE = "#9a9a9a"
 _COLOR_GRID = "#d8d8d8"
 _COLOR_TEXT = "#222222"
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content (what xml.sax.saxutils.escape
+    does, without importing its urllib, http and email dependencies)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _px(fpr: float) -> str:
@@ -52,7 +56,7 @@ def render_roc_plot(
     abroca_value: float,
 ) -> str:
     """SVG document: both ROC polylines, shaded between-curve region, legend."""
-    label_a, label_b = (escape(str(s)) for s in labels)
+    label_a, label_b = (_escape(str(s)) for s in labels)
     auc_a = auc_trapezoid(curve_a)
     auc_b = auc_trapezoid(curve_b)
     width = _MARGIN_LEFT + _PLOT + _MARGIN_RIGHT

@@ -29,6 +29,17 @@ def require_keys(payload: dict, keys, source: str) -> None:
         raise DataError(f"{source} lacks {', '.join(missing)}")
 
 
+def number(value, source: str) -> float:
+    """``value`` as a float; raises a DataError naming ``source`` unless it
+    is an int or float (not a bool) that a float can hold."""
+    if type(value) not in (int, float):
+        raise DataError(f"{source} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"{source} is out of range") from None
+
+
 def config_from(cls, payload, source: str):
     """Build a config dataclass from a JSON payload, naming any bad key.
 

@@ -8,10 +8,13 @@ something.
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
+
 import numpy as np
 
 from slamaudit.features import encode
-from slamaudit.multitask import grad, init_model, instance_loss
+from slamaudit.multitask import _PackedRows, grad, init_model, instance_loss
 
 
 def oracle_roc_points(scores, labels):
@@ -259,3 +262,24 @@ def oracle_mt_step(model, track, data, batch, lr):
     model.hidden_bias -= scale * acc_hb
     w, b = model.heads[track]
     model.heads[track] = (w - scale * acc_w, b - scale * acc_b)
+
+
+def oracle_pack(fvs, labels=None):
+    """Per-instance packing of ``FeatureVector``s into the multitask model's
+    CSR mixing rows: 1/k on each of k active binary dimensions, then each
+    nonzero numeric value."""
+    indptr, cols, vals = array("q", [0]), array("q"), array("d")
+    for fv in fvs:
+        cols.extend(fv.indices)
+        vals.extend(repeat(1.0 / len(fv.indices), len(fv.indices)))
+        for dim, value in fv.numeric:
+            if value != 0.0:
+                cols.append(dim)
+                vals.append(value)
+        indptr.append(len(cols))
+    return _PackedRows(
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        cols=np.frombuffer(cols, dtype=np.int64),
+        vals=np.frombuffer(vals, dtype=np.float64),
+        labels=None if labels is None else np.array(labels, dtype=np.float64),
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -13,6 +14,7 @@ from slamaudit.features import (
     build_vocab,
     encode,
     encode_dataset,
+    encode_rows,
     labels_array,
     to_dense,
 )
@@ -25,6 +27,7 @@ from slamaudit.slam_format import (
     Split,
     TokenInstance,
     Track,
+    read_dataset,
 )
 
 from gen_slam import random_dataset
@@ -247,3 +250,67 @@ class TestDense:
         ds = random_dataset(rng, n_exercises=3, labeled=False)
         with pytest.raises(DataError, match="unlabeled"):
             labels_array(ds)
+
+
+def assert_rows_equal_encode(instances, vocab):
+    """encode_rows must give, row for row, exactly what encode gives."""
+    indptr, indices, numeric = encode_rows(instances, vocab)
+    assert indptr.shape == (len(instances) + 1,) and indptr[0] == 0
+    assert numeric.shape == (len(instances), len(NUMERIC_FEATURES))
+    assert len(indices) == indptr[-1]
+    for i, inst in enumerate(instances):
+        fv = encode(inst, vocab)
+        assert tuple(indices[indptr[i] : indptr[i + 1]].tolist()) == fv.indices
+        assert tuple(numeric[i].tolist()) == tuple(value for _dim, value in fv.numeric)
+        assert [dim for dim, _ in fv.numeric] == [
+            vocab.numeric_index(name) for name in NUMERIC_FEATURES
+        ]
+
+
+class TestEncodeRows:
+    @pytest.mark.parametrize("track", list(Track))
+    def test_equals_encode_on_fixture_tracks(self, mini_dir, track):
+        train = read_dataset(mini_dir / f"{track.value}.train.slam", track, Split.TRAIN)
+        dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
+        vocab = build_vocab(train)
+        assert_rows_equal_encode(train.instances, vocab)
+        assert_rows_equal_encode(dev.instances, vocab)  # holds unseen strings
+
+    def test_equals_encode_on_random_draws(self):
+        rng = random.Random(4801)
+        for _ in range(40):
+            train = random_dataset(rng, n_exercises=rng.randint(1, 6))
+            vocab = build_vocab(train, min_count=rng.randint(1, 2))
+            assert_rows_equal_encode(train.instances, vocab)
+            # a second draw: its users, tokens and morph sets are mostly OOV
+            assert_rows_equal_encode(random_dataset(rng, n_exercises=4).instances, vocab)
+
+    def test_edge_instances(self):
+        base = make_instance()
+        vocab = build_vocab(
+            Dataset(track=Track.EN_ES, instances=(base,), split=Split.TRAIN)
+        )
+        variants = [
+            dict(token="zzz", part_of_speech="XX", dep_label="yy"),  # OOV strings
+            dict(morph_features=()),
+            dict(morph_features=("Person=1", "Person=1")),
+            dict(morph_features=("Case=Nom", "Mood=Ind", "Person=1")),  # two OOV
+            dict(meta=dataclasses.replace(base.meta, time=None)),
+            dict(meta=dataclasses.replace(base.meta, time=-4)),
+            dict(meta=dataclasses.replace(base.meta, time=600)),
+            dict(meta=dataclasses.replace(base.meta, time=60, user_id="unseen")),
+            dict(token="YO"),  # lowercases onto the seen token
+        ]
+        edge = [
+            dataclasses.replace(base, instance_id=f"e{k}", **change)
+            for k, change in enumerate(variants)
+        ]
+        # metadata objects alternate, so no run of shared metadata is reused
+        assert_rows_equal_encode(edge + [base] + edge[::-1], vocab)
+
+    def test_empty_input(self):
+        vocab = build_vocab(single_instance_dataset())
+        indptr, indices, numeric = encode_rows((), vocab)
+        assert indptr.tolist() == [0]
+        assert indices.size == 0
+        assert numeric.shape == (0, len(NUMERIC_FEATURES))

@@ -7,7 +7,14 @@ import pytest
 
 import slamaudit.gbdt as gbdt_mod
 from slamaudit.errors import DataError, TrainingError
-from slamaudit.features import build_vocab, encode, labels_array, to_dense
+from slamaudit.features import (
+    NAMESPACES,
+    NUMERIC_FEATURES,
+    build_vocab,
+    encode,
+    labels_array,
+    to_dense,
+)
 from slamaudit.gbdt import (
     GbdtConfig,
     GbdtModel,
@@ -33,6 +40,7 @@ from slamaudit.slam_format import (
     read_dataset,
 )
 
+from gen_slam import random_dataset
 from oracles import oracle_best_split, oracle_split_candidates, oracle_train_raw
 
 
@@ -345,6 +353,140 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="beyond the vocabulary"):
             load_model(path)
+
+
+    def tree_payload(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        tree = payload["trees"][0]
+        assert tree["feature"][0] >= 0 and len(tree["feature"]) == 3
+        return path, payload, tree
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda t: t.pop("value"), "lacks value"),
+            (lambda t: t.update(feature=["3", -1, -1]), "feature must be a list of integers"),
+            (lambda t: t.update(left=[1.5, -1, -1]), "left must be a list of integers"),
+            (lambda t: t.update(right=[True, -1, -1]), "right must be a list of integers"),
+            (lambda t: t.update(threshold="0.5"), "threshold must be a list of numbers"),
+            (lambda t: t.update(value=[0.0, [1.0], 0.0]), "value must be a number"),
+            (lambda t: t.update(value=[0.0, 10**400, 0.0]), "value is out of range"),
+            (lambda t: t["value"].pop(), "equal length"),
+            (lambda t: [t[k].clear() for k in list(t)], "at least one node"),
+            (lambda t: t.update(feature=[3, -1, -10**6]), "invalid feature -1000000"),
+            (lambda t: t.update(left=[0, -1, -1]), "invalid child 0"),
+            (lambda t: t.update(right=[3, -1, -1]), "invalid child 3"),
+            (lambda t: t.update(threshold=[float("inf"), 0.0, 0.0]), "non-finite threshold"),
+            (lambda t: t.update(value=[0.0, float("nan"), 0.0]), "non-finite value"),
+        ],
+    )
+    def test_damaged_tree_rejected(self, tmp_path, damage, message):
+        path, payload, tree = self.tree_payload(tmp_path)
+        damage(tree)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("trees", [{}, "x", [[]], [None]])
+    def test_ill_typed_trees_rejected(self, tmp_path, trees):
+        path, payload = self.saved_payload(tmp_path)
+        payload["trees"] = trees
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="trees must be a list|tree 0 must be a JSON object"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("base_score", "0.1", "base_score must be a number"),
+            ("train_losses", 3, "train_losses must be a list"),
+            ("train_losses", [0.5, None], "train_losses must be a number"),
+        ],
+    )
+    def test_ill_typed_fields_rejected(self, tmp_path, key, value, message):
+        path, payload = self.saved_payload(tmp_path)
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+
+def dense_scores(model, dataset):
+    """Reference scores over the full dense (n, total_dims) encoding."""
+    X = to_dense((encode(i, model.vocab) for i in dataset.instances), model.vocab)
+    return model.predict_proba(X)
+
+
+def random_tree(rng, vocab, max_depth):
+    """A tree over binary ids anywhere in the vocabulary (OOV slots among
+    them), and over the numeric dims at cuts inside their ranges."""
+    n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
+    arrays = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
+
+    def grow(depth):
+        i = len(arrays["feature"])
+        for key, default in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                             ("right", -1), ("value", rng.uniform(-1.0, 1.0))):
+            arrays[key].append(default)
+        if depth == max_depth or rng.random() < 0.2:
+            return i
+        kind = rng.random()
+        if kind < 0.35:
+            name = rng.choice(NUMERIC_FEATURES)
+            feature = vocab.numeric_index(name)
+            threshold = {"days": rng.uniform(0.0, 1.2), "time": rng.uniform(0.0, 1.0),
+                         "time_present": 0.5}[name]
+        elif kind < 0.55:
+            feature, threshold = vocab.oov_index(rng.choice(NAMESPACES)), 0.5
+        else:
+            feature, threshold = rng.randrange(n_binary), 0.5
+        arrays["feature"][i], arrays["threshold"][i] = feature, threshold
+        arrays["left"][i] = grow(depth + 1)
+        arrays["right"][i] = grow(depth + 1)
+        return i
+
+    grow(0)
+    return Tree(**{k: tuple(v) for k, v in arrays.items()})
+
+
+class TestPredictScores:
+    @pytest.mark.parametrize("track", [Track.EN_ES, Track.ES_EN, Track.FR_EN])
+    def test_bitwise_equal_to_dense_on_fixture_dev(self, mini_dir, track):
+        train = read_dataset(mini_dir / f"{track.value}.train.slam", track, Split.TRAIN)
+        dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
+        model = train_gbdt(train, build_vocab(train), GbdtConfig(n_trees=20))
+        assert predict_scores(model, dev).tobytes() == dense_scores(model, dev).tobytes()
+
+    def test_bitwise_equal_to_dense_on_random_models(self):
+        rng = random.Random(3101)
+        numeric_splits = oov_splits = 0
+        for draw in range(30):
+            vocab = build_vocab(random_dataset(rng, n_exercises=rng.randint(2, 6)))
+            trees = tuple(random_tree(rng, vocab, rng.randint(1, 4)) for _ in range(4))
+            model = GbdtModel(
+                config=GbdtConfig(n_trees=len(trees), learning_rate=rng.uniform(0.05, 1.0)),
+                base_score=rng.uniform(-1.0, 1.0), trees=trees, vocab=vocab,
+                train_losses=(),
+            )
+            oov = {vocab.oov_index(ns) for ns in NAMESPACES}
+            used = [f for t in trees for f in t.feature]
+            numeric_splits += sum(f >= vocab.total_dims - len(NUMERIC_FEATURES) for f in used)
+            oov_splits += sum(f in oov for f in used)
+            scored = random_dataset(rng, n_exercises=rng.randint(1, 8))
+            assert predict_scores(model, scored).tobytes() == dense_scores(model, scored).tobytes()
+        assert numeric_splits > 20 and oov_splits > 20
+
+    def test_leaf_only_model_and_empty_data(self):
+        ds = make_dataset([("aa", 1), ("bb", 0)])
+        vocab = build_vocab(ds)
+        leaf = Tree(feature=(-1,), threshold=(0.0,), left=(-1,), right=(-1,), value=(0.3,))
+        model = GbdtModel(
+            config=GbdtConfig(n_trees=1), base_score=0.1, trees=(leaf,), vocab=vocab,
+            train_losses=(),
+        )
+        assert predict_scores(model, ds).tobytes() == dense_scores(model, ds).tobytes()
+        empty = Dataset(track=Track.EN_ES, instances=(), split=Split.DEV)
+        assert predict_scores(model, empty).shape == (0,)
 
 
 class TestSparseSplitFinder:

@@ -1,4 +1,4 @@
-"""Fuzz `slamaudit predict` with damaged multitask model files.
+"""Fuzz `slamaudit predict` with damaged multitask and GBDT model files.
 
 Each case deletes a key, replaces a value or truncates a list somewhere in a
 valid model file. The command must either succeed or exit 1 with exactly one
@@ -47,10 +47,30 @@ def model_payload(workdir, mini_dir):
     return json.loads(out.read_text())
 
 
-def damage(data, payload):
-    """Copy ``payload`` and damage one node below its top level."""
+@pytest.fixture(scope="module")
+def gbdt_payload(workdir, mini_dir):
+    config = workdir / "gbdt_config.json"
+    config.write_text(json.dumps({"n_trees": 3, "max_depth": 3}))
+    out = workdir / "gbdt.json"
+    code = main(
+        [
+            "train",
+            "--data", str(mini_dir / "es_en.train.slam"),
+            "--track", "es_en",
+            "--model", "gbdt",
+            "--config", str(config),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def damage(data, payload, top_keys=None):
+    """Copy ``payload`` and damage one node below its top level, starting
+    from a key drawn from ``top_keys`` (default: every key, uniformly)."""
     doc = copy.deepcopy(payload)
-    key = data.draw(st.sampled_from(sorted(doc)))
+    key = data.draw(st.sampled_from(top_keys or sorted(doc)))
     parent, node = doc, doc[key]
     while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
         if isinstance(node, dict):
@@ -69,11 +89,9 @@ def damage(data, payload):
     return doc
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_damaged_model_succeeds_or_fails_cleanly(data, model_payload, workdir, mini_dir):
+def assert_predict_succeeds_or_fails_cleanly(doc, workdir, mini_dir):
     model = workdir / "damaged.json"
-    model.write_text(json.dumps(damage(data, model_payload)))
+    model.write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(
@@ -90,3 +108,18 @@ def test_damaged_model_succeeds_or_fails_cleanly(data, model_payload, workdir, m
         code,
         lines,
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_model_succeeds_or_fails_cleanly(data, model_payload, workdir, mini_dir):
+    assert_predict_succeeds_or_fails_cleanly(damage(data, model_payload), workdir, mini_dir)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_gbdt_model_succeeds_or_fails_cleanly(data, gbdt_payload, workdir, mini_dir):
+    # half of the draws start in the trees, where the nested arrays are
+    top_keys = ["trees"] * (len(gbdt_payload) - 1) + sorted(set(gbdt_payload) - {"trees"})
+    doc = damage(data, gbdt_payload, top_keys)
+    assert_predict_succeeds_or_fails_cleanly(doc, workdir, mini_dir)

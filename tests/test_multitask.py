@@ -23,7 +23,8 @@ from slamaudit.multitask import _batch_grad, _pack
 from slamaudit.numerics import sigmoid
 from slamaudit.slam_format import Split, Track, read_dataset
 
-from oracles import oracle_mt_summed_grad, oracle_train_multitask
+from gen_slam import random_dataset
+from oracles import oracle_mt_summed_grad, oracle_pack, oracle_train_multitask
 from test_gbdt import make_dataset, separable_dataset
 
 TRACKS = (Track.EN_ES, Track.FR_EN)
@@ -372,7 +373,7 @@ class TestBatchedStep:
             rows = np.array(rng.sample(range(n), m))
             seen_m.add(min(m, 2))
             u, d_emb_u, d_hw, d_hb, d_w, d_b = _batch_grad(
-                model, track, _pack(fvs, labels), rows
+                model, track, oracle_pack(fvs, labels), rows
             )
             want = oracle_mt_summed_grad(
                 model, track, [fvs[i] for i in rows], [labels[i] for i in rows]
@@ -382,6 +383,39 @@ class TestBatchedStep:
             for got, ref in zip((d_emb, d_hw, d_hb, d_w, d_b), want):
                 assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-12
         assert seen_m == {1, 2}
+
+
+def assert_packed_equal(got, want):
+    for name in ("indptr", "cols", "vals", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestPacking:
+    @pytest.mark.parametrize("track", list(Track))
+    def test_equals_per_instance_oracle_on_fixture(self, mini_dir, track):
+        train = read_dataset(mini_dir / f"{track.value}.train.slam", track, Split.TRAIN)
+        dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
+        vocab = build_vocab(train)
+        labels = [i.label for i in train.instances]
+        assert_packed_equal(
+            _pack(train.instances, vocab, labels),
+            oracle_pack([encode(i, vocab) for i in train.instances], labels),
+        )
+        assert_packed_equal(
+            _pack(dev.instances, vocab), oracle_pack([encode(i, vocab) for i in dev.instances])
+        )
+
+    def test_equals_per_instance_oracle_on_random_draws(self):
+        # gen_slam leaves time out a tenth of the time, so zero numerics occur
+        rng = random.Random(4013)
+        for _ in range(30):
+            vocab = build_vocab(random_dataset(rng, n_exercises=3))
+            ds = random_dataset(rng, n_exercises=rng.randint(0, 6))
+            fvs = [encode(i, vocab) for i in ds.instances]
+            assert_packed_equal(_pack(ds.instances, vocab), oracle_pack(fvs))
 
 
 @pytest.fixture(scope="module")

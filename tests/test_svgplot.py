@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
+
+import pytest
 
 from slamaudit.fairness import abroca, difference_intervals
 from slamaudit.metrics import RocCurve
-from slamaudit.svgplot import render_roc_plot
+from slamaudit.svgplot import _escape, render_roc_plot
 
+from conftest import REPO_ROOT
 from test_fairness import DIAGONAL, PERFECT, random_curve
 
 
@@ -29,6 +36,24 @@ class TestWellFormedness:
         doc = render(PERFECT, DIAGONAL, labels=("a<b&c", 'd"e'))
         ET.fromstring(doc)
         assert "a&lt;b&amp;c" in doc
+
+    @pytest.mark.parametrize(
+        "text", ["", "ios", "a<b&c", 'd"e', "&amp;", "<<>>&&", "x > y", "ñ<é>'"]
+    )
+    def test_escape_matches_saxutils(self, text):
+        assert _escape(text) == escape(text)
+
+    def test_cli_import_leaves_network_modules_out(self):
+        heavy = ("urllib.request", "http.client", "ssl", "email")
+        code = (
+            "import sys, slamaudit.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestContent:
