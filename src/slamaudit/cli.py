@@ -3,13 +3,17 @@
 One command is one process. Every command that writes results also writes a
 manifest (or embeds one) so outputs are traceable to their inputs. All
 output files are byte-deterministic given the same inputs, seed, and
-SOURCE_DATE_EPOCH.
+SOURCE_DATE_EPOCH. ``predict``, ``evaluate`` and
+``audit`` share one scoring step (``_scored``) and one manifest builder. On
+stderr a command prints library warnings as ``warning: ...`` lines and, on
+failure, one last ``error: ...`` line before it exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +43,7 @@ from .multitask import (
     save_mt_model,
     train_multitask,
 )
-from .slam_format import Dataset, Split, Track, join_labels, read_dataset, read_label_key
+from .slam_format import Split, Track, join_labels, read_dataset, read_label_key
 from .svgplot import render_roc_plot
 from .validation import config_from, read_json_object
 
@@ -50,23 +54,6 @@ DIMENSION_CHOICES = [d.value for d in Dimension]
 
 def _manifest_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".manifest.json")
-
-
-def _read_labeled(data_path: str, track: Track, split: Split, labels_path: str | None) -> Dataset:
-    dataset = read_dataset(data_path, track, split)
-    if labels_path is not None:
-        dataset = join_labels(dataset, read_label_key(labels_path))
-    return dataset
-
-
-def _load_any_model(path: str):
-    """Load a model file of either kind; returns (kind, model)."""
-    kind = read_json_object(path, "model file").get("kind")
-    if kind == "gbdt":
-        return kind, load_model(path)
-    if kind == "multitask":
-        return kind, load_mt_model(path)
-    raise DataError(f"unrecognized model kind {kind!r} in {path}")
 
 
 def _check_vocab_against_sidecar(model, model_path: str) -> None:
@@ -82,10 +69,38 @@ def _check_vocab_against_sidecar(model, model_path: str) -> None:
         )
 
 
-def _model_scores(kind: str, model, dataset: Dataset):
-    if kind == "gbdt":
-        return predict_scores(model, dataset)
-    return predict_mt_scores(model, dataset)
+def _scored(args: argparse.Namespace, labels_path: str | None = None):
+    """Load a model of either kind, check its sidecar, read the split (joining
+    the label key when given) and score it: ``(kind, model, dataset, scores,
+    paths)``, where ``paths`` are the input files the manifest hashes."""
+    kind = read_json_object(args.model, "model file").get("kind")
+    if kind not in ("gbdt", "multitask"):
+        raise DataError(f"unrecognized model kind {kind!r} in {args.model}")
+    model = load_model(args.model) if kind == "gbdt" else load_mt_model(args.model)
+    _check_vocab_against_sidecar(model, args.model)
+    dataset = read_dataset(args.data, Track(args.track), Split(args.split))
+    paths = {args.data: args.data}
+    if labels_path is not None:
+        dataset = join_labels(dataset, read_label_key(labels_path))
+        paths[labels_path] = labels_path
+    predict = predict_scores if kind == "gbdt" else predict_mt_scores
+    return kind, model, dataset, predict(model, dataset), paths
+
+
+def _manifest(args: argparse.Namespace, kind: str, paths: dict, **hashes: str):
+    """The run manifest of a scoring command over ``args.track``/``args.split``."""
+    return build_manifest(
+        track=args.track,
+        model_kind=kind,
+        split=args.split,
+        config_hashes=hashes,
+        dataset_paths=paths,
+    )
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # also false for NaN
+        raise DataError(f"--threshold must be a finite number in [0, 1], got {threshold!r}")
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -141,55 +156,31 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    kind, model = _load_any_model(args.model)
-    _check_vocab_against_sidecar(model, args.model)
-    track = Track(args.track)
-    split = Split(args.split)
-    dataset = read_dataset(args.data, track, split)
-    scores = _model_scores(kind, model, dataset)
+    kind, model, dataset, scores, paths = _scored(args)
     lines = ["instance_id,score"]
     lines.extend(
         f"{inst.instance_id},{s!r}" for inst, s in zip(dataset.instances, scores.tolist())
     )
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    manifest = build_manifest(
-        track=track.value,
-        model_kind=kind,
-        split=split.value,
-        config_hashes={"vocab": model.vocab.sha256()},
-        dataset_paths={args.data: args.data},
-    )
+    manifest = _manifest(args, kind, paths, vocab=model.vocab.sha256())
     write_manifest(manifest, _manifest_sidecar(args.out))
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    kind, model = _load_any_model(args.model)
-    _check_vocab_against_sidecar(model, args.model)
-    track = Track(args.track)
-    split = Split(args.split)
-    dataset = _read_labeled(args.data, track, split, args.labels)
-    scores = _model_scores(kind, model, dataset)
+    _check_threshold(args.threshold)
+    kind, model, dataset, scores, paths = _scored(args, args.labels)
     preds = [
         Prediction(inst.instance_id, s, inst.label)
         for inst, s in zip(dataset.instances, scores.tolist())
     ]
     auc = auc_trapezoid(roc_curve(preds))
     f1 = f1_at_threshold(preds, args.threshold)
-    dataset_paths = {args.data: args.data}
-    if args.labels is not None:
-        dataset_paths[args.labels] = args.labels
-    manifest = build_manifest(
-        track=track.value,
-        model_kind=kind,
-        split=split.value,
-        config_hashes={"vocab": model.vocab.sha256()},
-        dataset_paths=dataset_paths,
-    )
+    manifest = _manifest(args, kind, paths, vocab=model.vocab.sha256())
     payload = {
         "manifest": manifest.to_dict(),
-        "track": track.value,
+        "track": args.track,
         "model": kind,
         "n": len(preds),
         "auc": auc,
@@ -205,14 +196,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    kind, model = _load_any_model(args.model)
-    _check_vocab_against_sidecar(model, args.model)
-    track = Track(args.track)
-    split = Split(args.split)
+    _check_threshold(args.threshold)
+    if args.min_group_size < 1:
+        raise DataError(f"--min-group-size must be at least 1, got {args.min_group_size}")
     dimension = Dimension(args.dimension)
-    dataset = _read_labeled(args.data, track, split, args.labels)
+    kind, model, dataset, scores, paths = _scored(args, args.labels)
     classification = load_country_mapping(args.country_mapping)
-    scores = _model_scores(kind, model, dataset)
     preds = [
         Prediction(
             inst.instance_id,
@@ -223,29 +212,32 @@ def cmd_audit(args: argparse.Namespace) -> int:
         for inst, s in zip(dataset.instances, scores.tolist())
     ]
 
-    vocab_hash = model.vocab.sha256()
+    hashes = {"vocab": model.vocab.sha256(), "country_mapping": classification.sha256}
     report = group_audit(
         preds,
         dimension,
         model=kind,
         min_group_size=args.min_group_size,
-        config_hashes={"vocab": vocab_hash, "country_mapping": classification.sha256},
+        config_hashes=hashes,
     )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    valid_groups = sorted({g for r in report.results for g in (r.group_a, r.group_b)})
+    # every audited group's size and AUC, as group_audit drew them
+    sized = {}
+    for r in report.results:
+        sized.setdefault(r.group_a, (r.n_a, r.auc_a))
+        sized.setdefault(r.group_b, (r.n_b, r.auc_b))
     slices = slice_predictions(preds, dimension)
     accuracy_rows = []
-    for group in valid_groups:
-        group_preds = slices[group]
-        auc = auc_trapezoid(roc_curve(group_preds))
-        f1 = f1_at_threshold(group_preds, args.threshold)
+    for group in sorted(sized):
+        n, auc = sized[group]
+        f1 = f1_at_threshold(slices[group], args.threshold)
         accuracy_rows.append(
             {
                 "group": group,
-                "n": len(group_preds),
+                "n": n,
                 "auc": auc,
                 "precision": f1.precision,
                 "recall": f1.recall,
@@ -253,19 +245,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             }
         )
 
-    dataset_paths = {args.data: args.data}
-    if args.labels is not None:
-        dataset_paths[args.labels] = args.labels
-    manifest = build_manifest(
-        track=track.value,
-        model_kind=kind,
-        split=split.value,
-        config_hashes={
-            "vocab": vocab_hash,
-            "country_mapping": classification.sha256,
-        },
-        dataset_paths=dataset_paths,
-    )
+    manifest = _manifest(args, kind, paths, **hashes)
 
     _write_json(
         {
@@ -278,7 +258,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     acc_lines = ["group,track,model,n,auc,f1"]
     acc_lines.extend(
-        f"{row['group']},{track.value},{kind},{row['n']},{row['auc']!r},{row['f1']!r}"
+        f"{row['group']},{args.track},{kind},{row['n']},{row['auc']!r},{row['f1']!r}"
         for row in accuracy_rows
     )
     (out_dir / "accuracy.csv").write_text("\n".join(acc_lines) + "\n", encoding="utf-8")
@@ -355,7 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _WarningLines(logging.Handler):
+    """Prints each library warning to the current stderr as ``warning: ...``."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(f"warning: {record.getMessage()}", file=sys.stderr)
+
+
+_LOG = logging.getLogger("slamaudit")
+
+
 def main(argv=None) -> int:
+    if not _LOG.handlers:  # once per process, however often main runs
+        _LOG.addHandler(_WarningLines(logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,19 +7,18 @@ days/100, time clamped to [0, 60] and divided by 60, and a time-present
 indicator. Stateless scaling keeps encoding a pure function of (instance,
 vocabulary).
 
-``encode_rows`` encodes a whole sequence of instances at once into CSR
-arrays plus the ``(n, 3)`` numeric block; both learners train and score from
-it. It looks up each exercise's metadata once and each distinct
-(token, POS, morph, dep) combination once. ``encode`` is the per-instance
-reference that it equals row for row; ``FeatureVector``, ``encode_dataset``
-and ``to_dense`` remain for tests and single-instance use.
+``build_vocab`` and ``encode_rows`` share one walk, ``_factor``, over runs
+of shared exercise metadata and distinct (token, POS, morph, dep) keys.
+``encode_rows`` gives the CSR arrays plus ``(n, 3)`` numeric block that both
+learners train and score from; ``encode`` is the per-instance reference it
+equals row for row. ``FeatureVector``, ``encode_dataset`` and ``to_dense``
+remain for tests and single-instance use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -140,34 +139,49 @@ def _assemble(maps: dict[str, dict[str, int]]) -> Vocabulary:
     )
 
 
-def build_vocab(
-    train: Dataset | Sequence[Dataset], min_count: int = 1
-) -> Vocabulary:
+def _factor(instances: Sequence[TokenInstance]):
+    """``(metas, meta_ids, keys, token_ids)``: the metadata object of each run
+    of instances sharing one, the distinct (token, POS, morph, dep) keys in
+    first-occurrence order, and each instance's run and key."""
+    metas, meta_ids, token_ids = [], [], []
+    key_ids: dict[tuple, int] = {}
+    last_meta = None
+    for inst in instances:
+        if inst.meta is not last_meta:
+            last_meta = inst.meta
+            metas.append(last_meta)
+        meta_ids.append(len(metas) - 1)
+        key = (inst.token, inst.part_of_speech, inst.morph_features, inst.dep_label)
+        token_ids.append(key_ids.setdefault(key, len(key_ids)))
+    return metas, meta_ids, list(key_ids), token_ids
+
+
+def build_vocab(train: Dataset | Sequence[Dataset]) -> Vocabulary:
     """Build a vocabulary from one or more training datasets.
 
-    Strings below ``min_count`` fall into the per-namespace OOV slot. Index
-    assignment follows first occurrence in input order, so rebuilding from the
-    same data yields an identical vocabulary.
+    Index assignment follows first occurrence in input order, so rebuilding
+    from the same data yields an identical vocabulary. Each namespace is fed
+    by metadata alone or by token keys alone, so interning from ``_factor``'s
+    runs and keys keeps that order.
     """
     datasets = [train] if isinstance(train, Dataset) else list(train)
-    if min_count < 1:
-        raise DataError("min_count must be >= 1")
     instances = [inst for ds in datasets for inst in ds.instances]
     if not instances:
         raise DataError("cannot build a vocabulary from an empty dataset")
-
-    counts: dict[str, Counter] = {ns: Counter() for ns in NAMESPACES}
-    for inst in instances:
-        for ns, values in _namespace_strings(inst).items():
-            counts[ns].update(values)
-
-    maps: dict[str, dict[str, int]] = {ns: {} for ns in NAMESPACES}
-    for inst in instances:
-        for ns, values in _namespace_strings(inst).items():
-            for value in values:
-                if counts[ns][value] >= min_count and value not in maps[ns]:
-                    maps[ns][value] = len(maps[ns])
-    return _assemble(maps)
+    metas, _, keys, _ = _factor(instances)
+    strings = {
+        "user": (m.user_id for m in metas),
+        "token": (token.lower() for token, _, _, _ in keys),
+        "pos": (pos for _, pos, _, _ in keys),
+        "morph": chain.from_iterable(morph for _, _, morph, _ in keys),
+        "dep": (dep for _, _, _, dep in keys),
+        "format": (m.format.value for m in metas),
+        "session": (m.session.value for m in metas),
+        "client": (m.client.value for m in metas),
+    }
+    return _assemble(
+        {ns: {s: i for i, s in enumerate(dict.fromkeys(strings[ns]))} for ns in NAMESPACES}
+    )
 
 
 def encode(inst: TokenInstance, vocab: Vocabulary) -> FeatureVector:
@@ -206,52 +220,36 @@ def encode_rows(
     Row i's active binary dimensions are ``indices[indptr[i]:indptr[i+1]]``,
     strictly increasing, and ``numeric[i]`` holds its days, time and
     time-present values; together they equal ``encode(instances[i], vocab)``.
-    Tokens of one exercise share one metadata object, so user, format,
-    session, client and the numerics are looked up once per run of tokens
-    with the same metadata object; token, POS, dep and the morph set once
-    per distinct combination. Namespaces occupy increasing index ranges, so a row laid out
-    in ``NAMESPACES`` order is sorted without a per-row sort.
+    User, format, session, client and the numerics are looked up once per
+    metadata run of ``_factor``, and token, POS, the morph set and dep once
+    per distinct key. Namespaces occupy increasing index ranges, so a row
+    laid out in ``NAMESPACES`` order is sorted without a per-row sort.
     """
     maps, offsets, sizes = vocab.maps, vocab.offsets, vocab.sizes
 
     def index(ns: str, value: str) -> int:
         return offsets[ns] + maps[ns].get(value, sizes[ns] - 1)
 
-    meta_rows: list[tuple[int, ...]] = []  # user, format, session, client
-    numeric_rows: list[tuple[float, float, float]] = []
-    meta_ids: list[int] = []
-    token_ids: list[int] = []
-    token_keys: dict[tuple, int] = {}
-    token_parts: list[tuple[int, ...]] = []  # token, POS, sorted morph, dep
-    last_meta = None
-    for inst in instances:
-        meta = inst.meta
-        if meta is not last_meta:
-            last_meta = meta
-            meta_rows.append(
-                (
-                    index("user", meta.user_id),
-                    index("format", meta.format.value),
-                    index("session", meta.session.value),
-                    index("client", meta.client.value),
-                )
-            )
-            numeric_rows.append(_numeric_values(meta))
-        meta_ids.append(len(meta_rows) - 1)
-        key = (inst.token, inst.part_of_speech, inst.morph_features, inst.dep_label)
-        tid = token_keys.get(key)
-        if tid is None:
-            tid = token_keys[key] = len(token_parts)
-            morph = sorted({index("morph", m) for m in inst.morph_features})
-            token_parts.append(
-                (
-                    index("token", inst.token.lower()),
-                    index("pos", inst.part_of_speech),
-                    *morph,
-                    index("dep", inst.dep_label),
-                )
-            )
-        token_ids.append(tid)
+    metas, meta_ids, keys, token_ids = _factor(instances)
+    meta_rows = [  # user, format, session, client
+        (
+            index("user", m.user_id),
+            index("format", m.format.value),
+            index("session", m.session.value),
+            index("client", m.client.value),
+        )
+        for m in metas
+    ]
+    numeric_rows = [_numeric_values(m) for m in metas]
+    token_parts = [  # token, POS, sorted morph, dep
+        (
+            index("token", token.lower()),
+            index("pos", pos),
+            *sorted({index("morph", m) for m in morph}),
+            index("dep", dep),
+        )
+        for token, pos, morph, dep in keys
+    ]
 
     n = len(meta_ids)
     meta_id = np.array(meta_ids, dtype=np.intp)

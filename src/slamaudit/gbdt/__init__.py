@@ -136,10 +136,6 @@ class Tree:
                     if not (i < child < n):
                         raise TrainingError(f"node {i} has invalid child {child}")
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for f in self.feature if f < 0)
-
     def depth(self) -> int:
         def walk(i: int) -> int:
             if self.feature[i] < 0:

@@ -42,6 +42,7 @@ from .features import (  # noqa: F401 (encode)
     Vocabulary,
     encode,  # unused here, but bench/tracing.py wraps slamaudit.multitask.encode
     encode_rows,
+    labels_array,
 )
 from .numerics import sigmoid
 from .slam_format import Dataset, TokenInstance, Track
@@ -341,12 +342,8 @@ def _prepare_tracks(
     for ds in datasets:
         if ds.track in by_track:
             raise TrainingError(f"duplicate dataset for track {ds.track.value!r}")
-        labels = []
-        for inst in ds.instances:
-            if inst.label is None:
-                raise DataError(f"unlabeled instance {inst.instance_id!r}")
-            labels.append(inst.label)
-        if len(set(labels)) < 2:
+        labels = labels_array(ds)
+        if len(np.unique(labels)) < 2:
             raise TrainingError(
                 f"track {ds.track.value!r} contains a single class"
             )

@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from slamaudit.features import encode
+from slamaudit.features import NAMESPACES, NUMERIC_FEATURES, VOCAB_FORMAT_VERSION, encode
 from slamaudit.multitask import _PackedRows, grad, init_model, instance_loss
 
 
@@ -283,3 +283,30 @@ def oracle_pack(fvs, labels=None):
         vals=np.frombuffer(vals, dtype=np.float64),
         labels=None if labels is None else np.array(labels, dtype=np.float64),
     )
+
+
+def oracle_build_vocab(datasets):
+    """``Vocabulary.to_dict()`` of the datasets, interned token by token: each
+    instance's strings in ``NAMESPACES`` order, each new string taking its
+    namespace's next index."""
+    maps = {ns: {} for ns in NAMESPACES}
+    for ds in datasets:
+        for inst in ds.instances:
+            strings = {
+                "user": [inst.meta.user_id],
+                "token": [inst.token.lower()],
+                "pos": [inst.part_of_speech],
+                "morph": list(inst.morph_features),
+                "dep": [inst.dep_label],
+                "format": [inst.meta.format.value],
+                "session": [inst.meta.session.value],
+                "client": [inst.meta.client.value],
+            }
+            for ns in NAMESPACES:
+                for value in strings[ns]:
+                    maps[ns].setdefault(value, len(maps[ns]))
+    return {
+        "format_version": VOCAB_FORMAT_VERSION,
+        "namespaces": maps,
+        "numeric_features": list(NUMERIC_FEATURES),
+    }

@@ -1,6 +1,8 @@
 """End-to-end command tests against the bundled fixture."""
 
 import json
+import re
+import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,7 +10,12 @@ import pytest
 
 from slamaudit.cli import main
 from slamaudit.errors import DataError
+from slamaudit.gbdt import load_model, predict_scores
 from slamaudit.manifest import read_manifest
+from slamaudit.metrics import Prediction, auc_rank, f1_at_threshold
+from slamaudit.slam_format import Split, Track, join_labels, read_dataset, read_label_key
+
+from conftest import REPO_ROOT
 
 EN_TRAIN = "data/mini/en_es.train.slam"
 EN_DEV = "data/mini/en_es.dev.slam"
@@ -313,7 +320,130 @@ class TestEvaluate:
         assert payload["auc"] > 0.75
         assert 0.0 <= payload["f1"] <= 1.0
         assert payload["manifest"]["model_kind"] == "gbdt"
+        assert sorted(payload["manifest"]["dataset_hashes"]) == [
+            str(mini_dir / "en_es.dev.key"),
+            str(mini_dir / "en_es.dev.slam"),
+        ]
         assert "auc=" in capsys.readouterr().out
+
+    def test_readme_example_prints_documented_line(self, gbdt_model, capsys, monkeypatch):
+        # the README's evaluate example, run from the repository root on a
+        # model trained as its train example does
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        command, expected = re.search(
+            r"^(slamaudit evaluate [^`]*?)\n# (n=[^\n]*)$", readme, re.M
+        ).groups()
+        argv = shlex.split(command.replace("\\\n", " "))[1:]
+        argv[argv.index("--model") + 1] = str(gbdt_model)
+        monkeypatch.chdir(REPO_ROOT)
+        assert run(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [expected]
+
+
+def error_lines(argv, capsys):
+    """Run a command that must fail; return its stderr lines."""
+    code = run(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1, lines
+    assert sum(line.startswith("error:") for line in lines) == 1, lines
+    assert lines[-1].startswith("error:"), lines
+    return lines
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "1.5"])
+    @pytest.mark.parametrize("command", ["evaluate", "audit"])
+    def test_bad_threshold_rejected(self, tmp_path, gbdt_model, mini_dir, capsys, command, value):
+        argv = [
+            command,
+            "--model", str(gbdt_model),
+            "--data", str(mini_dir / "en_es.dev.slam"),
+            "--track", "en_es",
+            "--labels", str(mini_dir / "en_es.dev.key"),
+            f"--threshold={value}",
+            "--out", str(tmp_path / "never"),
+        ]
+        if command == "audit":
+            argv += ["--dimension", "client"]
+        assert error_lines(argv, capsys) == [
+            f"error: --threshold must be a finite number in [0, 1], got {float(value)!r}"
+        ]
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_bad_min_group_size_rejected(self, tmp_path, gbdt_model, mini_dir, capsys, value):
+        lines = error_lines(
+            [
+                "audit",
+                "--model", str(gbdt_model),
+                "--data", str(mini_dir / "en_es.dev.slam"),
+                "--track", "en_es",
+                "--labels", str(mini_dir / "en_es.dev.key"),
+                "--dimension", "client",
+                "--min-group-size", value,
+                "--out", str(tmp_path / "never"),
+            ],
+            capsys,
+        )
+        assert lines == [f"error: --min-group-size must be at least 1, got {value}"]
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_threshold_bounds_accepted(self, gbdt_model, mini_dir, value):
+        assert run(
+            [
+                "evaluate",
+                "--model", str(gbdt_model),
+                "--data", str(mini_dir / "en_es.dev.slam"),
+                "--track", "en_es",
+                "--labels", str(mini_dir / "en_es.dev.key"),
+                "--threshold", value,
+            ]
+        ) == 0
+
+
+@pytest.fixture
+def key_with_extra_entry(tmp_path, mini_dir):
+    key = tmp_path / "en_es.dev.key"
+    key.write_text((mini_dir / "en_es.dev.key").read_text() + "zzzzzzzz0001 1\n")
+    return key
+
+
+class TestWarnings:
+    WARNING = "warning: label key has 1 entries not present in the dataset"
+
+    def test_success_prints_warning_lines_only(
+        self, gbdt_model, mini_dir, capsys, key_with_extra_entry
+    ):
+        argv = [
+            "evaluate",
+            "--model", str(gbdt_model),
+            "--data", str(mini_dir / "en_es.dev.slam"),
+            "--track", "en_es",
+            "--labels", str(key_with_extra_entry),
+        ]
+        for _ in range(2):  # a second main() in one process prints it once too
+            assert run(argv) == 0
+            assert capsys.readouterr().err.splitlines() == [self.WARNING]
+
+    def test_failure_ends_with_the_only_error_line(
+        self, tmp_path, gbdt_model, mini_dir, capsys, key_with_extra_entry
+    ):
+        lines = error_lines(
+            [
+                "audit",
+                "--model", str(gbdt_model),
+                "--data", str(mini_dir / "en_es.dev.slam"),
+                "--track", "en_es",
+                "--labels", str(key_with_extra_entry),
+                "--dimension", "client",
+                "--min-group-size", "100000",
+                "--out", str(tmp_path / "never"),
+            ],
+            capsys,
+        )
+        assert lines[0] == self.WARNING
+        assert lines[1].startswith("error: fewer than two valid groups")
+        assert len(lines) == 2
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +492,26 @@ class TestAudit:
         acc_lines = (audit_dir / "accuracy.csv").read_text().splitlines()
         assert acc_lines[0] == "group,track,model,n,auc,f1"
         assert len(acc_lines) == 4
+
+    def test_accuracy_rows_match_per_group_recomputation(self, audit_dir, gbdt_model, mini_dir):
+        # n, AUC (by the rank route) and F1 of each client group, recomputed
+        # from the model's scores without going through the audit
+        dev = join_labels(
+            read_dataset(mini_dir / "en_es.dev.slam", Track.EN_ES, Split.DEV),
+            read_label_key(mini_dir / "en_es.dev.key"),
+        )
+        scores = predict_scores(load_model(gbdt_model), dev).tolist()
+        groups = {}
+        for inst, score in zip(dev.instances, scores):
+            groups.setdefault(inst.meta.client.value, []).append(
+                Prediction(inst.instance_id, score, inst.label)
+            )
+        payload = json.loads((audit_dir / "report.json").read_text())
+        for row in payload["accuracy"]["groups"]:
+            preds = groups[row["group"]]
+            assert row["n"] == len(preds)
+            assert row["auc"] == pytest.approx(auc_rank(preds), abs=1e-12)
+            assert row["f1"] == f1_at_threshold(preds, 0.5).f1
 
     def test_web_skew_ordering(self, audit_dir):
         payload = json.loads((audit_dir / "report.json").read_text())

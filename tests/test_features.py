@@ -31,6 +31,7 @@ from slamaudit.slam_format import (
 )
 
 from gen_slam import random_dataset
+from oracles import oracle_build_vocab
 
 
 def make_instance(
@@ -75,17 +76,10 @@ def single_instance_dataset():
 
 class TestBuildVocab:
     def test_single_instance_every_namespace_has_entry_and_oov(self):
-        vocab = build_vocab(single_instance_dataset(), min_count=1)
+        vocab = build_vocab(single_instance_dataset())
         for ns in NAMESPACES:
             assert vocab.sizes[ns] >= 2  # at least one real entry plus OOV
             assert len(vocab.maps[ns]) >= 1
-
-    def test_min_count_two_sends_singleton_token_to_oov(self):
-        ds = single_instance_dataset()
-        vocab = build_vocab(ds, min_count=2)
-        assert vocab.maps["token"] == {}
-        fv = encode(ds.instances[0], vocab)
-        assert vocab.oov_index("token") in fv.indices
 
     def test_rebuild_is_identical(self):
         rng = random.Random(41)
@@ -105,15 +99,54 @@ class TestBuildVocab:
         with pytest.raises(DataError, match="empty"):
             build_vocab(empty)
 
-    def test_min_count_below_one_rejected(self):
-        with pytest.raises(DataError, match="min_count"):
-            build_vocab(single_instance_dataset(), min_count=0)
-
     def test_multiple_datasets_pool_counts(self):
-        ds = single_instance_dataset()
-        # the token appears once per dataset; pooling across both reaches 2
-        vocab = build_vocab([ds, ds], min_count=2)
-        assert "yo" in vocab.maps["token"]
+        # strings are pooled across datasets and indexed by first occurrence
+        # in dataset order; a string seen again keeps its first index
+        a = Dataset(track=Track.EN_ES, instances=(make_instance(),), split=Split.TRAIN)
+        b = Dataset(
+            track=Track.EN_ES,
+            instances=(
+                make_instance(instance_id="efgh567801", token="Tu", user="userB"),
+                make_instance(instance_id="efgh567802", token="yo"),
+            ),
+            split=Split.TRAIN,
+        )
+        ab, ba = build_vocab([a, b]), build_vocab([b, a])
+        assert ab.maps["token"] == {"yo": 0, "tu": 1}
+        assert ab.maps["user"] == {"userA": 0, "userB": 1}
+        assert ba.maps["token"] == {"tu": 0, "yo": 1}
+        assert ba.maps["user"] == {"userB": 0, "userA": 1}
+
+    @pytest.mark.parametrize("track", list(Track))
+    def test_equals_oracle_on_fixture_tracks(self, mini_dir, track):
+        train = read_dataset(mini_dir / f"{track.value}.train.slam", track, Split.TRAIN)
+        assert build_vocab(train).to_dict() == oracle_build_vocab([train])
+
+    def test_equals_oracle_on_joint_tracks(self, mini_dir):
+        joint = [
+            read_dataset(mini_dir / f"{t.value}.train.slam", t, Split.TRAIN)
+            for t in (Track.ES_EN, Track.FR_EN)
+        ]
+        assert build_vocab(joint).to_dict() == oracle_build_vocab(joint)
+
+    def test_equals_oracle_on_random_draws(self):
+        rng = random.Random(4802)
+        for _ in range(40):
+            draws = []
+            for _ in range(rng.randint(1, 3)):
+                ds = random_dataset(rng, n_exercises=rng.randint(1, 6))
+                # interleave exercises, and repeat tokens in another case
+                # under metadata objects that already occurred
+                instances = list(ds.instances)
+                instances += [
+                    dataclasses.replace(
+                        inst, instance_id=f"{inst.instance_id}x", token=inst.token.swapcase()
+                    )
+                    for inst in rng.sample(instances, rng.randint(0, len(instances)))
+                ]
+                rng.shuffle(instances)
+                draws.append(dataclasses.replace(ds, instances=tuple(instances)))
+            assert build_vocab(draws).to_dict() == oracle_build_vocab(draws)
 
     def test_namespace_ranges_disjoint_and_cover_binary_block(self):
         rng = random.Random(42)
@@ -280,7 +313,7 @@ class TestEncodeRows:
         rng = random.Random(4801)
         for _ in range(40):
             train = random_dataset(rng, n_exercises=rng.randint(1, 6))
-            vocab = build_vocab(train, min_count=rng.randint(1, 2))
+            vocab = build_vocab(train)
             assert_rows_equal_encode(train.instances, vocab)
             # a second draw: its users, tokens and morph sets are mostly OOV
             assert_rows_equal_encode(random_dataset(rng, n_exercises=4).instances, vocab)
