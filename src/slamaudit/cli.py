@@ -98,6 +98,20 @@ def _manifest(args: argparse.Namespace, kind: str, paths: dict, **hashes: str):
     )
 
 
+def _group_tags(dataset, classification) -> list:
+    """Each token's group tag. The tokens of one exercise share its metadata
+    and so its tag, which ``tag_instance`` gives for the exercise's first."""
+    columns = dataset.columns
+    first_rows: dict[int, int] = {}
+    for row, e in enumerate(columns.exercise):
+        first_rows.setdefault(e, row)
+    tags = {
+        e: tag_instance(columns.instance(row, dataset.track), classification)
+        for e, row in first_rows.items()
+    }
+    return [tags[e] for e in columns.exercise]
+
+
 def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:  # also false for NaN
         raise DataError(f"--threshold must be a finite number in [0, 1], got {threshold!r}")
@@ -158,9 +172,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     kind, model, dataset, scores, paths = _scored(args)
     lines = ["instance_id,score"]
-    lines.extend(
-        f"{inst.instance_id},{s!r}" for inst, s in zip(dataset.instances, scores.tolist())
-    )
+    lines.extend(f"{i},{s!r}" for i, s in zip(dataset.columns.ids, scores.tolist()))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = _manifest(args, kind, paths, vocab=model.vocab.sha256())
     write_manifest(manifest, _manifest_sidecar(args.out))
@@ -171,10 +183,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     kind, model, dataset, scores, paths = _scored(args, args.labels)
-    preds = [
-        Prediction(inst.instance_id, s, inst.label)
-        for inst, s in zip(dataset.instances, scores.tolist())
-    ]
+    columns = dataset.columns
+    preds = list(map(Prediction, columns.ids, scores.tolist(), columns.labels))
     auc = auc_trapezoid(roc_curve(preds))
     f1 = f1_at_threshold(preds, args.threshold)
     manifest = _manifest(args, kind, paths, vocab=model.vocab.sha256())
@@ -202,14 +212,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
     dimension = Dimension(args.dimension)
     kind, model, dataset, scores, paths = _scored(args, args.labels)
     classification = load_country_mapping(args.country_mapping)
+    columns = dataset.columns
     preds = [
-        Prediction(
-            inst.instance_id,
-            s,
-            inst.label,
-            group=tag_instance(inst, classification),
+        Prediction(i, s, y, group=g)
+        for i, s, y, g in zip(
+            columns.ids, scores.tolist(), columns.labels, _group_tags(dataset, classification)
         )
-        for inst, s in zip(dataset.instances, scores.tolist())
     ]
 
     hashes = {"vocab": model.vocab.sha256(), "country_mapping": classification.sha256}
@@ -284,8 +292,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a rejected command line instead of printing usage and exiting
+    2, so it fails like any other error: one ``error:`` line, exit 1.
+    Subcommand parsers are made from the same class."""
+
+    def error(self, message: str):
+        raise SlamAuditError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slamaudit",
         description="Train knowledge-tracing models and audit group fairness.",
     )
@@ -348,9 +365,8 @@ _LOG = logging.getLogger("slamaudit")
 def main(argv=None) -> int:
     if not _LOG.handlers:  # once per process, however often main runs
         _LOG.addHandler(_WarningLines(logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SlamAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,14 @@ days/100, time clamped to [0, 60] and divided by 60, and a time-present
 indicator. Stateless scaling keeps encoding a pure function of (instance,
 vocabulary).
 
-``build_vocab`` and ``encode_rows`` share one walk, ``_factor``, over runs
-of shared exercise metadata and distinct (token, POS, morph, dep) keys.
-``encode_rows`` gives the CSR arrays plus ``(n, 3)`` numeric block that both
-learners train and score from; ``encode`` is the per-instance reference it
-equals row for row. ``FeatureVector``, ``encode_dataset`` and ``to_dense``
-remain for tests and single-instance use.
+``build_vocab`` and ``encode_rows`` read a dataset's ``TokenColumns``: the
+exercise metadata once per exercise and the (token, POS, morph field, dep)
+columns once per distinct key, so a raw morph field is split into its
+features once per distinct key, not once per token. ``encode_rows`` gives the CSR arrays
+plus ``(n, 3)`` numeric block that both learners train and score from;
+``encode`` is the per-instance reference it equals row for row.
+``FeatureVector``, ``encode_dataset`` and ``to_dense`` remain for tests and
+single-instance use.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .slam_format import Dataset, TokenInstance
+from .slam_format import Dataset, TokenColumns, TokenInstance, morph_features
 
 NAMESPACES = ("user", "token", "pos", "morph", "dep", "format", "session", "client")
 NUMERIC_FEATURES = ("days", "time", "time_present")
@@ -139,21 +141,15 @@ def _assemble(maps: dict[str, dict[str, int]]) -> Vocabulary:
     )
 
 
-def _factor(instances: Sequence[TokenInstance]):
-    """``(metas, meta_ids, keys, token_ids)``: the metadata object of each run
-    of instances sharing one, the distinct (token, POS, morph, dep) keys in
-    first-occurrence order, and each instance's run and key."""
-    metas, meta_ids, token_ids = [], [], []
+def _factor(columns: TokenColumns) -> tuple[list[tuple], list[int]]:
+    """``(keys, token_ids)``: the distinct (token, POS, morph field, dep) keys
+    of the rows in first-occurrence order, and each row's key."""
     key_ids: dict[tuple, int] = {}
-    last_meta = None
-    for inst in instances:
-        if inst.meta is not last_meta:
-            last_meta = inst.meta
-            metas.append(last_meta)
-        meta_ids.append(len(metas) - 1)
-        key = (inst.token, inst.part_of_speech, inst.morph_features, inst.dep_label)
-        token_ids.append(key_ids.setdefault(key, len(key_ids)))
-    return metas, meta_ids, list(key_ids), token_ids
+    token_ids = [
+        key_ids.setdefault(key, len(key_ids))
+        for key in zip(columns.tokens, columns.pos, columns.morph, columns.deps)
+    ]
+    return list(key_ids), token_ids
 
 
 def build_vocab(train: Dataset | Sequence[Dataset]) -> Vocabulary:
@@ -161,19 +157,23 @@ def build_vocab(train: Dataset | Sequence[Dataset]) -> Vocabulary:
 
     Index assignment follows first occurrence in input order, so rebuilding
     from the same data yields an identical vocabulary. Each namespace is fed
-    by metadata alone or by token keys alone, so interning from ``_factor``'s
-    runs and keys keeps that order.
+    by exercise metadata alone or by token keys alone, so interning from the
+    metadata in exercise order and the distinct token keys in first-occurrence
+    order keeps that order.
     """
     datasets = [train] if isinstance(train, Dataset) else list(train)
-    instances = [inst for ds in datasets for inst in ds.instances]
-    if not instances:
+    columns = [ds.columns for ds in datasets]
+    if not any(c.ids for c in columns):
         raise DataError("cannot build a vocabulary from an empty dataset")
-    metas, _, keys, _ = _factor(instances)
+    metas = [m for c in columns for m in c.metas]
+    keys = dict.fromkeys(
+        chain.from_iterable(zip(c.tokens, c.pos, c.morph, c.deps) for c in columns)
+    )
     strings = {
         "user": (m.user_id for m in metas),
         "token": (token.lower() for token, _, _, _ in keys),
         "pos": (pos for _, pos, _, _ in keys),
-        "morph": chain.from_iterable(morph for _, _, morph, _ in keys),
+        "morph": chain.from_iterable(morph_features(morph) for _, _, morph, _ in keys),
         "dep": (dep for _, _, _, dep in keys),
         "format": (m.format.value for m in metas),
         "session": (m.session.value for m in metas),
@@ -213,24 +213,26 @@ def _numeric_values(meta) -> tuple[float, float, float]:
 
 
 def encode_rows(
-    instances: Sequence[TokenInstance], vocab: Vocabulary
+    columns: TokenColumns, vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode instances as CSR rows: ``(indptr, indices, numeric)``.
+    """Encode token rows as CSR rows: ``(indptr, indices, numeric)``.
 
     Row i's active binary dimensions are ``indices[indptr[i]:indptr[i+1]]``,
     strictly increasing, and ``numeric[i]`` holds its days, time and
-    time-present values; together they equal ``encode(instances[i], vocab)``.
+    time-present values; together they equal ``encode`` of token i.
     User, format, session, client and the numerics are looked up once per
-    metadata run of ``_factor``, and token, POS, the morph set and dep once
-    per distinct key. Namespaces occupy increasing index ranges, so a row
-    laid out in ``NAMESPACES`` order is sorted without a per-row sort.
+    exercise, and token, POS, the morph set (split from its field) and dep
+    once per distinct key of ``_factor``. Namespaces occupy increasing index
+    ranges, so a row laid out in ``NAMESPACES`` order is sorted without a
+    per-row sort.
     """
     maps, offsets, sizes = vocab.maps, vocab.offsets, vocab.sizes
 
     def index(ns: str, value: str) -> int:
         return offsets[ns] + maps[ns].get(value, sizes[ns] - 1)
 
-    metas, meta_ids, keys, token_ids = _factor(instances)
+    metas, meta_ids = columns.metas, columns.exercise
+    keys, token_ids = _factor(columns)
     meta_rows = [  # user, format, session, client
         (
             index("user", m.user_id),
@@ -245,7 +247,7 @@ def encode_rows(
         (
             index("token", token.lower()),
             index("pos", pos),
-            *sorted({index("morph", m) for m in morph}),
+            *sorted({index("morph", m) for m in morph_features(morph)}),
             index("dep", dep),
         )
         for token, pos, morph, dep in keys
@@ -296,7 +298,8 @@ def to_dense(fvs: Iterable[FeatureVector], vocab: Vocabulary) -> np.ndarray:
 
 def labels_array(dataset: Dataset) -> np.ndarray:
     """Labels as float64; raises if any instance is unlabeled."""
-    missing = [i.instance_id for i in dataset.instances if i.label is None]
-    if missing:
-        raise DataError(f"unlabeled instance {missing[0]!r} (and possibly more)")
-    return np.array([i.label for i in dataset.instances], dtype=np.float64)
+    labels = dataset.columns.labels
+    if None in labels:
+        missing = dataset.columns.ids[labels.index(None)]
+        raise DataError(f"unlabeled instance {missing!r} (and possibly more)")
+    return np.array(labels, dtype=np.float64)

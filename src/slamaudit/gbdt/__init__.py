@@ -438,7 +438,7 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
         raise TrainingError("training data must contain both classes")
     base = math.log(positives / (n - positives))
 
-    indptr, entry_feats, numeric = encode_rows(train.instances, vocab)
+    indptr, entry_feats, numeric = encode_rows(train.columns, vocab)
     n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
     entry_rows = np.repeat(np.arange(n), np.diff(indptr))
     root = _Node.root(entry_rows, entry_feats, numeric)
@@ -485,7 +485,7 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     (in ascending id order) and then the numeric block: ``(n, k + 3)``.
     """
     vocab = model.vocab
-    indptr, indices, numeric = encode_rows(dataset.instances, vocab)
+    indptr, indices, numeric = encode_rows(dataset.columns, vocab)
     n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
     split_on = np.unique(
         np.fromiter(

@@ -45,7 +45,7 @@ from .features import (  # noqa: F401 (encode)
     labels_array,
 )
 from .numerics import sigmoid
-from .slam_format import Dataset, TokenInstance, Track
+from .slam_format import Dataset, TokenColumns, Track
 from .validation import config_from, number, read_json_object, require_keys
 
 MT_FORMAT_VERSION = 1
@@ -274,12 +274,10 @@ class _PackedRows:
         return len(self.indptr) - 1
 
 
-def _pack(
-    instances: Sequence[TokenInstance], vocab: Vocabulary, labels=None
-) -> _PackedRows:
-    """Pack instances from their ``encode_rows`` CSR: each row's k binary
+def _pack(columns: TokenColumns, vocab: Vocabulary, labels=None) -> _PackedRows:
+    """Pack token rows from their ``encode_rows`` CSR: each row's k binary
     entries at 1/k, then its nonzero numerics in dimension order."""
-    indptr, indices, numeric = encode_rows(instances, vocab)
+    indptr, indices, numeric = encode_rows(columns, vocab)
     k = np.diff(indptr)
     nonzero = numeric != 0.0
     out_ptr = np.zeros(len(k) + 1, dtype=np.int64)
@@ -347,7 +345,7 @@ def _prepare_tracks(
             raise TrainingError(
                 f"track {ds.track.value!r} contains a single class"
             )
-        by_track[ds.track] = _pack(ds.instances, vocab, labels)
+        by_track[ds.track] = _pack(ds.columns, vocab, labels)
     if not by_track:
         raise TrainingError("no datasets given")
     return by_track
@@ -451,7 +449,7 @@ def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
     track = dataset.track
     if track not in model.heads:
         raise DataError(f"model has no head for track {track.value!r}")
-    packed = _pack(dataset.instances, model.vocab)
+    packed = _pack(dataset.columns, model.vocab)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = _chunked(model, track, packed, lambda rows, mix, u, logits: sigmoid(logits))
     if not np.isfinite(scores).all():

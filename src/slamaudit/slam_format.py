@@ -5,6 +5,13 @@ lines followed by whitespace-separated token lines
 (id, token, POS, morph, dependency label, dependency head, optional 0/1 label).
 Labeled splits carry the label inline; dev/test labels live in separate
 two-column key files.
+
+The parser appends each token line's fields to per-field lists
+(``TokenColumns``) and builds one ``ExerciseMeta`` per exercise; a
+``Dataset`` holds those columns, and the label join fills its label column
+by one key lookup per id. ``TokenInstance`` objects are built only when
+asked for (``Dataset.instances``, ``parse_exercise_stream``), for tests,
+serialization and single-token use.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, ParseError
 
@@ -87,28 +94,145 @@ class TokenInstance:
     track: Track
 
 
+def morph_features(field: str) -> tuple[str, ...]:
+    """The morph features of a raw SLAM morph field (``_`` means none)."""
+    return () if field == "_" else tuple(field.split("|"))
+
+
+def _morph_field(features: tuple[str, ...]) -> str:
+    return "|".join(features) if features else "_"
+
+
 @dataclass(frozen=True)
-class Dataset:
-    """Ordered token instances of a single track and split."""
+class TokenColumns:
+    """A token sequence held as one list per field, plus one metadata object
+    per exercise.
 
-    track: Track
-    instances: tuple[TokenInstance, ...]
-    split: Split
+    Row i is one token: ``ids[i]``, ``tokens[i]``, ``pos[i]``, ``morph[i]``
+    (the raw SLAM field, see ``morph_features``), ``deps[i]``, ``heads[i]``,
+    ``labels[i]`` (None when unlabeled) and ``exercise[i]``, the index of its
+    metadata in ``metas``. Exercise indices never decrease along the rows and
+    every entry of ``metas`` has at least one row.
+    """
 
-    def __post_init__(self):
+    ids: list[str]
+    tokens: list[str]
+    pos: list[str]
+    morph: list[str]
+    deps: list[str]
+    heads: list[int]
+    labels: list[int | None]
+    exercise: list[int]
+    metas: list[ExerciseMeta]
+
+    @classmethod
+    def from_instances(cls, instances: Sequence[TokenInstance]) -> "TokenColumns":
+        """Columns of instance objects; an exercise starts wherever the
+        metadata object changes. Morph features are joined as
+        ``serialize_dataset`` writes them."""
+        metas: list[ExerciseMeta] = []
+        exercise = []
+        for inst in instances:
+            if not metas or inst.meta is not metas[-1]:
+                metas.append(inst.meta)
+            exercise.append(len(metas) - 1)
+        return cls(
+            ids=[i.instance_id for i in instances],
+            tokens=[i.token for i in instances],
+            pos=[i.part_of_speech for i in instances],
+            morph=[_morph_field(i.morph_features) for i in instances],
+            deps=[i.dep_label for i in instances],
+            heads=[i.dep_head for i in instances],
+            labels=[i.label for i in instances],
+            exercise=exercise,
+            metas=metas,
+        )
+
+    def instance(self, i: int, track: Track) -> TokenInstance:
+        """Row i as a token instance of ``track``."""
+        return TokenInstance(
+            instance_id=self.ids[i],
+            token=self.tokens[i],
+            part_of_speech=self.pos[i],
+            morph_features=morph_features(self.morph[i]),
+            dep_label=self.deps[i],
+            dep_head=self.heads[i],
+            label=self.labels[i],
+            meta=self.metas[self.exercise[i]],
+            track=track,
+        )
+
+
+def _check_unique(ids: Sequence[str]) -> None:
+    if len(set(ids)) != len(ids):
         seen: set[str] = set()
-        for inst in self.instances:
-            if inst.instance_id in seen:
-                raise DataError(f"duplicate instance id {inst.instance_id!r}")
-            seen.add(inst.instance_id)
-            if inst.track is not self.track:
+        for instance_id in ids:
+            if instance_id in seen:
+                raise DataError(f"duplicate instance id {instance_id!r}")
+            seen.add(instance_id)
+
+
+class Dataset:
+    """Ordered token instances of a single track and split.
+
+    The parser and ``join_labels`` build one from ``TokenColumns``
+    (``from_columns``), and the read path works on ``columns``;
+    ``Dataset(track=..., instances=..., split=...)`` takes instance objects.
+    Whichever of ``columns`` and ``instances`` a dataset was not built from
+    is derived on first access and cached. Two datasets are equal when their
+    track, split and instances are.
+    """
+
+    def __init__(self, track: Track, instances: Iterable[TokenInstance], split: Split):
+        instances = tuple(instances)
+        ids = [inst.instance_id for inst in instances]
+        for k, inst in enumerate(instances):
+            if inst.track is not track:
+                _check_unique(ids[: k + 1])  # an earlier duplicate is reported first
                 raise DataError(
                     f"instance {inst.instance_id!r} has track {inst.track.value}, "
-                    f"dataset is {self.track.value}"
+                    f"dataset is {track.value}"
                 )
+        _check_unique(ids)
+        self.track, self.split = track, split
+        self._instances: tuple[TokenInstance, ...] | None = instances
+        self._columns: TokenColumns | None = None
+
+    @classmethod
+    def from_columns(cls, track: Track, split: Split, columns: TokenColumns) -> "Dataset":
+        _check_unique(columns.ids)
+        dataset = cls.__new__(cls)
+        dataset.track, dataset.split = track, split
+        dataset._instances, dataset._columns = None, columns
+        return dataset
+
+    @property
+    def columns(self) -> TokenColumns:
+        if self._columns is None:
+            self._columns = TokenColumns.from_instances(self._instances)
+        return self._columns
+
+    @property
+    def instances(self) -> tuple[TokenInstance, ...]:
+        if self._instances is None:
+            self._instances = tuple(
+                self._columns.instance(i, self.track) for i in range(len(self))
+            )
+        return self._instances
 
     def __len__(self) -> int:
-        return len(self.instances)
+        if self._instances is not None:
+            return len(self._instances)
+        return len(self._columns.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.track, self.split, self.instances) == (
+            other.track, other.split, other.instances
+        )
+
+    __hash__ = None
 
 
 def _parse_meta_pairs(body: str, lineno: int) -> list[tuple[str, str]]:
@@ -129,7 +253,7 @@ def _enum_value(enum_cls, key: str, value: str, lineno: int):
 
 
 def _build_meta(meta: dict[str, str], prompt: str | None,
-                extras: list[tuple[str, str]], lineno: int) -> ExerciseMeta:
+                extras: Iterable[tuple[str, str]], lineno: int) -> ExerciseMeta:
     missing = [k for k in _KNOWN_META_KEYS[:-1] if k not in meta]  # time optional
     if missing:
         raise ParseError(f"exercise metadata missing {', '.join(missing)}", lineno)
@@ -169,66 +293,54 @@ def _build_meta(meta: dict[str, str], prompt: str | None,
     )
 
 
-def _parse_token_line(line: str, lineno: int, meta: ExerciseMeta,
-                      track: Track) -> TokenInstance:
-    cols = line.split()
-    if len(cols) not in (6, 7):
-        raise ParseError(f"token line has {len(cols)} columns, expected 6 or 7", lineno)
-    label: int | None = None
-    if len(cols) == 7:
-        if cols[6] not in ("0", "1"):
-            raise ParseError(f"bad label value {cols[6]!r}", lineno)
-        label = int(cols[6])
+def _dep_head(field: str, lineno: int) -> int:
     try:
-        dep_head = int(cols[5])
+        head = int(field)
     except ValueError:
-        raise ParseError(f"bad dependency head {cols[5]!r}", lineno) from None
-    if dep_head < 0:
-        raise ParseError(f"negative dependency head {cols[5]!r}", lineno)
-    morph = () if cols[3] == "_" else tuple(cols[3].split("|"))
-    return TokenInstance(
-        instance_id=cols[0],
-        token=cols[1],
-        part_of_speech=cols[2],
-        morph_features=morph,
-        dep_label=cols[4],
-        dep_head=dep_head,
-        label=label,
-        meta=meta,
-        track=track,
-    )
+        raise ParseError(f"bad dependency head {field!r}", lineno) from None
+    if head < 0:
+        raise ParseError(f"negative dependency head {field!r}", lineno)
+    return head
 
 
-def parse_exercise_stream(
-    lines: Iterable[str], track: Track
-) -> Iterator[tuple[ExerciseMeta, list[TokenInstance]]]:
-    """Stream (meta, tokens) pairs from SLAM text, one exercise block at a time.
+_LABELS = {"0": 0, "1": 1}
 
-    Memory stays constant per block; every non-blank line is consumed exactly
-    once. Malformed input raises :class:`ParseError` with the line number.
+
+def _parse_columns(lines: Iterable[str]):
+    """Parse SLAM text into ``(columns, blocks)``: the tokens of every
+    exercise as ``TokenColumns``, and one ``(meta, start, stop)`` row range
+    per exercise block in file order, blocks without tokens included.
+
+    Every non-blank line is consumed exactly once; malformed input raises
+    :class:`ParseError` with the line number.
     """
+    ids, tokens, pos, morph, deps, heads, labels, exercise = [], [], [], [], [], [], [], []
+    heads_of: dict[str, int] = {}  # int() runs once per distinct head field
+    metas: list[ExerciseMeta] = []
+    blocks: list[tuple[ExerciseMeta, int, int]] = []
     meta_fields: dict[str, str] = {}
-    extras: list[tuple[str, str]] = []
+    extras: dict[str, str] = {}  # unknown keys, in file order
     prompt: str | None = None
     meta: ExerciseMeta | None = None
-    tokens: list[TokenInstance] = []
     meta_line = 0
+    start = 0
 
     def flush():
-        nonlocal meta_fields, extras, prompt, meta, tokens
+        nonlocal meta_fields, extras, prompt, meta, start
         if meta is None and meta_fields:
-            meta = _build_meta(meta_fields, prompt, extras, meta_line)
+            meta = _build_meta(meta_fields, prompt, extras.items(), meta_line)
         if meta is not None:
-            yield meta, tokens
-        meta_fields, extras, prompt, meta, tokens = {}, [], None, None, []
+            blocks.append((meta, start, len(ids)))
+        meta_fields, extras, prompt, meta, start = {}, {}, None, None, len(ids)
 
     for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            yield from flush()
+        cols = raw.split()
+        if not cols:
+            flush()
             continue
-        if line.startswith("#"):
-            if tokens:
+        if raw[0] == "#":
+            line = raw.rstrip("\n").rstrip("\r")
+            if meta is not None:
                 raise ParseError("metadata line after token lines in the same block", lineno)
             body = line[1:].strip()
             if body.startswith("prompt:"):
@@ -237,28 +349,59 @@ def parse_exercise_stream(
                 prompt = line[line.index("prompt:") + len("prompt:"):]
                 continue
             for key, value in _parse_meta_pairs(body, lineno):
-                if key in meta_fields or any(k == key for k, _ in extras):
+                if key in meta_fields or key in extras:
                     raise ParseError(f"duplicate metadata key {key!r}", lineno)
                 if key in _KNOWN_META_KEYS:
                     meta_fields[key] = value
                 else:
-                    extras.append((key, value))
+                    extras[key] = value
             meta_line = lineno
+            continue
+        if meta is None:
+            if not meta_fields:
+                raise ParseError("token line outside an exercise block", lineno)
+            meta = _build_meta(meta_fields, prompt, extras.items(), meta_line)
+            metas.append(meta)
+        n = len(cols)
+        if n == 7:
+            label = _LABELS.get(cols[6])
+            if label is None:
+                raise ParseError(f"bad label value {cols[6]!r}", lineno)
+        elif n == 6:
+            label = None
         else:
-            if meta is None:
-                if not meta_fields:
-                    raise ParseError("token line outside an exercise block", lineno)
-                meta = _build_meta(meta_fields, prompt, extras, meta_line)
-            tokens.append(_parse_token_line(line, lineno, meta, track))
-    yield from flush()
+            raise ParseError(f"token line has {n} columns, expected 6 or 7", lineno)
+        head = heads_of.get(cols[5])
+        if head is None:
+            head = heads_of[cols[5]] = _dep_head(cols[5], lineno)
+        ids.append(cols[0])
+        tokens.append(cols[1])
+        pos.append(cols[2])
+        morph.append(cols[3])
+        deps.append(cols[4])
+        heads.append(head)
+        labels.append(label)
+        exercise.append(len(metas) - 1)
+    flush()
+    columns = TokenColumns(ids, tokens, pos, morph, deps, heads, labels, exercise, metas)
+    return columns, blocks
+
+
+def parse_exercise_stream(
+    lines: Iterable[str], track: Track
+) -> Iterator[tuple[ExerciseMeta, list[TokenInstance]]]:
+    """(meta, tokens) pairs from SLAM text, one per exercise block in file
+    order; a view over the column parser, so the whole stream is parsed
+    (and any :class:`ParseError` raised) before the first pair."""
+    columns, blocks = _parse_columns(lines)
+    for meta, start, stop in blocks:
+        yield meta, [columns.instance(i, track) for i in range(start, stop)]
 
 
 def parse_dataset(lines: Iterable[str], track: Track, split: Split) -> Dataset:
     """Parse a whole SLAM stream into a Dataset, preserving file order."""
-    instances: list[TokenInstance] = []
-    for _, tokens in parse_exercise_stream(lines, track):
-        instances.extend(tokens)
-    return Dataset(track=track, instances=tuple(instances), split=split)
+    columns, _blocks = _parse_columns(lines)
+    return Dataset.from_columns(track, split, columns)
 
 
 def read_dataset(path: str | Path, track: Track, split: Split) -> Dataset:
@@ -297,16 +440,18 @@ def join_labels(dataset: Dataset, key: dict[str, int]) -> Dataset:
     Every instance id must appear in the key; ids in the key that are not in
     the dataset are logged as a warning and ignored.
     """
-    for inst in dataset.instances:
-        if inst.instance_id not in key:
-            raise DataError(f"no label for instance id {inst.instance_id!r}")
-    extra = len(key) - len(dataset.instances)
+    ids = dataset.columns.ids
+    try:
+        labels = list(map(key.__getitem__, ids))
+    except KeyError:
+        missing = next(i for i in ids if i not in key)
+        raise DataError(f"no label for instance id {missing!r}") from None
+    extra = len(key) - len(ids)
     if extra > 0:
         log.warning("label key has %d entries not present in the dataset", extra)
-    joined = tuple(
-        replace(inst, label=key[inst.instance_id]) for inst in dataset.instances
+    return Dataset.from_columns(
+        dataset.track, dataset.split, replace(dataset.columns, labels=labels)
     )
-    return Dataset(track=dataset.track, instances=joined, split=dataset.split)
 
 
 def _format_meta(meta: ExerciseMeta) -> list[str]:
@@ -343,7 +488,7 @@ def serialize_dataset(dataset: Dataset) -> str:
             inst.instance_id,
             inst.token,
             inst.part_of_speech,
-            "|".join(inst.morph_features) if inst.morph_features else "_",
+            _morph_field(inst.morph_features),
             inst.dep_label,
             str(inst.dep_head),
         ]

@@ -13,8 +13,16 @@ from itertools import repeat
 
 import numpy as np
 
+from slamaudit.errors import ParseError
 from slamaudit.features import NAMESPACES, NUMERIC_FEATURES, VOCAB_FORMAT_VERSION, encode
 from slamaudit.multitask import _PackedRows, grad, init_model, instance_loss
+from slamaudit.slam_format import (
+    _KNOWN_META_KEYS,
+    Dataset,
+    TokenInstance,
+    _build_meta,
+    _parse_meta_pairs,
+)
 
 
 def oracle_roc_points(scores, labels):
@@ -310,3 +318,85 @@ def oracle_build_vocab(datasets):
         "namespaces": maps,
         "numeric_features": list(NUMERIC_FEATURES),
     }
+
+
+def _oracle_parse_token_line(line, lineno, meta, track):
+    cols = line.split()
+    if len(cols) not in (6, 7):
+        raise ParseError(f"token line has {len(cols)} columns, expected 6 or 7", lineno)
+    label = None
+    if len(cols) == 7:
+        if cols[6] not in ("0", "1"):
+            raise ParseError(f"bad label value {cols[6]!r}", lineno)
+        label = int(cols[6])
+    try:
+        dep_head = int(cols[5])
+    except ValueError:
+        raise ParseError(f"bad dependency head {cols[5]!r}", lineno) from None
+    if dep_head < 0:
+        raise ParseError(f"negative dependency head {cols[5]!r}", lineno)
+    morph = () if cols[3] == "_" else tuple(cols[3].split("|"))
+    return TokenInstance(
+        instance_id=cols[0],
+        token=cols[1],
+        part_of_speech=cols[2],
+        morph_features=morph,
+        dep_label=cols[4],
+        dep_head=dep_head,
+        label=label,
+        meta=meta,
+        track=track,
+    )
+
+
+def oracle_parse_exercise_stream(lines, track):
+    """The per-token SLAM parser: (meta, tokens) per exercise block, one
+    ``TokenInstance`` built per token line as the line is read."""
+    meta_fields, extras, prompt, meta, tokens = {}, [], None, None, []
+    meta_line = 0
+
+    def flush():
+        nonlocal meta_fields, extras, prompt, meta, tokens
+        if meta is None and meta_fields:
+            meta = _build_meta(meta_fields, prompt, extras, meta_line)
+        if meta is not None:
+            yield meta, tokens
+        meta_fields, extras, prompt, meta, tokens = {}, [], None, None, []
+
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            yield from flush()
+            continue
+        if line.startswith("#"):
+            if tokens:
+                raise ParseError("metadata line after token lines in the same block", lineno)
+            body = line[1:].strip()
+            if body.startswith("prompt:"):
+                if prompt is not None:
+                    raise ParseError("duplicate prompt line", lineno)
+                prompt = line[line.index("prompt:") + len("prompt:"):]
+                continue
+            for key, value in _parse_meta_pairs(body, lineno):
+                if key in meta_fields or any(k == key for k, _ in extras):
+                    raise ParseError(f"duplicate metadata key {key!r}", lineno)
+                if key in _KNOWN_META_KEYS:
+                    meta_fields[key] = value
+                else:
+                    extras.append((key, value))
+            meta_line = lineno
+        else:
+            if meta is None:
+                if not meta_fields:
+                    raise ParseError("token line outside an exercise block", lineno)
+                meta = _build_meta(meta_fields, prompt, extras, meta_line)
+            tokens.append(_oracle_parse_token_line(line, lineno, meta, track))
+    yield from flush()
+
+
+def oracle_parse_dataset(lines, track, split):
+    """A Dataset from the per-token parser's instances, in file order."""
+    instances = []
+    for _, tokens in oracle_parse_exercise_stream(lines, track):
+        instances.extend(tokens)
+    return Dataset(track=track, instances=tuple(instances), split=split)

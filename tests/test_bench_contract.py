@@ -3,19 +3,24 @@
 ``bench/tracing.py`` times a traced pass by wrapping the names in its
 ``WRAPS`` table, and reads absent whenever one of them disappears;
 ``bench/run.py`` calls ``Prediction`` and ``auc_rank`` directly and writes
-every counter through ``json.dumps``. These tests read that table as it is
-and fail on the package side when a refactor breaks one of those names.
+every counter through ``json.dumps``. These tests read that table and its
+observers as they are, and fail on the package side when a refactor breaks
+one of those names or a result shape an observer reads.
 """
 
 import importlib
 import importlib.util
 import json
+from collections import defaultdict
 
 import pytest
 
 from slamaudit import metrics
+from slamaudit.fairness import group_audit
 from slamaudit.features import build_vocab
-from slamaudit.slam_format import Split, Track, read_dataset
+from slamaudit.gbdt import GbdtConfig, predict_scores, train_gbdt
+from slamaudit.grouping import Dimension, load_country_mapping, tag_instance
+from slamaudit.slam_format import Split, Track, join_labels, read_dataset, read_label_key
 
 from conftest import REPO_ROOT
 
@@ -29,7 +34,8 @@ def load_bench_module(name):
     return module
 
 
-WRAPS = load_bench_module("tracing").WRAPS
+TRACING = load_bench_module("tracing")
+WRAPS = TRACING.WRAPS
 
 
 @pytest.mark.parametrize(
@@ -54,3 +60,35 @@ def test_prediction_and_auc_rank_take_the_benchmark_arguments():
         metrics.Prediction("a04", 0.4, 0),
     ]
     assert metrics.auc_rank(preds) == pytest.approx(0.875)
+
+
+def test_observers_read_real_results(mini_dir):
+    """The traced pass's observers must fit what the package returns: a
+    wrapper whose observer raises marks its counts absent, and a change to
+    one of these result shapes has ended the benchmark without a result."""
+    train = read_dataset(mini_dir / "en_es.train.slam", Track.EN_ES, Split.TRAIN)
+    dev = join_labels(
+        read_dataset(mini_dir / "en_es.dev.slam", Track.EN_ES, Split.DEV),
+        read_label_key(mini_dir / "en_es.dev.key"),
+    )
+    vocab = build_vocab(train)
+    model = train_gbdt(train, vocab, GbdtConfig(n_trees=2, max_depth=2))
+    classification = load_country_mapping()
+    preds = [
+        metrics.Prediction(inst.instance_id, s, inst.label, tag_instance(inst, classification))
+        for inst, s in zip(dev.instances, predict_scores(model, dev).tolist())
+    ]
+    report = group_audit(preds, Dimension.CLIENT, model="gbdt")
+    counters = defaultdict(float)
+    for observe, result in [
+        (TRACING._rows, dev),
+        (TRACING._vocab_dims, vocab),
+        (TRACING._report, report),
+        (TRACING._roc_points, metrics.roc_curve(preds)),
+    ]:
+        observe(counters, (), {}, result)
+    assert counters["slam_format.rows"] == len(dev)
+    assert counters["features.total_dims"] == vocab.total_dims
+    assert counters["fairness.pairs"] == len(report.results) > 0
+    assert counters["metrics.roc_points"] > 0
+    json.dumps(counters)

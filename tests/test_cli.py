@@ -8,12 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from slamaudit.cli import main
+from slamaudit.cli import _group_tags, main
 from slamaudit.errors import DataError
 from slamaudit.gbdt import load_model, predict_scores
+from slamaudit.grouping import load_country_mapping, parse_country_mapping, tag_instance
 from slamaudit.manifest import read_manifest
 from slamaudit.metrics import Prediction, auc_rank, f1_at_threshold
-from slamaudit.slam_format import Split, Track, join_labels, read_dataset, read_label_key
+from slamaudit.slam_format import (
+    Dataset,
+    Split,
+    Track,
+    join_labels,
+    read_dataset,
+    read_label_key,
+)
 
 from conftest import REPO_ROOT
 
@@ -387,6 +395,48 @@ class TestOptionChecks:
         )
         assert lines == [f"error: --min-group-size must be at least 1, got {value}"]
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"--bogus": ""}, "unrecognized arguments: --bogus"),
+            (
+                {"--dimension": "country"},
+                "argument --dimension: invalid choice: 'country' "
+                "(choose from 'client', 'development')",
+            ),
+            ({"--dimension": None}, "the following arguments are required: --dimension"),
+            ({"--threshold": "abc"}, "argument --threshold: invalid float value: 'abc'"),
+            ({"--threshold": "-inf"}, "argument --threshold: expected one argument"),
+        ],
+        ids=["unknown-option", "bad-choice", "missing-required", "threshold-abc",
+             "threshold-minus-inf"],
+    )
+    def test_rejected_command_line_is_one_error_line(
+        self, tmp_path, gbdt_model, mini_dir, capsys, change, message
+    ):
+        options = {
+            "--model": str(gbdt_model),
+            "--data": str(mini_dir / "en_es.dev.slam"),
+            "--track": "en_es",
+            "--labels": str(mini_dir / "en_es.dev.key"),
+            "--dimension": "client",
+            "--out": str(tmp_path / "never"),
+            **change,
+        }
+        argv = ["audit"]
+        for option, value in options.items():
+            if value is not None:
+                argv += [option, value] if value else [option]
+        assert error_lines(argv, capsys) == [f"error: {message}"]
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "never").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["audit", "-h"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: slamaudit audit")
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_threshold_bounds_accepted(self, gbdt_model, mini_dir, value):
         assert run(
@@ -465,6 +515,14 @@ def audit_dir(tmp_path_factory, gbdt_model, mini_dir):
 
 
 class TestAudit:
+    @pytest.mark.parametrize("track", list(Track))
+    def test_group_tags_equal_per_token_tags(self, mini_dir, track):
+        dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
+        for mapping in (load_country_mapping(), parse_country_mapping("US developed\n", "x")):
+            assert _group_tags(dev, mapping) == [
+                tag_instance(inst, mapping) for inst in dev.instances
+            ]
+
     def test_exactly_three_pairs_and_plots(self, audit_dir):
         fairness = (audit_dir / "fairness.csv").read_text().splitlines()
         assert fairness[0] == "group_1,group_2,track,model,abroca"
@@ -618,6 +676,35 @@ class TestAudit:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_commands_never_build_instance_objects(tmp_path, mini_dir, fast_mt_config, monkeypatch):
+    """Every command reads, scores and audits from the dataset's columns."""
+
+    def refuse(dataset):
+        raise AssertionError("a command built the dataset's TokenInstance objects")
+
+    monkeypatch.setattr(Dataset, "instances", property(refuse))
+    gbdt_config = tmp_path / "gbdt.json"
+    gbdt_config.write_text(json.dumps({"n_trees": 3}))
+    models = {
+        "gbdt": (["en_es"], gbdt_config),
+        "multitask": (["es_en", "fr_en"], fast_mt_config),
+    }
+    for kind, (tracks, config) in models.items():
+        model = str(tmp_path / f"{kind}.json")
+        assert run(
+            ["train", "--data", *(str(mini_dir / f"{t}.train.slam") for t in tracks),
+             "--track", *tracks, "--model", kind, "--config", str(config), "--out", model]
+        ) == 0
+        common = ["--model", model, "--data", str(mini_dir / f"{tracks[0]}.dev.slam"),
+                  "--track", tracks[0]]
+        labels = ["--labels", str(mini_dir / f"{tracks[0]}.dev.key")]
+        assert run(["predict", *common, "--out", str(tmp_path / f"{kind}.csv")]) == 0
+        assert run(["evaluate", *common, *labels]) == 0
+        for dim in ("client", "development"):
+            out = str(tmp_path / f"{kind}.{dim}")
+            assert run(["audit", *common, *labels, "--dimension", dim, "--out", out]) == 0
 
 
 class TestReadManifest:

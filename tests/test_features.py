@@ -25,6 +25,7 @@ from slamaudit.slam_format import (
     ExerciseMeta,
     Session,
     Split,
+    TokenColumns,
     TokenInstance,
     Track,
     read_dataset,
@@ -145,7 +146,7 @@ class TestBuildVocab:
                     for inst in rng.sample(instances, rng.randint(0, len(instances)))
                 ]
                 rng.shuffle(instances)
-                draws.append(dataclasses.replace(ds, instances=tuple(instances)))
+                draws.append(Dataset(track=ds.track, instances=instances, split=ds.split))
             assert build_vocab(draws).to_dict() == oracle_build_vocab(draws)
 
     def test_namespace_ranges_disjoint_and_cover_binary_block(self):
@@ -287,7 +288,7 @@ class TestDense:
 
 def assert_rows_equal_encode(instances, vocab):
     """encode_rows must give, row for row, exactly what encode gives."""
-    indptr, indices, numeric = encode_rows(instances, vocab)
+    indptr, indices, numeric = encode_rows(TokenColumns.from_instances(instances), vocab)
     assert indptr.shape == (len(instances) + 1,) and indptr[0] == 0
     assert numeric.shape == (len(instances), len(NUMERIC_FEATURES))
     assert len(indices) == indptr[-1]
@@ -343,7 +344,7 @@ class TestEncodeRows:
 
     def test_empty_input(self):
         vocab = build_vocab(single_instance_dataset())
-        indptr, indices, numeric = encode_rows((), vocab)
+        indptr, indices, numeric = encode_rows(TokenColumns.from_instances(()), vocab)
         assert indptr.tolist() == [0]
         assert indices.size == 0
         assert numeric.shape == (0, len(NUMERIC_FEATURES))

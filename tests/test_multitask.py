@@ -401,11 +401,11 @@ class TestPacking:
         vocab = build_vocab(train)
         labels = [i.label for i in train.instances]
         assert_packed_equal(
-            _pack(train.instances, vocab, labels),
+            _pack(train.columns, vocab, labels),
             oracle_pack([encode(i, vocab) for i in train.instances], labels),
         )
         assert_packed_equal(
-            _pack(dev.instances, vocab), oracle_pack([encode(i, vocab) for i in dev.instances])
+            _pack(dev.columns, vocab), oracle_pack([encode(i, vocab) for i in dev.instances])
         )
 
     def test_equals_per_instance_oracle_on_random_draws(self):
@@ -415,7 +415,7 @@ class TestPacking:
             vocab = build_vocab(random_dataset(rng, n_exercises=3))
             ds = random_dataset(rng, n_exercises=rng.randint(0, 6))
             fvs = [encode(i, vocab) for i in ds.instances]
-            assert_packed_equal(_pack(ds.instances, vocab), oracle_pack(fvs))
+            assert_packed_equal(_pack(ds.columns, vocab), oracle_pack(fvs))
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,11 @@
 
 Each case takes a slice of the bundled fixture and damages one to three of
 its lines: a line is deleted, duplicated, moved, cut short, or has one field
-replaced. The parsers must either return or raise the package's own error;
-a command must either succeed or exit 1 with exactly one `error:` line, the
-last on stderr (library warnings may come before it): never a traceback.
+replaced. The parsers must either return or raise the package's own error,
+and the column parser must return or raise exactly what the per-token
+reference parser in ``oracles.py`` does. A command must either succeed or
+exit 1 with exactly one `error:` line, the last on stderr (library warnings
+may come before it): never a traceback.
 """
 
 import contextlib
@@ -17,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from slamaudit.cli import main
 from slamaudit.errors import SlamAuditError
 from slamaudit.slam_format import Track, parse_exercise_stream, parse_label_key
+
+from test_slam_format import assert_parses_like_oracle
 
 FIELD = st.sampled_from(
     ["", "nan", "inf", "-1", "1e309", "0", "2", "#", "x:y", "a|b=c"]
@@ -104,6 +108,12 @@ def test_exercise_stream_parses_or_raises_package_error(data, slices):
         list(parse_exercise_stream(lines, Track.EN_ES))
     except SlamAuditError:
         pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_column_parser_equals_per_token_oracle(data, slices):
+    assert_parses_like_oracle(damaged(data, slices[data.draw(st.sampled_from(["train", "dev"]))]))
 
 
 @FUZZ

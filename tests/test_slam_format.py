@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from slamaudit.errors import DataError, ParseError
+from slamaudit.errors import DataError, ParseError, SlamAuditError
 from slamaudit.slam_format import (
     Client,
     Dataset,
@@ -14,10 +14,13 @@ from slamaudit.slam_format import (
     parse_dataset,
     parse_exercise_stream,
     parse_label_key,
+    read_dataset,
+    read_label_key,
     serialize_dataset,
 )
 
 from gen_slam import random_dataset
+from oracles import oracle_parse_dataset, oracle_parse_exercise_stream
 
 HEADER = "# user:XEinXf5+ countries:US days:1.5 client:web session:lesson format:reverse_translate time:9"
 TOKEN = "aaaa0001 Yo PRON Person=1 nsubj 2 0"
@@ -178,6 +181,103 @@ class TestJoinLabels:
             joined = join_labels(ds, {"aaaa0001": 0, "zzzz0001": 1})
         assert joined.instances[0].label == 0
         assert any("1 entries" in r.getMessage() for r in caplog.records)
+
+
+    def test_first_missing_id_in_file_order_is_named(self):
+        text = (
+            f"{HEADER}\naaaa0001 Yo PRON Person=1 nsubj 2\n"
+            "aaaa0002 soy VERB Person=1 ROOT 0\naaaa0003 un DET _ det 4\n"
+        )
+        ds = parse_dataset(text.splitlines(), Track.EN_ES, Split.DEV)
+        with pytest.raises(DataError) as info:
+            join_labels(ds, {"aaaa0001": 0})
+        assert str(info.value) == "no label for instance id 'aaaa0002'"
+
+    def test_extra_entry_count_and_input_left_unlabeled(self, mini_dir, caplog):
+        ds = read_dataset(mini_dir / "en_es.dev.slam", Track.EN_ES, Split.DEV)
+        key = read_label_key(mini_dir / "en_es.dev.key")
+        key.update({"zzzz0001": 1, "zzzz0002": 0, "zzzz0003": 1})
+        with caplog.at_level("WARNING"):
+            joined = join_labels(ds, key)
+        assert [r.getMessage() for r in caplog.records] == [
+            "label key has 3 entries not present in the dataset"
+        ]
+        assert [i.label for i in joined.instances] == [key[i] for i in ds.columns.ids]
+        assert ds.columns.labels == [None] * len(ds)
+        assert all(i.label is None for i in ds.instances)
+
+
+def exercise_runs(instances):
+    """Each instance's run of shared metadata objects, numbered from 0."""
+    runs = []
+    for k, inst in enumerate(instances):
+        if k == 0:
+            runs.append(0)
+        else:
+            runs.append(runs[-1] + (inst.meta is not instances[k - 1].meta))
+    return runs
+
+
+def parse_outcome(parse, lines):
+    """What parsing gives: the instances and their metadata runs, or the
+    error's type, message and line number."""
+    try:
+        instances = parse(lines, Track.EN_ES, Split.TRAIN).instances
+    except SlamAuditError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return instances, exercise_runs(instances)
+
+
+def stream_outcome(parse, lines):
+    try:
+        return [(meta, tokens) for meta, tokens in parse(lines, Track.EN_ES)]
+    except SlamAuditError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def assert_parses_like_oracle(lines):
+    """The column parser and its stream view agree with the per-token parser."""
+    assert parse_outcome(parse_dataset, lines) == parse_outcome(oracle_parse_dataset, lines)
+    assert stream_outcome(parse_exercise_stream, lines) == stream_outcome(
+        oracle_parse_exercise_stream, lines
+    )
+
+
+class TestColumnParserOracle:
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    @pytest.mark.parametrize("track", list(Track))
+    def test_fixture_splits(self, mini_dir, track, split):
+        lines = (mini_dir / f"{track.value}.{split}.slam").read_text().splitlines()
+        assert_parses_like_oracle(lines)
+        ds = parse_dataset(lines, track, Split(split))
+        assert ds.instances == oracle_parse_dataset(lines, track, Split(split)).instances
+
+    def test_random_round_trips(self):
+        rng = random.Random(1307)
+        for k in range(30):
+            ds = random_dataset(rng, n_exercises=rng.randint(0, 12), labeled=k % 3 > 0)
+            lines = serialize_dataset(ds).splitlines()
+            assert_parses_like_oracle(lines)
+            assert parse_dataset(lines, ds.track, ds.split).instances == ds.instances
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"{HEADER}\n\n{HEADER}\n{TOKEN}\n",  # a block without tokens
+            f"{HEADER}\naaaa0001 Yo PRON _ nsubj ² 0\n",  # isdigit(), but not int()
+            f"{HEADER}\naaaa0001 Yo PRON _ nsubj 1_0 0\n",  # int() reads 10
+            f"{HEADER}\naaaa0001 Yo PRON _ nsubj -0 0\naaaa0002 a B _ c +3\n",
+            f"{HEADER}\naaaa0001 Yo PRON _ nsubj -1 0\n",
+            f"{HEADER}\naaaa0001 Yo PRON _ nsubj 2 0\naaaa0002 Yo PRON _ nsubj x\n",
+            f"{HEADER}\n{TOKEN}\n{TOKEN}\n",  # duplicate id
+            f"{HEADER}\n{TOKEN}\n{HEADER}\n",
+            f"# prompt:a\n\n{TOKEN}\n",
+            f"{HEADER}\r\n{TOKEN}\r\n \t\r\n{HEADER}\r\nbbbb0001 tú PRON _ nsubj 2 2\r\n",
+        ],
+    )
+    def test_edge_inputs(self, text):
+        assert_parses_like_oracle(text.splitlines(keepends=True))
+        assert_parses_like_oracle(text.splitlines())
 
 
 class TestSerialize:
