@@ -12,30 +12,19 @@ failure, one last ``error: ...`` line before it exits 1.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .errors import SlamAuditError, AuditError, DataError
-from .fairness import (
-    DEFAULT_MIN_GROUP_SIZE,
-    group_audit,
-    report_to_csv,
-    report_to_dict,
-)
-from .features import build_vocab
+from .fairness import DEFAULT_MIN_GROUP_SIZE, audit_groups, report_to_csv, report_to_dict
+from .features import build_vocab, labels_array
 from .gbdt import GbdtConfig, load_model, predict_scores, save_model, train_gbdt
-from .grouping import Dimension, load_country_mapping, slice_predictions, tag_instance
-from .manifest import (
-    build_manifest,
-    manifest_to_json,
-    read_manifest,
-    sha256_config,
-    write_manifest,
-)
-from .metrics import Prediction, auc_trapezoid, f1_at_threshold, roc_curve
+from .grouping import Dimension, group_codes, load_country_mapping
+from .manifest import build_manifest, read_manifest, sha256_config, write_manifest
+from .metrics import auc_trapezoid, checked_arrays, f1_from_arrays, roc_from_arrays
 from .multitask import (
     MtConfig,
     load_mt_model,
@@ -47,9 +36,15 @@ from .slam_format import Split, Track, join_labels, read_dataset, read_label_key
 from .svgplot import render_roc_plot
 from .validation import config_from, read_json_object
 
+# not called here, but bound: stage timers wrap these module attributes by name
+from .fairness import group_audit  # noqa: F401
+from .grouping import slice_predictions, tag_instance  # noqa: F401
+from .metrics import f1_at_threshold, roc_curve  # noqa: F401
+
 TRACK_CHOICES = [t.value for t in Track]
 SPLIT_CHOICES = [s.value for s in Split]
 DIMENSION_CHOICES = [d.value for d in Dimension]
+_LABELS_HINT = "; give the split's label key with --labels"  # ends the unlabeled-instance error
 
 
 def _manifest_sidecar(path: str | Path) -> Path:
@@ -98,27 +93,43 @@ def _manifest(args: argparse.Namespace, kind: str, paths: dict, **hashes: str):
     )
 
 
-def _group_tags(dataset, classification) -> list:
-    """Each token's group tag. The tokens of one exercise share its metadata
-    and so its tag, which ``tag_instance`` gives for the exercise's first."""
-    columns = dataset.columns
-    first_rows: dict[int, int] = {}
-    for row, e in enumerate(columns.exercise):
-        first_rows.setdefault(e, row)
-    tags = {
-        e: tag_instance(columns.instance(row, dataset.track), classification)
-        for e, row in first_rows.items()
-    }
-    return [tags[e] for e in columns.exercise]
-
-
 def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:  # also false for NaN
         raise DataError(f"--threshold must be a finite number in [0, 1], got {threshold!r}")
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, with each list of
+    [x, y] float pairs formatted in one join; dict keys must be str."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]"
+    if all(type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is float for v in value):
+        step = "\n" + inner + "  "
+        text = ",\n".join(f"{inner}[{step}{x!r},{step}{y!r}\n{inner}]" for x, y in value)
+        if "n" not in text:  # else a NaN or infinity, spelled otherwise in JSON
+            return "[\n" + text + f"\n{indent}]"
+    return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{indent}]"
+
+
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_json(payload) + "\n", encoding="utf-8")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -183,16 +194,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     kind, model, dataset, scores, paths = _scored(args, args.labels)
-    columns = dataset.columns
-    preds = list(map(Prediction, columns.ids, scores.tolist(), columns.labels))
-    auc = auc_trapezoid(roc_curve(preds))
-    f1 = f1_at_threshold(preds, args.threshold)
+    scores, labels = checked_arrays(scores, labels_array(dataset, _LABELS_HINT))
+    auc = auc_trapezoid(roc_from_arrays(scores, labels))
+    f1 = f1_from_arrays(scores, labels, args.threshold)
     manifest = _manifest(args, kind, paths, vocab=model.vocab.sha256())
     payload = {
         "manifest": manifest.to_dict(),
         "track": args.track,
         "model": kind,
-        "n": len(preds),
+        "n": len(labels),
         "auc": auc,
         "threshold": args.threshold,
         "precision": f1.precision,
@@ -201,7 +211,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     if args.out is not None:
         _write_json(payload, Path(args.out))
-    print(f"n={len(preds)} auc={auc:.6f} f1={f1.f1:.6f}")
+    print(f"n={len(labels)} auc={auc:.6f} f1={f1.f1:.6f}")
     return 0
 
 
@@ -212,36 +222,28 @@ def cmd_audit(args: argparse.Namespace) -> int:
     dimension = Dimension(args.dimension)
     kind, model, dataset, scores, paths = _scored(args, args.labels)
     classification = load_country_mapping(args.country_mapping)
-    columns = dataset.columns
-    preds = [
-        Prediction(i, s, y, group=g)
-        for i, s, y, g in zip(
-            columns.ids, scores.tolist(), columns.labels, _group_tags(dataset, classification)
-        )
-    ]
+    scores, labels = checked_arrays(scores, labels_array(dataset, _LABELS_HINT))
+    codes, names = group_codes(dataset, classification, dimension)
 
     hashes = {"vocab": model.vocab.sha256(), "country_mapping": classification.sha256}
-    report = group_audit(
-        preds,
-        dimension,
-        model=kind,
-        min_group_size=args.min_group_size,
-        config_hashes=hashes,
+    report = audit_groups(
+        scores, labels, codes, names, track=dataset.track, dimension=dimension,
+        model=kind, min_group_size=args.min_group_size, config_hashes=hashes,
     )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # every audited group's size and AUC, as group_audit drew them
+    # every audited group's size and AUC, as the audit drew them
     sized = {}
     for r in report.results:
         sized.setdefault(r.group_a, (r.n_a, r.auc_a))
         sized.setdefault(r.group_b, (r.n_b, r.auc_b))
-    slices = slice_predictions(preds, dimension)
     accuracy_rows = []
     for group in sorted(sized):
         n, auc = sized[group]
-        f1 = f1_at_threshold(slices[group], args.threshold)
+        member = codes == names.index(group)
+        f1 = f1_from_arrays(scores[member], labels[member], args.threshold)
         accuracy_rows.append(
             {
                 "group": group,

@@ -1,24 +1,31 @@
 """Between-group ROC area (ABROCA) and per-pair fairness reports.
 
-ABROCA is the definite integral over FPR in [0,1] of the absolute TPR
-difference between two groups' ROC curves. Both curves are piecewise linear,
-so the integral is computed in closed form: the FPR axis is cut at every
-breakpoint of either curve plus every point where the two segments cross,
-and each piece contributes a trapezoid of |difference|. No quadrature grid
-is involved, which keeps symmetry and identity exact.
+ABROCA (Gardner, Brooks & Baker 2019) is the definite integral over FPR in
+[0,1] of the absolute TPR difference between two groups' ROC curves. Both
+curves are piecewise linear, so the integral is computed in closed form: the
+FPR axis is cut at every breakpoint of either curve plus every point where
+the two segments cross, and each piece contributes a trapezoid of
+|difference|. No quadrature grid is involved, which keeps symmetry and
+identity exact. The intervals are cut for the whole axis at once on arrays.
+
+``audit_groups`` audits score, label and group-code arrays; ``group_audit``
+takes ``Prediction`` objects that carry group tags.
 """
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AuditError, MetricError
-from .grouping import Dimension, slice_predictions
-from .metrics import Prediction, RocCurve, auc_trapezoid, roc_curve
+import numpy as np
+
+from .errors import AuditError
+from .grouping import Dimension, code_groups, group_value
+from .grouping import slice_predictions  # noqa: F401  (a name stage timers wrap)
+from .metrics import Prediction, RocCurve, auc_trapezoid, prediction_arrays, roc_from_arrays
+from .metrics import running_sum
+from .metrics import roc_curve  # noqa: F401  (a name stage timers wrap)
 from .slam_format import Track
 
 REPORT_SCHEMA_VERSION = 1
@@ -57,152 +64,105 @@ class AbrocaReport:
     config_hashes: tuple[tuple[str, str], ...]
 
 
-def interpolate_tpr(curve: RocCurve, fpr_grid: Sequence[float]) -> list[float]:
-    """TPR at each grid FPR; at a vertical jump, the supremum TPR applies."""
-    prev = None
-    for x in fpr_grid:
-        if not (0.0 <= x <= 1.0):
-            raise MetricError(f"grid value {x!r} outside [0, 1]")
-        if prev is not None and x < prev:
-            raise MetricError("grid must be sorted ascending")
-        prev = x
-    xs = [p[0] for p in curve.points]
-    ys = [p[1] for p in curve.points]
-    out = []
-    for x in fpr_grid:
-        j = bisect_right(xs, x)
-        i = j - 1  # last point with xs[i] <= x; xs[0] = 0 <= x guarantees i >= 0
-        if xs[i] == x:
-            out.append(ys[i])  # last point at x = top of any jump
-        else:
-            x0, y0, x1, y1 = xs[i], ys[i], xs[j], ys[j]
-            out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-    return out
+def _ends(curve: RocCurve, u0: np.ndarray, u1: np.ndarray):
+    """The curve at both ends of each interval [u0, u1], on the first
+    non-vertical segment ending right of u0; a segment end's value is exact."""
+    x, y = curve.fpr, curve.tpr
+    starts = np.flatnonzero(x[1:] > x[:-1])  # non-vertical segments cover [0, 1]
+    k = starts[np.searchsorted(x[starts + 1], u0, side="right")]
+    x0, y0, x1, y1 = x[k], y[k], x[k + 1], y[k + 1]
+    u = np.stack([u0, u1])
+    inside = y0 + (y1 - y0) * (u - x0) / (x1 - x0)
+    return np.where(u == x0, y0, np.where(u == x1, y1, inside))
 
 
-def _segments(points: Sequence[tuple[float, float]]):
-    """Non-vertical segments; together they cover all of [0, 1]."""
-    return [
-        (x0, y0, x1, y1)
-        for (x0, y0), (x1, y1) in zip(points, points[1:])
-        if x1 > x0
-    ]
-
-
-def _value_at(seg, x: float) -> float:
-    x0, y0, x1, y1 = seg
-    if x == x0:
-        return y0
-    if x == x1:
-        return y1
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def difference_intervals(
-    curve_a: RocCurve, curve_b: RocCurve
-) -> list[tuple[float, float, float, float, float, float]]:
+def difference_intervals(curve_a: RocCurve, curve_b: RocCurve) -> np.ndarray:
     """Cut [0,1] where either curve bends or the curves cross.
 
-    Returns (x0, x1, ya0, ya1, yb0, yb1) tuples; inside each interval both
-    curves are linear and their difference does not change sign, so the
-    region between them is a simple quad. Shared by the integral below and
-    by plot shading.
+    Returns one row (x0, x1, ya0, ya1, yb0, yb1) per interval; inside each
+    interval both curves are linear and their difference does not change
+    sign, so the region between them is a simple quad. Shared by the
+    integral below and by plot shading.
     """
-    segs_a = _segments(curve_a.points)
-    segs_b = _segments(curve_b.points)
-    xs = sorted({x for x, _ in curve_a.points} | {x for x, _ in curve_b.points})
-    ia = ib = 0
-    out = []
-    for u0, u1 in zip(xs, xs[1:]):
-        while segs_a[ia][2] <= u0:
-            ia += 1
-        while segs_b[ib][2] <= u0:
-            ib += 1
-        ya0, ya1 = _value_at(segs_a[ia], u0), _value_at(segs_a[ia], u1)
-        yb0, yb1 = _value_at(segs_b[ib], u0), _value_at(segs_b[ib], u1)
-        d0, d1 = ya0 - yb0, ya1 - yb1
-        if (d0 > 0.0 and d1 < 0.0) or (d0 < 0.0 and d1 > 0.0):
-            t = d0 / (d0 - d1)
-            xc = u0 + t * (u1 - u0)
-            yca = ya0 + t * (ya1 - ya0)
-            ycb = yb0 + t * (yb1 - yb0)
-            out.append((u0, xc, ya0, yca, yb0, ycb))
-            out.append((xc, u1, yca, ya1, ycb, yb1))
-        else:
-            out.append((u0, u1, ya0, ya1, yb0, yb1))
+    xs = np.union1d(curve_a.fpr, curve_b.fpr)
+    u0, u1 = xs[:-1], xs[1:]
+    ya0, ya1 = _ends(curve_a, u0, u1)
+    yb0, yb1 = _ends(curve_b, u0, u1)
+    d0, d1 = ya0 - yb0, ya1 - yb1
+    cross = ((d0 > 0.0) & (d1 < 0.0)) | ((d0 < 0.0) & (d1 > 0.0))
+    rows = np.column_stack([u0, u1, ya0, ya1, yb0, yb1])
+    out = np.repeat(rows, cross + 1, axis=0)
+    if cross.any():  # split each crossing interval in two at the crossing
+        u0, u1, ya0, ya1, yb0, yb1 = rows[cross].T
+        t = d0[cross] / (d0[cross] - d1[cross])
+        cut = np.column_stack([u0 + t * (u1 - u0), ya0 + t * (ya1 - ya0), yb0 + t * (yb1 - yb0)])
+        left = (np.cumsum(cross + 1) - 2)[cross]
+        out[left, 1::2] = cut
+        out[left + 1, 0::2] = cut
     return out
 
 
 def abroca(curve_a: RocCurve, curve_b: RocCurve) -> float:
     """Exact integral of |TPR_a - TPR_b| over FPR in [0, 1]."""
-    total = 0.0
-    for x0, x1, ya0, ya1, yb0, yb1 in difference_intervals(curve_a, curve_b):
-        total += (abs(ya0 - yb0) + abs(ya1 - yb1)) / 2.0 * (x1 - x0)
-    return total
+    x0, x1, ya0, ya1, yb0, yb1 = difference_intervals(curve_a, curve_b).T
+    return running_sum((np.abs(ya0 - yb0) + np.abs(ya1 - yb1)) / 2.0 * (x1 - x0))
 
 
-def group_audit(
-    preds: Iterable[Prediction],
-    dimension: Dimension,
+def audit_groups(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    codes: np.ndarray,
+    names: Sequence[str],
     *,
+    track: Track,
+    dimension: Dimension,
     model: str,
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
     config_hashes: Mapping[str, str] | None = None,
 ) -> AbrocaReport:
     """Pairwise ABROCA across all valid groups along one dimension.
 
-    Groups smaller than ``min_group_size`` or containing a single class are
-    skipped with a reason rather than audited; fewer than two surviving
-    groups is an error. Pairs are ordered by group name so reports are
-    deterministic.
+    Row i has score ``scores[i]`` and label ``labels[i]``, and belongs to
+    group ``names[codes[i]]``, or to none when its code is -1. Groups smaller
+    than ``min_group_size`` or containing a single class are skipped with a
+    reason rather than audited; fewer than two surviving groups is an error.
+    Pairs are ordered by group name so reports are deterministic.
     """
-    preds = list(preds)
-    if not preds:
+    if len(scores) == 0:
         raise AuditError("no predictions to audit")
-    for p in preds:
-        if p.group is None:
-            raise AuditError(f"prediction {p.instance_id!r} carries no group tag")
-    tracks = {p.group.track for p in preds}
-    if len(tracks) != 1:
-        names = ", ".join(sorted(t.value for t in tracks))
-        raise AuditError(f"predictions span multiple tracks: {names}")
-    (track,) = tracks
-
-    slices = slice_predictions(preds, dimension)
-    valid: dict[str, list[Prediction]] = {}
+    curves: dict[str, RocCurve] = {}
     skipped: list[tuple[str, str]] = []
-    for name in sorted(slices):
-        members = slices[name]
-        labels = {p.label for p in members}
-        if len(members) < min_group_size:
-            skipped.append(
-                (name, f"{len(members)} predictions, below the minimum of {min_group_size}")
-            )
-        elif len(labels) < 2:
+    for code, name in sorted(enumerate(names), key=lambda item: item[1]):
+        member = codes == code
+        n = int(np.count_nonzero(member))
+        positives = int(np.count_nonzero(labels[member]))
+        if n < min_group_size:
+            skipped.append((name, f"{n} predictions, below the minimum of {min_group_size}"))
+        elif positives in (0, n):
             skipped.append((name, "single class, ROC undefined"))
         else:
-            valid[name] = members
+            curves[name] = roc_from_arrays(scores[member], labels[member])
 
-    if len(valid) < 2:
+    if len(curves) < 2:
         raise AuditError(
             f"fewer than two valid groups along {dimension.value} "
-            f"(valid: {sorted(valid) or 'none'})"
+            f"(valid: {sorted(curves) or 'none'})"
         )
 
-    curves = {name: roc_curve(members) for name, members in valid.items()}
     results = []
-    for a, b in combinations(sorted(valid), 2):
+    for a, b in combinations(sorted(curves), 2):
+        ca, cb = curves[a], curves[b]
         results.append(
             AbrocaResult(
                 group_a=a,
                 group_b=b,
-                abroca=abroca(curves[a], curves[b]),
-                auc_a=auc_trapezoid(curves[a]),
-                auc_b=auc_trapezoid(curves[b]),
-                n_a=len(valid[a]),
-                n_b=len(valid[b]),
-                curve_a=curves[a],
-                curve_b=curves[b],
+                abroca=abroca(ca, cb),
+                auc_a=auc_trapezoid(ca),
+                auc_b=auc_trapezoid(cb),
+                n_a=ca.positives + ca.negatives,
+                n_b=cb.positives + cb.negatives,
+                curve_a=ca,
+                curve_b=cb,
             )
         )
     return AbrocaReport(
@@ -215,9 +175,38 @@ def group_audit(
     )
 
 
+def group_audit(
+    preds: Iterable[Prediction],
+    dimension: Dimension,
+    *,
+    model: str,
+    min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
+    config_hashes: Mapping[str, str] | None = None,
+) -> AbrocaReport:
+    """``audit_groups`` over ``Prediction`` objects that carry group tags of
+    one track."""
+    preds = list(preds)
+    if not preds:
+        raise AuditError("no predictions to audit")
+    for p in preds:
+        if p.group is None:
+            raise AuditError(f"prediction {p.instance_id!r} carries no group tag")
+    tracks = {p.group.track for p in preds}
+    if len(tracks) != 1:
+        names = ", ".join(sorted(t.value for t in tracks))
+        raise AuditError(f"predictions span multiple tracks: {names}")
+    (track,) = tracks
+
+    codes, names = code_groups([group_value(p.group, dimension) for p in preds])
+    return audit_groups(
+        *prediction_arrays(preds), codes, names, track=track, dimension=dimension,
+        model=model, min_group_size=min_group_size, config_hashes=config_hashes,
+    )
+
+
 def _curve_payload(curve: RocCurve) -> dict:
     return {
-        "points": [[x, y] for x, y in curve.points],
+        "points": np.column_stack([curve.fpr, curve.tpr]).tolist(),
         "positives": curve.positives,
         "negatives": curve.negatives,
     }
@@ -248,10 +237,6 @@ def report_to_dict(report: AbrocaReport) -> dict:
             {"group": name, "reason": reason} for name, reason in report.skipped
         ],
     }
-
-
-def report_to_json(report: AbrocaReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def report_to_csv(report: AbrocaReport) -> str:

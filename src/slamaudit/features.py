@@ -13,8 +13,7 @@ columns once per distinct key, so a raw morph field is split into its
 features once per distinct key, not once per token. ``encode_rows`` gives the CSR arrays
 plus ``(n, 3)`` numeric block that both learners train and score from;
 ``encode`` is the per-instance reference it equals row for row.
-``FeatureVector``, ``encode_dataset`` and ``to_dense`` remain for tests and
-single-instance use.
+``FeatureVector`` and ``to_dense`` remain for tests and single-instance use.
 """
 
 from __future__ import annotations
@@ -281,10 +280,6 @@ def encode_rows(
     return indptr, indices, numeric[meta_id]
 
 
-def encode_dataset(dataset: Dataset, vocab: Vocabulary) -> list[FeatureVector]:
-    return [encode(inst, vocab) for inst in dataset.instances]
-
-
 def to_dense(fvs: Iterable[FeatureVector], vocab: Vocabulary) -> np.ndarray:
     """Stack feature vectors into a dense (n, total_dims) float64 matrix."""
     fvs = list(fvs)
@@ -296,10 +291,11 @@ def to_dense(fvs: Iterable[FeatureVector], vocab: Vocabulary) -> np.ndarray:
     return X
 
 
-def labels_array(dataset: Dataset) -> np.ndarray:
-    """Labels as float64; raises if any instance is unlabeled."""
+def labels_array(dataset: Dataset, hint: str = "") -> np.ndarray:
+    """Labels as float64; the first unlabeled instance fails, named, and
+    ``hint`` ends the message."""
     labels = dataset.columns.labels
     if None in labels:
         missing = dataset.columns.ids[labels.index(None)]
-        raise DataError(f"unlabeled instance {missing!r} (and possibly more)")
+        raise DataError(f"unlabeled instance {missing!r} (and possibly more){hint}")
     return np.array(labels, dtype=np.float64)

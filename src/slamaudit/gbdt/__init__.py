@@ -17,8 +17,7 @@ Training and ``predict_scores`` read the batch encoding of
 ``features.encode_rows``. Scoring lays out only the binary features some
 tree splits on, plus the numeric block, as a small dense ``(n, k + 3)``
 matrix and walks the trees over it, so its memory does not grow with the
-vocabulary. ``predict_gbdt`` scores one instance through the per-instance
-``encode`` and ``to_dense``.
+vocabulary.
 """
 
 from __future__ import annotations
@@ -31,16 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError, TrainingError
-from ..features import (
-    NUMERIC_FEATURES,
-    Vocabulary,
-    encode,
-    encode_rows,
-    labels_array,
-    to_dense,
-)
+from ..features import NUMERIC_FEATURES, Vocabulary, encode_rows, labels_array
+from ..features import encode, to_dense  # noqa: F401  (not called; stage timers wrap them)
 from ..numerics import log_loss_from_raw, sigmoid
-from ..slam_format import Dataset, TokenInstance
+from ..slam_format import Dataset
 from ..validation import config_from, number, read_json_object, require_keys
 from ._scan_python import scan_splits
 
@@ -54,9 +47,7 @@ __all__ = [
     "SplitCandidate",
     "Tree",
     "GbdtModel",
-    "best_split",
     "train_gbdt",
-    "predict_gbdt",
     "predict_scores",
     "save_model",
     "load_model",
@@ -230,36 +221,6 @@ class GbdtModel:
 
     def predict_proba(self, X: np.ndarray, column: np.ndarray | None = None) -> np.ndarray:
         return sigmoid(self.predict_raw(X, column))
-
-
-def best_split(
-    X: np.ndarray,
-    feature: int,
-    gradients: np.ndarray,
-    hessians: np.ndarray,
-    config: GbdtConfig,
-) -> SplitCandidate | None:
-    """Best threshold for one feature, or None without a positive-gain split.
-
-    Denominators must stay positive: either l2_leaf_reg > 0 or strictly
-    positive hessians (the trainer guarantees the latter).
-    """
-    column = np.ascontiguousarray(X[:, feature], dtype=np.float64)
-    if column.size == 0:
-        raise TrainingError("cannot split an empty sample set")
-    order = np.argsort(column, kind="stable")
-    vals = column[order][None, :]
-    g = np.ascontiguousarray(gradients, dtype=np.float64)[order][None, :]
-    h = np.ascontiguousarray(hessians, dtype=np.float64)[order][None, :]
-    f, pos, gain = scan_splits(
-        np.ascontiguousarray(vals), np.ascontiguousarray(g), np.ascontiguousarray(h),
-        config.l2_leaf_reg, config.min_samples_leaf,
-    )
-    if f < 0:
-        return None
-    return SplitCandidate(
-        feature=feature, threshold=_cut_threshold(vals[0], pos), gain=gain
-    )
 
 
 def _cut_threshold(sorted_vals: np.ndarray, pos: int) -> float:
@@ -468,13 +429,6 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
         vocab=vocab,
         train_losses=tuple(losses),
     )
-
-
-def predict_gbdt(model: GbdtModel, instance: TokenInstance) -> float:
-    """Mistake probability for one token instance, strictly inside (0, 1)."""
-    fv = encode(instance, model.vocab)
-    X = to_dense([fv], model.vocab)
-    return float(model.predict_proba(X)[0])
 
 
 def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Demographic slicing of predictions: client platform and country status.
 
+An audit reads each token's group as a code, worked out once per exercise
+(``group_codes``); ``tag_instance`` gives it as one ``GroupTag`` per token.
+
 The developed/developing assignment is driven entirely by an editable mapping
 file (``CODE developed|developing`` per line); the bundled default follows the
 IMF advanced-economies list. Reports record the mapping file's hash so results
@@ -16,8 +19,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from .errors import ParseError
-from .slam_format import Client, Track
+from .slam_format import Client, Dataset, Track
 
 _CODE_RE = re.compile(r"^[A-Z]{2}$")
 
@@ -109,6 +114,32 @@ def tag_instance(instance, classification: CountryClassification) -> GroupTag:
     )
 
 
+def group_value(tag: GroupTag, dimension: Dimension) -> str:
+    """A tag's group name along one dimension."""
+    return (tag.client if dimension is Dimension.CLIENT else tag.development).value
+
+
+def code_groups(values: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Row i's group as ``names[codes[i]]`` over the sorted group names, or
+    code -1 for an unknown development status, which is in no group."""
+    names = sorted(set(values) - {Development.UNKNOWN.value})
+    index = {name: code for code, name in enumerate(names)}
+    return np.array([index.get(v, -1) for v in values], dtype=np.int64), tuple(names)
+
+
+def group_codes(
+    dataset: Dataset, classification: CountryClassification, dimension: Dimension
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``code_groups`` of each token's group along one dimension."""
+    columns = dataset.columns
+    if dimension is Dimension.CLIENT:
+        values = [meta.client.value for meta in columns.metas]
+    else:
+        values = [classify_country(m.countries, classification).value for m in columns.metas]
+    codes, names = code_groups(values)
+    return codes[np.asarray(columns.exercise, dtype=np.intp)], names
+
+
 _P = TypeVar("_P")
 
 
@@ -117,18 +148,11 @@ def slice_predictions(
 ) -> dict[str, list[_P]]:
     """Partition predictions by group value along one dimension.
 
-    Items must carry a ``group`` GroupTag. Along the development dimension,
-    predictions with unknown status are excluded; slicing preserves input
-    order within each slice.
+    Items must carry a ``group`` GroupTag. The groups are ``code_groups``',
+    so along the development dimension predictions with unknown status are
+    excluded; slicing preserves input order within each slice.
     """
-    slices: dict[str, list[_P]] = {}
-    for pred in predictions:
-        tag = pred.group
-        if dimension is Dimension.CLIENT:
-            value = tag.client.value
-        else:
-            if tag.development is Development.UNKNOWN:
-                continue
-            value = tag.development.value
-        slices.setdefault(value, []).append(pred)
-    return slices
+    predictions = list(predictions)
+    codes, names = code_groups([group_value(p.group, dimension) for p in predictions])
+    pairs = list(zip(predictions, codes.tolist()))
+    return {name: [p for p, c in pairs if c == code] for code, name in enumerate(names)}

@@ -1,5 +1,11 @@
 """Classification accuracy metrics: ROC curves, AUC, precision/recall/F1.
 
+The metrics run on a float64 score array and a 0/1 label array
+(``checked_arrays``); ``roc_curve`` and ``f1_at_threshold`` take
+``Prediction`` objects instead. The ROC is one stable descending sort, read at
+the last row of each run of tied scores (Fawcett 2006). Sums add in the order
+of a running ``+=`` (``running_sum``), so the last bits do not move.
+
 AUC is computed two independent ways (trapezoidal integration of the ROC
 curve, and the Mann-Whitney rank statistic) so each serves as an oracle for
 the other. Tied scores advance the ROC as a single diagonal step, which makes
@@ -9,7 +15,9 @@ the trapezoid area agree with the half-credit rank statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import MetricError
 from .grouping import GroupTag
@@ -19,12 +27,13 @@ __all__ = [
     "RocCurve",
     "ConfusionCounts",
     "F1Result",
+    "checked_arrays",
+    "roc_from_arrays",
+    "f1_from_arrays",
     "roc_curve",
     "auc_trapezoid",
     "auc_rank",
-    "confusion_counts",
     "f1_at_threshold",
-    "curve_to_csv",
 ]
 
 
@@ -46,25 +55,48 @@ class Prediction:
             raise MetricError(f"label must be 0 or 1, got {self.label!r}")
 
 
-@dataclass(frozen=True)
 class RocCurve:
-    points: tuple[tuple[float, float], ...]
-    positives: int
-    negatives: int
+    """A ROC curve as read-only ``fpr`` and ``tpr`` arrays, running from
+    (0, 0) to (1, 1); ``points`` gives it as (fpr, tpr) float pairs. Built
+    from its points, as pairs or as an (n, 2) array. Immutable; two curves
+    are equal when their points and class counts are."""
 
-    def __post_init__(self):
-        if self.positives < 1 or self.negatives < 1:
+    __slots__ = ("fpr", "tpr", "positives", "negatives")
+
+    def __init__(self, points, positives: int, negatives: int):
+        fpr, tpr = np.array(points, dtype=np.float64).reshape(-1, 2).T.copy()
+        if positives < 1 or negatives < 1:
             raise MetricError("ROC curve requires both classes present")
-        if len(self.points) < 2:
+        if len(fpr) < 2:
             raise MetricError("ROC curve needs at least two points")
-        if self.points[0] != (0.0, 0.0) or self.points[-1] != (1.0, 1.0):
+        if (fpr[0], tpr[0]) != (0.0, 0.0) or (fpr[-1], tpr[-1]) != (1.0, 1.0):
             raise MetricError("ROC curve must run from (0,0) to (1,1)")
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            if x1 < x0 or y1 < y0:
-                raise MetricError("ROC coordinates must be non-decreasing")
-        for x, y in self.points:
-            if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-                raise MetricError("ROC coordinates must lie in [0, 1]")
+        if np.any(fpr[1:] < fpr[:-1]) or np.any(tpr[1:] < tpr[:-1]):
+            raise MetricError("ROC coordinates must be non-decreasing")
+        if not np.all((fpr >= 0.0) & (fpr <= 1.0) & (tpr >= 0.0) & (tpr <= 1.0)):
+            raise MetricError("ROC coordinates must lie in [0, 1]")
+        fpr.flags.writeable = tpr.flags.writeable = False
+        for name, value in zip(self.__slots__, (fpr, tpr, positives, negatives)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RocCurve is immutable; cannot set {name!r}")
+
+    def _key(self):
+        return self.points, self.positives, self.negatives
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, RocCurve) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"RocCurve{self._key()!r}"
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -91,44 +123,58 @@ class F1Result:
     counts: ConfusionCounts
 
 
-def _split_counts(preds: Sequence[Prediction]) -> tuple[int, int]:
-    pos = sum(1 for p in preds if p.label == 1)
-    neg = len(preds) - pos
-    if pos == 0 or neg == 0:
-        raise MetricError("ROC undefined: input contains a single class")
-    return pos, neg
+def checked_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and labels as int64; the first row that
+    ``Prediction`` would reject fails with its error."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    bad = ~((scores >= 0.0) & (scores <= 1.0)) | ((labels != 0) & (labels != 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        Prediction("", scores[i].item(), labels[i : i + 1].tolist()[0])
+    return scores, labels.astype(np.int64)
 
 
-def roc_curve(preds: Iterable[Prediction]) -> RocCurve:
+def running_sum(terms: np.ndarray) -> float:
+    """``total = 0.0`` then ``total += t`` for each term in order, bit for
+    bit: ``np.cumsum`` adds in that order, where ``np.sum`` adds pairwise."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+def prediction_arrays(preds: Iterable[Prediction]) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and labels of ``Prediction`` objects."""
+    preds = list(preds)
+    scores = np.array([p.score for p in preds], dtype=np.float64)
+    return scores, np.array([p.label for p in preds], dtype=np.int64)
+
+
+def roc_from_arrays(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     """Sweep the decision threshold across distinct scores, high to low.
 
     Tied scores are consumed as one step, producing a diagonal segment.
     """
-    preds = list(preds)
-    pos, neg = _split_counts(preds)
-    ranked = sorted(preds, key=lambda p: p.score, reverse=True)
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i, n = 0, len(ranked)
-    while i < n:
-        j = i
-        while j < n and ranked[j].score == ranked[i].score:
-            if ranked[j].label == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / neg, tp / pos))
-        i = j
-    return RocCurve(points=tuple(points), positives=pos, negatives=neg)
+    pos = int(np.count_nonzero(labels))
+    neg = len(labels) - pos
+    if pos == 0 or neg == 0:
+        raise MetricError("ROC undefined: input contains a single class")
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(labels[order])[last]
+    fp = last + 1 - tp
+    points = np.zeros((len(last) + 1, 2))
+    points[1:, 0], points[1:, 1] = fp / neg, tp / pos
+    return RocCurve(points, pos, neg)
+
+
+def roc_curve(preds: Iterable[Prediction]) -> RocCurve:
+    """``roc_from_arrays`` over ``Prediction`` objects."""
+    return roc_from_arrays(*prediction_arrays(preds))
 
 
 def auc_trapezoid(curve: RocCurve) -> float:
     """Trapezoidal area under the piecewise-linear ROC curve."""
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(curve.points, curve.points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
+    x, y = curve.fpr, curve.tpr
+    return running_sum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)
 
 
 def auc_rank(preds: Iterable[Prediction]) -> float:
@@ -138,8 +184,11 @@ def auc_rank(preds: Iterable[Prediction]) -> float:
     stays an independent check on the geometric computation.
     """
     preds = list(preds)
-    pos, neg = _split_counts(preds)
     n = len(preds)
+    pos = sum(1 for p in preds if p.label == 1)
+    neg = n - pos
+    if pos == 0 or neg == 0:
+        raise MetricError("ROC undefined: input contains a single class")
     order = sorted(range(n), key=lambda i: preds[i].score)
     ranks = [0.0] * n
     i = 0
@@ -156,31 +205,17 @@ def auc_rank(preds: Iterable[Prediction]) -> float:
     return u / (pos * neg)
 
 
-def confusion_counts(preds: Iterable[Prediction], threshold: float) -> ConfusionCounts:
-    """Counts at a hard threshold; predicted positive iff score >= threshold."""
-    tp = fp = tn = fn = 0
-    for p in preds:
-        predicted = p.score >= threshold
-        if p.label == 1:
-            if predicted:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def f1_at_threshold(preds: Iterable[Prediction], threshold: float = 0.5) -> F1Result:
-    """Precision, recall and F1 at a hard threshold; any 0/0 is 0 by convention."""
-    counts = confusion_counts(list(preds), threshold)
-    predicted_pos = counts.tp + counts.fp
-    actual_pos = counts.tp + counts.fn
-    precision = counts.tp / predicted_pos if predicted_pos else 0.0
-    recall = counts.tp / actual_pos if actual_pos else 0.0
+def f1_from_arrays(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> F1Result:
+    """Precision, recall and F1 at a hard threshold; predicted positive iff
+    score >= threshold, and any 0/0 is 0 by convention."""
+    predicted = scores >= threshold
+    actual = labels == 1
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
+    counts = ConfusionCounts(tp=tp, fp=fp, tn=len(labels) - tp - fp - fn, fn=fn)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (
         2.0 * precision * recall / (precision + recall)
         if precision + recall > 0.0
@@ -189,8 +224,6 @@ def f1_at_threshold(preds: Iterable[Prediction], threshold: float = 0.5) -> F1Re
     return F1Result(precision=precision, recall=recall, f1=f1, counts=counts)
 
 
-def curve_to_csv(curve: RocCurve) -> str:
-    """Flat CSV (fpr, tpr rows) for external plotting; floats via repr."""
-    lines = ["fpr,tpr"]
-    lines.extend(f"{x!r},{y!r}" for x, y in curve.points)
-    return "\n".join(lines) + "\n"
+def f1_at_threshold(preds: Iterable[Prediction], threshold: float = 0.5) -> F1Result:
+    """``f1_from_arrays`` over ``Prediction`` objects."""
+    return f1_from_arrays(*prediction_arrays(preds), threshold)

@@ -9,6 +9,8 @@ uses, so the picture and the number always agree.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .fairness import difference_intervals
 from .metrics import RocCurve, auc_trapezoid
 
@@ -40,8 +42,15 @@ def _py(tpr: float) -> str:
     return f"{_MARGIN_TOP + (1.0 - tpr) * _PLOT:.2f}"
 
 
-def _polyline(points, color: str, dasharray: str | None = None) -> str:
-    coords = " ".join(f"{_px(x)},{_py(y)}" for x, y in points)
+def _pixels(fpr, tpr) -> tuple[float, ...]:
+    """Pixel x and y of each (fpr, tpr), interleaved, as ``_px``/``_py`` give them."""
+    fpr, tpr = np.ravel(fpr), np.ravel(tpr)
+    xy = np.column_stack([_MARGIN_LEFT + fpr * _PLOT, _MARGIN_TOP + (1.0 - tpr) * _PLOT])
+    return tuple(xy.ravel().tolist())
+
+
+def _polyline(fpr, tpr, color: str, dasharray: str | None = None) -> str:
+    coords = " ".join(["%.2f,%.2f"] * len(fpr)) % _pixels(fpr, tpr)
     dash = f' stroke-dasharray="{dasharray}"' if dasharray else ""
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -92,20 +101,16 @@ def render_roc_plot(
         )
 
     # shaded region between the curves, one quad per crossing-free interval
-    for x0, x1, ya0, ya1, yb0, yb1 in difference_intervals(curve_a, curve_b):
-        quad = (
-            f"{_px(x0)},{_py(ya0)} {_px(x1)},{_py(ya1)} "
-            f"{_px(x1)},{_py(yb1)} {_px(x0)},{_py(yb0)}"
-        )
-        parts.append(
-            f'<polygon points="{quad}" fill="{_COLOR_SHADE}" fill-opacity="0.35" '
-            f'stroke="none"/>'
-        )
+    x0, x1, ya0, ya1, yb0, yb1 = difference_intervals(curve_a, curve_b).T
+    quad = ('<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f %.2f,%.2f" '
+            f'fill="{_COLOR_SHADE}" fill-opacity="0.35" stroke="none"/>')
+    corners = np.column_stack([x0, x1, x1, x0]), np.column_stack([ya0, ya1, yb1, yb0])
+    parts.append("\n".join([quad] * len(x0)) % _pixels(*corners))
 
     # chance diagonal, then the two curves on top
-    parts.append(_polyline([(0.0, 0.0), (1.0, 1.0)], "#bbbbbb", dasharray="4,4"))
-    parts.append(_polyline(curve_a.points, _COLOR_A))
-    parts.append(_polyline(curve_b.points, _COLOR_B))
+    parts.append(_polyline([0.0, 1.0], [0.0, 1.0], "#bbbbbb", dasharray="4,4"))
+    parts.append(_polyline(curve_a.fpr, curve_a.tpr, _COLOR_A))
+    parts.append(_polyline(curve_b.fpr, curve_b.tpr, _COLOR_B))
 
     # frame
     parts.append(

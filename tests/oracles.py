@@ -8,13 +8,25 @@ something.
 
 from __future__ import annotations
 
+import json
 from array import array
+from bisect import bisect_right
 from itertools import repeat
 
 import numpy as np
 
-from slamaudit.errors import ParseError
-from slamaudit.features import NAMESPACES, NUMERIC_FEATURES, VOCAB_FORMAT_VERSION, encode
+from slamaudit.errors import MetricError, ParseError, TrainingError
+from slamaudit.features import (
+    NAMESPACES,
+    NUMERIC_FEATURES,
+    VOCAB_FORMAT_VERSION,
+    encode,
+    to_dense,
+)
+from slamaudit.fairness import report_to_dict
+from slamaudit.gbdt import SplitCandidate, _cut_threshold
+from slamaudit.gbdt._scan_python import scan_splits
+from slamaudit.metrics import f1_at_threshold
 from slamaudit.multitask import _PackedRows, grad, init_model, instance_loss
 from slamaudit.slam_format import (
     _KNOWN_META_KEYS,
@@ -87,6 +99,183 @@ def oracle_curve_area_between(points_a, points_b, step=1e-5):
     yb = np.array([p[1] for p in points_b])
     diff = np.abs(np.interp(mid, xa, ya) - np.interp(mid, xb, yb))
     return float(diff.sum() * step)
+
+
+def loop_roc_points(scores, labels):
+    """ROC by one sort and a loop over runs of tied scores, high to low; a
+    run is one step, so ties give a diagonal segment."""
+    pos = sum(1 for y in labels if y == 1)
+    neg = len(labels) - pos
+    if pos == 0 or neg == 0:
+        raise MetricError("ROC undefined: input contains a single class")
+    ranked = sorted(zip(scores, labels), key=lambda sy: sy[0], reverse=True)
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i, n = 0, len(ranked)
+    while i < n:
+        j = i
+        while j < n and ranked[j][0] == ranked[i][0]:
+            if ranked[j][1] == 1:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        points.append((fp / neg, tp / pos))
+        i = j
+    return points
+
+
+def loop_auc_trapezoid(points):
+    """Trapezoid area under a ROC given as points, summed left to right."""
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
+
+
+def loop_confusion(scores, labels, threshold):
+    """(tp, fp, tn, fn), predicted positive iff score >= threshold."""
+    tp = fp = tn = fn = 0
+    for s, y in zip(scores, labels):
+        predicted = s >= threshold
+        if y == 1:
+            if predicted:
+                tp += 1
+            else:
+                fn += 1
+        elif predicted:
+            fp += 1
+        else:
+            tn += 1
+    return tp, fp, tn, fn
+
+
+def _segments(points):
+    """Non-vertical segments; together they cover all of [0, 1]."""
+    return [
+        (x0, y0, x1, y1)
+        for (x0, y0), (x1, y1) in zip(points, points[1:])
+        if x1 > x0
+    ]
+
+
+def _value_at(seg, x):
+    x0, y0, x1, y1 = seg
+    if x == x0:
+        return y0
+    if x == x1:
+        return y1
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def loop_difference_intervals(points_a, points_b):
+    """(x0, x1, ya0, ya1, yb0, yb1) tuples cutting [0, 1] at every breakpoint
+    of either curve and at every crossing, one interval at a time."""
+    segs_a = _segments(points_a)
+    segs_b = _segments(points_b)
+    xs = sorted({x for x, _ in points_a} | {x for x, _ in points_b})
+    ia = ib = 0
+    out = []
+    for u0, u1 in zip(xs, xs[1:]):
+        while segs_a[ia][2] <= u0:
+            ia += 1
+        while segs_b[ib][2] <= u0:
+            ib += 1
+        ya0, ya1 = _value_at(segs_a[ia], u0), _value_at(segs_a[ia], u1)
+        yb0, yb1 = _value_at(segs_b[ib], u0), _value_at(segs_b[ib], u1)
+        d0, d1 = ya0 - yb0, ya1 - yb1
+        if (d0 > 0.0 and d1 < 0.0) or (d0 < 0.0 and d1 > 0.0):
+            t = d0 / (d0 - d1)
+            xc = u0 + t * (u1 - u0)
+            yca = ya0 + t * (ya1 - ya0)
+            ycb = yb0 + t * (yb1 - yb0)
+            out.append((u0, xc, ya0, yca, yb0, ycb))
+            out.append((xc, u1, yca, ya1, ycb, yb1))
+        else:
+            out.append((u0, u1, ya0, ya1, yb0, yb1))
+    return out
+
+
+def loop_abroca(points_a, points_b):
+    """Closed-form ABROCA summed interval by interval, left to right."""
+    total = 0.0
+    for x0, x1, ya0, ya1, yb0, yb1 in loop_difference_intervals(points_a, points_b):
+        total += (abs(ya0 - yb0) + abs(ya1 - yb1)) / 2.0 * (x1 - x0)
+    return total
+
+
+def confusion_counts(preds, threshold):
+    """Counts at a hard threshold; predicted positive iff score >= threshold."""
+    return f1_at_threshold(preds, threshold).counts
+
+
+def report_to_json(report):
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+
+
+def interpolate_tpr(curve, fpr_grid):
+    """TPR at each grid FPR; at a vertical jump, the supremum TPR applies."""
+    prev = None
+    for x in fpr_grid:
+        if not (0.0 <= x <= 1.0):
+            raise MetricError(f"grid value {x!r} outside [0, 1]")
+        if prev is not None and x < prev:
+            raise MetricError("grid must be sorted ascending")
+        prev = x
+    xs = [p[0] for p in curve.points]
+    ys = [p[1] for p in curve.points]
+    out = []
+    for x in fpr_grid:
+        j = bisect_right(xs, x)
+        i = j - 1  # last point with xs[i] <= x; xs[0] = 0 <= x guarantees i >= 0
+        if xs[i] == x:
+            out.append(ys[i])  # last point at x = top of any jump
+        else:
+            x0, y0, x1, y1 = xs[i], ys[i], xs[j], ys[j]
+            out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+    return out
+
+
+def curve_to_csv(curve):
+    """Flat CSV (fpr, tpr rows) for external plotting; floats via repr."""
+    lines = ["fpr,tpr"]
+    lines.extend(f"{x!r},{y!r}" for x, y in curve.points)
+    return "\n".join(lines) + "\n"
+
+
+def encode_dataset(dataset, vocab):
+    """Each instance's ``encode`` feature vector, in order."""
+    return [encode(inst, vocab) for inst in dataset.instances]
+
+
+def predict_gbdt(model, instance):
+    """Mistake probability for one token instance through the per-instance
+    ``encode`` and ``to_dense``."""
+    return float(model.predict_proba(to_dense([encode(instance, model.vocab)], model.vocab))[0])
+
+
+def best_split(X, feature, gradients, hessians, config):
+    """Best threshold for one feature, or None without a positive-gain split.
+
+    Denominators must stay positive: either l2_leaf_reg > 0 or strictly
+    positive hessians (the trainer guarantees the latter).
+    """
+    column = np.ascontiguousarray(X[:, feature], dtype=np.float64)
+    if column.size == 0:
+        raise TrainingError("cannot split an empty sample set")
+    order = np.argsort(column, kind="stable")
+    vals = column[order][None, :]
+    g = np.ascontiguousarray(gradients, dtype=np.float64)[order][None, :]
+    h = np.ascontiguousarray(hessians, dtype=np.float64)[order][None, :]
+    f, pos, gain = scan_splits(
+        np.ascontiguousarray(vals), np.ascontiguousarray(g), np.ascontiguousarray(h),
+        config.l2_leaf_reg, config.min_samples_leaf,
+    )
+    if f < 0:
+        return None
+    return SplitCandidate(
+        feature=feature, threshold=_cut_threshold(vals[0], pos), gain=gain
+    )
 
 
 def oracle_split_candidates(X, g, h, lam, min_leaf):

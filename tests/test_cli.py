@@ -7,11 +7,19 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slamaudit.cli import _group_tags, main
+from slamaudit.cli import _json, main
 from slamaudit.errors import DataError
 from slamaudit.gbdt import load_model, predict_scores
-from slamaudit.grouping import load_country_mapping, parse_country_mapping, tag_instance
+from slamaudit.grouping import (
+    Development,
+    Dimension,
+    group_codes,
+    load_country_mapping,
+    parse_country_mapping,
+    tag_instance,
+)
 from slamaudit.manifest import read_manifest
 from slamaudit.metrics import Prediction, auc_rank, f1_at_threshold
 from slamaudit.slam_format import (
@@ -334,6 +342,20 @@ class TestEvaluate:
         ]
         assert "auc=" in capsys.readouterr().out
 
+    def test_unlabeled_data_without_key_fails(self, tmp_path, gbdt_model, mini_dir, capsys):
+        code = run(
+            [
+                "evaluate",
+                "--model", str(gbdt_model),
+                "--data", str(mini_dir / "en_es.dev.slam"),
+                "--track", "en_es",
+                "--out", str(tmp_path / "never.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "never.json").exists()
+
     def test_readme_example_prints_documented_line(self, gbdt_model, capsys, monkeypatch):
         # the README's evaluate example, run from the repository root on a
         # model trained as its train example does
@@ -346,6 +368,21 @@ class TestEvaluate:
         monkeypatch.chdir(REPO_ROOT)
         assert run(argv) == 0
         assert capsys.readouterr().out.splitlines() == [expected]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+def test_unlabeled_error_names_the_first_row_and_the_key_option(
+    tmp_path, gbdt_model, mini_dir, capsys, command
+):
+    data = mini_dir / "en_es.dev.slam"
+    first = next(line.split()[0] for line in data.read_text().splitlines() if line[:1] not in "#")
+    extra = ["--dimension", "client"] if command == "audit" else []
+    argv = [command, "--model", str(gbdt_model), "--data", str(data), "--track", "en_es"]
+    assert run([*argv, *extra, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unlabeled instance {first!r} (and possibly more); "
+        "give the split's label key with --labels"
+    ]
 
 
 def error_lines(argv, capsys):
@@ -517,11 +554,20 @@ def audit_dir(tmp_path_factory, gbdt_model, mini_dir):
 class TestAudit:
     @pytest.mark.parametrize("track", list(Track))
     def test_group_tags_equal_per_token_tags(self, mini_dir, track):
-        dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
-        for mapping in (load_country_mapping(), parse_country_mapping("US developed\n", "x")):
-            assert _group_tags(dev, mapping) == [
-                tag_instance(inst, mapping) for inst in dev.instances
-            ]
+        """The audit's per-exercise group codes put every token, train and
+        dev, in the group its own ``tag_instance`` names."""
+        for split in (Split.TRAIN, Split.DEV):
+            ds = read_dataset(mini_dir / f"{track.value}.{split.value}.slam", track, split)
+            for mapping in (load_country_mapping(), parse_country_mapping("US developed\n", "x")):
+                tags = [tag_instance(inst, mapping) for inst in ds.instances]
+                for dimension in Dimension:
+                    values = [
+                        (t.client if dimension is Dimension.CLIENT else t.development).value
+                        for t in tags
+                    ]
+                    codes, names = group_codes(ds, mapping, dimension)
+                    assert list(names) == sorted(set(values) - {Development.UNKNOWN.value})
+                    assert [names[c] if c >= 0 else "unknown" for c in codes.tolist()] == values
 
     def test_exactly_three_pairs_and_plots(self, audit_dir):
         fairness = (audit_dir / "fairness.csv").read_text().splitlines()
@@ -730,3 +776,27 @@ class TestReadManifest:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="config_hashes"):
             read_manifest(path)
+
+
+POINTS = st.lists(
+    st.lists(st.floats(0.0, 1.0) | st.floats(), min_size=2, max_size=2), max_size=5
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | POINTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_json_writer_equals_json_dumps(value):
+    """Non-ASCII strings, empty lists and dicts, ints, bools, None, NaN and
+    infinities, and point lists at any depth, keys sorted."""
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_report_json_is_what_json_dumps_writes(audit_dir):
+    text = (audit_dir / "report.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"

@@ -9,16 +9,14 @@ from slamaudit.fairness import (
     abroca,
     difference_intervals,
     group_audit,
-    interpolate_tpr,
     report_to_csv,
     report_to_dict,
-    report_to_json,
 )
 from slamaudit.grouping import Development, Dimension, GroupTag
 from slamaudit.metrics import Prediction, RocCurve, auc_trapezoid, roc_curve
 from slamaudit.slam_format import Client, Track
 
-from oracles import oracle_curve_area_between, oracle_interp
+from oracles import interpolate_tpr, oracle_curve_area_between, oracle_interp, report_to_json
 
 
 def preds(scores, labels, group=None):

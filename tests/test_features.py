@@ -13,7 +13,6 @@ from slamaudit.features import (
     Vocabulary,
     build_vocab,
     encode,
-    encode_dataset,
     encode_rows,
     labels_array,
     to_dense,
@@ -32,7 +31,7 @@ from slamaudit.slam_format import (
 )
 
 from gen_slam import random_dataset
-from oracles import oracle_build_vocab
+from oracles import encode_dataset, oracle_build_vocab
 
 
 def make_instance(

@@ -20,9 +20,7 @@ from slamaudit.gbdt import (
     GbdtModel,
     SplitCandidate,
     Tree,
-    best_split,
     load_model,
-    predict_gbdt,
     predict_scores,
     save_model,
     train_gbdt,
@@ -41,7 +39,13 @@ from slamaudit.slam_format import (
 )
 
 from gen_slam import random_dataset
-from oracles import oracle_best_split, oracle_split_candidates, oracle_train_raw
+from oracles import (
+    best_split,
+    oracle_best_split,
+    oracle_split_candidates,
+    oracle_train_raw,
+    predict_gbdt,
+)
 
 
 def make_dataset(rows, track=Track.EN_ES):

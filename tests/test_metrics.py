@@ -9,13 +9,11 @@ from slamaudit.metrics import (
     RocCurve,
     auc_rank,
     auc_trapezoid,
-    confusion_counts,
-    curve_to_csv,
     f1_at_threshold,
     roc_curve,
 )
 
-from oracles import oracle_auc_pairs, oracle_roc_points
+from oracles import confusion_counts, curve_to_csv, oracle_auc_pairs, oracle_roc_points
 
 
 def preds(scores, labels):

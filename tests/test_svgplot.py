@@ -9,9 +9,10 @@ import pytest
 
 from slamaudit.fairness import abroca, difference_intervals
 from slamaudit.metrics import RocCurve
-from slamaudit.svgplot import _escape, render_roc_plot
+from slamaudit.svgplot import _escape, _px, _py, render_roc_plot
 
 from conftest import REPO_ROOT
+from oracles import loop_difference_intervals
 from test_fairness import DIAGONAL, PERFECT, random_curve
 
 
@@ -83,3 +84,20 @@ class TestContent:
             a, b = random_curve(rng), random_curve(rng)
             doc = render(a, b)
             assert doc.count("<polygon") == len(difference_intervals(a, b))
+
+    def test_coordinates_equal_per_point_formatting(self):
+        """The array formatting writes what formatting each coordinate
+        with ``_px``/``_py`` writes: the curves' points, and each shaded
+        quad's corners in order."""
+        rng = random.Random(5004)
+        for _ in range(20):
+            a, b = random_curve(rng), random_curve(rng)
+            lines = render(a, b).splitlines()
+            quads = [
+                f"{_px(x0)},{_py(ya0)} {_px(x1)},{_py(ya1)} "
+                f"{_px(x1)},{_py(yb1)} {_px(x0)},{_py(yb0)}"
+                for x0, x1, ya0, ya1, yb0, yb1 in loop_difference_intervals(a.points, b.points)
+            ]
+            assert [l.split('"')[1] for l in lines if l.startswith("<polygon")] == quads
+            curves = [" ".join(f"{_px(x)},{_py(y)}" for x, y in c.points) for c in (a, b)]
+            assert [l.split('"')[1] for l in lines if l.startswith("<polyline")][1:] == curves
