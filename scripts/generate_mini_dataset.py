@@ -329,11 +329,11 @@ def generate_track(
         dev.extend(generate_exercise(rng, world, client=dev_rotation[i % len(dev_rotation)]))
 
     write_dataset(
-        Dataset(track=track, instances=tuple(train), split=Split.TRAIN),
+        Dataset.from_instances(track=track, instances=tuple(train), split=Split.TRAIN),
         out_dir / f"{track.value}.train.slam",
     )
     write_dataset(
-        Dataset(track=track, instances=tuple(strip_labels(dev)), split=Split.DEV),
+        Dataset.from_instances(track=track, instances=tuple(strip_labels(dev)), split=Split.DEV),
         out_dir / f"{track.value}.dev.slam",
     )
     key_lines = "".join(f"{i.instance_id} {i.label}\n" for i in dev)

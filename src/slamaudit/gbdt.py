@@ -9,9 +9,9 @@ feature but the three numeric ones is a one-hot binary, so one bincount per
 node over the node's active (row, feature) entries gives the value-1 side
 of all binary features at once, and the value-0 side is the node total
 minus that (sparsity-aware split finding, Chen & Guestrin 2016, Alg. 3).
-The numeric features are scanned over their sorted values. Training is
-fully deterministic, so two runs with the same data and config produce
-byte-identical models.
+The numeric features are scanned over their sorted values
+(``scan_splits``). Training is fully deterministic, so two runs with the
+same data and config produce byte-identical models.
 
 Training and ``predict_scores`` read the batch encoding of
 ``features.encode_rows``. Scoring lays out only the binary features some
@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError, TrainingError
-from ..features import NUMERIC_FEATURES, Vocabulary, encode_rows, labels_array
-from ..features import encode, to_dense  # noqa: F401  (not called; stage timers wrap them)
-from ..numerics import log_loss_from_raw, sigmoid
-from ..slam_format import Dataset
-from ..validation import config_from, number, read_json_object, require_keys
-from ._scan_python import scan_splits
+from .errors import DataError, TrainingError
+from .features import NUMERIC_FEATURES, Vocabulary, encode_rows, labels_array
+from .features import encode, to_dense  # noqa: F401  (not called; stage timers wrap them)
+from .numerics import log_loss_from_raw, sigmoid
+from .slam_format import Dataset
+from .validation import config_from, number, read_json_object, require_keys
 
 MODEL_FORMAT_VERSION = 1
 _MODEL_KEYS = ("trees", "config", "base_score", "vocab", "train_losses")
@@ -77,14 +76,7 @@ class GbdtConfig:
             raise TrainingError("l2_leaf_reg must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "min_samples_leaf": self.min_samples_leaf,
-            "l2_leaf_reg": self.l2_leaf_reg,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -135,15 +127,11 @@ class Tree:
 
         return walk(0)
 
-    def predict_batch(self, X: np.ndarray, column: np.ndarray | None = None) -> np.ndarray:
-        """Leaf value for every row of X.
-
-        Feature f is read from column f of X, or from column ``column[f]``
-        when a column map is given.
-        """
+    def predict_batch(self, X: np.ndarray, column: np.ndarray) -> np.ndarray:
+        """Leaf value for every row of X; feature f is read from column
+        ``column[f]`` of X."""
         feature = np.asarray(self.feature, dtype=np.int64)
-        if column is not None:
-            feature = np.where(feature >= 0, column[feature], -1)
+        feature = np.where(feature >= 0, column[feature], -1)
         threshold = np.asarray(self.threshold, dtype=np.float64)
         left = np.asarray(self.left, dtype=np.int64)
         right = np.asarray(self.right, dtype=np.int64)
@@ -213,14 +201,50 @@ class GbdtModel:
         if not math.isfinite(self.base_score):
             raise TrainingError("base_score must be finite")
 
-    def predict_raw(self, X: np.ndarray, column: np.ndarray | None = None) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray, column: np.ndarray) -> np.ndarray:
+        """Probability for every row of X; feature f is read from column
+        ``column[f]`` of X."""
         raw = np.full(len(X), self.base_score, dtype=np.float64)
         for tree in self.trees:
             raw += self.config.learning_rate * tree.predict_batch(X, column)
-        return raw
+        return sigmoid(raw)
 
-    def predict_proba(self, X: np.ndarray, column: np.ndarray | None = None) -> np.ndarray:
-        return sigmoid(self.predict_raw(X, column))
+
+def scan_splits(vals, g, h, lam, min_leaf):
+    """Exact best split over pre-sorted per-feature arrays, in numpy.
+
+    vals, g, h: (F, k) float64 arrays, row f sorted ascending by value with
+    g/h aligned to that order. Returns (feature, position, gain) where the
+    cut is between sorted positions `position` and `position + 1`, or
+    (-1, -1, 0.0) when no candidate has positive gain. Prefix sums come from
+    cumsum, which accumulates left to right, and totals from the last cumsum
+    column rather than a separate reduction. Ties resolve by a C-order
+    argmax: lowest feature row, then lowest split position.
+    """
+    F, k = vals.shape
+    if k < 2:
+        return (-1, -1, 0.0)
+    cg = np.cumsum(g, axis=1)
+    ch = np.cumsum(h, axis=1)
+    gt = cg[:, -1:]
+    ht = ch[:, -1:]
+    gl = cg[:, :-1]
+    hl = ch[:, :-1]
+    gr = gt - gl
+    hr = ht - hl
+    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
+    left_count = np.arange(1, k)
+    valid = (
+        (vals[:, :-1] < vals[:, 1:])
+        & (left_count >= min_leaf)
+        & (k - left_count >= min_leaf)
+    )
+    gain = np.where(valid, gain, -np.inf)
+    flat = int(np.argmax(gain))  # first occurrence of the max, C order
+    best = float(gain.ravel()[flat])
+    if not best > 0.0:
+        return (-1, -1, 0.0)
+    return (flat // (k - 1), flat % (k - 1), best)
 
 
 def _cut_threshold(sorted_vals: np.ndarray, pos: int) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ParseError
 from .slam_format import Client, Dataset, Track
+from .validation import open_text
 
 _CODE_RE = re.compile(r"^[A-Z]{2}$")
 
@@ -93,7 +94,9 @@ def load_country_mapping(path: str | Path | None = None) -> CountryClassificatio
         )
         return parse_country_mapping(text, f"builtin:{DEFAULT_MAPPING_RESOURCE}")
     path = Path(path)
-    return parse_country_mapping(path.read_text(encoding="utf-8"), str(path))
+    with open_text(path, "country mapping") as fh:
+        text = fh.read()
+    return parse_country_mapping(text, str(path))
 
 
 def classify_country(

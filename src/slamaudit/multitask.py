@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -99,15 +99,7 @@ class MtConfig:
             raise TrainingError("l2 must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "l2": self.l2,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)

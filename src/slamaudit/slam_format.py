@@ -7,11 +7,11 @@ Labeled splits carry the label inline; dev/test labels live in separate
 two-column key files.
 
 The parser appends each token line's fields to per-field lists
-(``TokenColumns``) and builds one ``ExerciseMeta`` per exercise; a
-``Dataset`` holds those columns, and the label join fills its label column
-by one key lookup per id. ``TokenInstance`` objects are built only when
-asked for (``Dataset.instances``, ``parse_exercise_stream``), for tests,
-serialization and single-token use.
+(``TokenColumns``) and builds one ``ExerciseMeta`` per exercise. A
+``Dataset`` is a track, a split and those columns; the label join fills the
+label column by one key lookup per id, and serialization writes one block
+per exercise straight from the columns. ``TokenInstance`` objects are built
+only when asked for (``Dataset.instances``), for tests and single-token use.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DataError, ParseError
+from .validation import open_text
 
 log = logging.getLogger(__name__)
 
@@ -172,18 +173,27 @@ def _check_unique(ids: Sequence[str]) -> None:
             seen.add(instance_id)
 
 
+@dataclass(frozen=True)
 class Dataset:
-    """Ordered token instances of a single track and split.
+    """The tokens of a single track and split, in file order, as columns.
 
-    The parser and ``join_labels`` build one from ``TokenColumns``
-    (``from_columns``), and the read path works on ``columns``;
-    ``Dataset(track=..., instances=..., split=...)`` takes instance objects.
-    Whichever of ``columns`` and ``instances`` a dataset was not built from
-    is derived on first access and cached. Two datasets are equal when their
-    track, split and instances are.
+    Two datasets are equal when their track, split and columns are, so the
+    exercise boundaries count as well as the tokens.
     """
 
-    def __init__(self, track: Track, instances: Iterable[TokenInstance], split: Split):
+    track: Track
+    split: Split
+    columns: TokenColumns
+
+    def __post_init__(self):
+        _check_unique(self.columns.ids)
+
+    @classmethod
+    def from_instances(
+        cls, track: Track, instances: Iterable[TokenInstance], split: Split
+    ) -> "Dataset":
+        """A dataset of instance objects; an exercise starts wherever the
+        metadata object changes (see ``TokenColumns.from_instances``)."""
         instances = tuple(instances)
         ids = [inst.instance_id for inst in instances]
         for k, inst in enumerate(instances):
@@ -193,46 +203,15 @@ class Dataset:
                     f"instance {inst.instance_id!r} has track {inst.track.value}, "
                     f"dataset is {track.value}"
                 )
-        _check_unique(ids)
-        self.track, self.split = track, split
-        self._instances: tuple[TokenInstance, ...] | None = instances
-        self._columns: TokenColumns | None = None
-
-    @classmethod
-    def from_columns(cls, track: Track, split: Split, columns: TokenColumns) -> "Dataset":
-        _check_unique(columns.ids)
-        dataset = cls.__new__(cls)
-        dataset.track, dataset.split = track, split
-        dataset._instances, dataset._columns = None, columns
-        return dataset
-
-    @property
-    def columns(self) -> TokenColumns:
-        if self._columns is None:
-            self._columns = TokenColumns.from_instances(self._instances)
-        return self._columns
+        return cls(track, split, TokenColumns.from_instances(instances))
 
     @property
     def instances(self) -> tuple[TokenInstance, ...]:
-        if self._instances is None:
-            self._instances = tuple(
-                self._columns.instance(i, self.track) for i in range(len(self))
-            )
-        return self._instances
+        """One ``TokenInstance`` per row, built afresh on every access."""
+        return tuple(self.columns.instance(i, self.track) for i in range(len(self)))
 
     def __len__(self) -> int:
-        if self._instances is not None:
-            return len(self._instances)
-        return len(self._columns.ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (self.track, self.split, self.instances) == (
-            other.track, other.split, other.instances
-        )
-
-    __hash__ = None
+        return len(self.columns.ids)
 
 
 def _parse_meta_pairs(body: str, lineno: int) -> list[tuple[str, str]]:
@@ -306,10 +285,10 @@ def _dep_head(field: str, lineno: int) -> int:
 _LABELS = {"0": 0, "1": 1}
 
 
-def _parse_columns(lines: Iterable[str]):
-    """Parse SLAM text into ``(columns, blocks)``: the tokens of every
-    exercise as ``TokenColumns``, and one ``(meta, start, stop)`` row range
-    per exercise block in file order, blocks without tokens included.
+def _parse_columns(lines: Iterable[str]) -> TokenColumns:
+    """Parse SLAM text into the ``TokenColumns`` of its exercises, in file
+    order. A block without tokens adds no exercise, but its metadata is
+    still checked.
 
     Every non-blank line is consumed exactly once; malformed input raises
     :class:`ParseError` with the line number.
@@ -317,21 +296,17 @@ def _parse_columns(lines: Iterable[str]):
     ids, tokens, pos, morph, deps, heads, labels, exercise = [], [], [], [], [], [], [], []
     heads_of: dict[str, int] = {}  # int() runs once per distinct head field
     metas: list[ExerciseMeta] = []
-    blocks: list[tuple[ExerciseMeta, int, int]] = []
     meta_fields: dict[str, str] = {}
     extras: dict[str, str] = {}  # unknown keys, in file order
     prompt: str | None = None
     meta: ExerciseMeta | None = None
     meta_line = 0
-    start = 0
 
     def flush():
-        nonlocal meta_fields, extras, prompt, meta, start
-        if meta is None and meta_fields:
-            meta = _build_meta(meta_fields, prompt, extras.items(), meta_line)
-        if meta is not None:
-            blocks.append((meta, start, len(ids)))
-        meta_fields, extras, prompt, meta, start = {}, {}, None, None, len(ids)
+        nonlocal meta_fields, extras, prompt, meta
+        if meta is None and meta_fields:  # no tokens: check the metadata, add no exercise
+            _build_meta(meta_fields, prompt, extras.items(), meta_line)
+        meta_fields, extras, prompt, meta = {}, {}, None, None
 
     for lineno, raw in enumerate(lines, 1):
         cols = raw.split()
@@ -383,30 +358,16 @@ def _parse_columns(lines: Iterable[str]):
         labels.append(label)
         exercise.append(len(metas) - 1)
     flush()
-    columns = TokenColumns(ids, tokens, pos, morph, deps, heads, labels, exercise, metas)
-    return columns, blocks
-
-
-def parse_exercise_stream(
-    lines: Iterable[str], track: Track
-) -> Iterator[tuple[ExerciseMeta, list[TokenInstance]]]:
-    """(meta, tokens) pairs from SLAM text, one per exercise block in file
-    order; a view over the column parser, so the whole stream is parsed
-    (and any :class:`ParseError` raised) before the first pair."""
-    columns, blocks = _parse_columns(lines)
-    for meta, start, stop in blocks:
-        yield meta, [columns.instance(i, track) for i in range(start, stop)]
+    return TokenColumns(ids, tokens, pos, morph, deps, heads, labels, exercise, metas)
 
 
 def parse_dataset(lines: Iterable[str], track: Track, split: Split) -> Dataset:
     """Parse a whole SLAM stream into a Dataset, preserving file order."""
-    columns, _blocks = _parse_columns(lines)
-    return Dataset.from_columns(track, split, columns)
+    return Dataset(track, split, _parse_columns(lines))
 
 
 def read_dataset(path: str | Path, track: Track, split: Split) -> Dataset:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path, "SLAM file") as fh:
         return parse_dataset(fh, track, split)
 
 
@@ -430,7 +391,7 @@ def parse_label_key(lines: Iterable[str]) -> dict[str, int]:
 
 
 def read_label_key(path: str | Path) -> dict[str, int]:
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_text(path, "label key") as fh:
         return parse_label_key(fh)
 
 
@@ -449,9 +410,7 @@ def join_labels(dataset: Dataset, key: dict[str, int]) -> Dataset:
     extra = len(key) - len(ids)
     if extra > 0:
         log.warning("label key has %d entries not present in the dataset", extra)
-    return Dataset.from_columns(
-        dataset.track, dataset.split, replace(dataset.columns, labels=labels)
-    )
+    return replace(dataset, columns=replace(dataset.columns, labels=labels))
 
 
 def _format_meta(meta: ExerciseMeta) -> list[str]:
@@ -474,32 +433,17 @@ def _format_meta(meta: ExerciseMeta) -> list[str]:
 
 
 def serialize_dataset(dataset: Dataset) -> str:
-    """Render a dataset back to SLAM text; re-parsing reproduces it exactly."""
-    blocks: list[str] = []
-    block: list[str] = []
-    current_meta: ExerciseMeta | None = None
-    for inst in dataset.instances:
-        if inst.meta is not current_meta:
-            if block:
-                blocks.append("\n".join(block))
-            block = _format_meta(inst.meta)
-            current_meta = inst.meta
-        cols = [
-            inst.instance_id,
-            inst.token,
-            inst.part_of_speech,
-            _morph_field(inst.morph_features),
-            inst.dep_label,
-            str(inst.dep_head),
-        ]
-        if inst.label is not None:
-            cols.append(str(inst.label))
-        block.append(" ".join(cols))
-    if block:
-        blocks.append("\n".join(block))
+    """Render a dataset back to SLAM text, one block per exercise;
+    re-parsing reproduces it exactly."""
+    c = dataset.columns
+    blocks = [_format_meta(meta) for meta in c.metas]
+    rows = zip(c.exercise, c.ids, c.tokens, c.pos, c.morph, c.deps, c.heads, c.labels)
+    for e, instance_id, token, pos, morph, dep, head, label in rows:
+        line = f"{instance_id} {token} {pos} {morph} {dep} {head}"
+        blocks[e].append(line if label is None else f"{line} {label}")
     if not blocks:
         return ""
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -3,15 +3,15 @@
 The output is a self-contained SVG document built by string assembly: no
 plotting library, no randomness, fixed coordinate formatting, so identical
 inputs produce identical bytes. The region between the two curves is shaded
-quad by quad using the same crossing-split intervals the ABROCA integral
-uses, so the picture and the number always agree.
+as one polygon: curve A's points, then curve B's points reversed. SVG's
+default nonzero fill rule fills every region between two crossings, whichever
+curve is on top, so the shaded area is the ABROCA integral.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fairness import difference_intervals
 from .metrics import RocCurve, auc_trapezoid
 
 # plot geometry (pixels)
@@ -42,15 +42,15 @@ def _py(tpr: float) -> str:
     return f"{_MARGIN_TOP + (1.0 - tpr) * _PLOT:.2f}"
 
 
-def _pixels(fpr, tpr) -> tuple[float, ...]:
-    """Pixel x and y of each (fpr, tpr), interleaved, as ``_px``/``_py`` give them."""
+def _points(fpr, tpr) -> str:
+    """SVG ``points`` of each (fpr, tpr) in pixels, as ``_px``/``_py`` format them."""
     fpr, tpr = np.ravel(fpr), np.ravel(tpr)
     xy = np.column_stack([_MARGIN_LEFT + fpr * _PLOT, _MARGIN_TOP + (1.0 - tpr) * _PLOT])
-    return tuple(xy.ravel().tolist())
+    return " ".join(["%.2f,%.2f"] * len(fpr)) % tuple(xy.ravel().tolist())
 
 
 def _polyline(fpr, tpr, color: str, dasharray: str | None = None) -> str:
-    coords = " ".join(["%.2f,%.2f"] * len(fpr)) % _pixels(fpr, tpr)
+    coords = _points(fpr, tpr)
     dash = f' stroke-dasharray="{dasharray}"' if dasharray else ""
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -100,12 +100,14 @@ def render_roc_plot(
             f'font-family="sans-serif">{v:.2f}</text>'
         )
 
-    # shaded region between the curves, one quad per crossing-free interval
-    x0, x1, ya0, ya1, yb0, yb1 = difference_intervals(curve_a, curve_b).T
-    quad = ('<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f %.2f,%.2f" '
-            f'fill="{_COLOR_SHADE}" fill-opacity="0.35" stroke="none"/>')
-    corners = np.column_stack([x0, x1, x1, x0]), np.column_stack([ya0, ya1, yb1, yb0])
-    parts.append("\n".join([quad] * len(x0)) % _pixels(*corners))
+    # shaded region between the curves: along A, then back along B
+    coords = _points(
+        np.concatenate([curve_a.fpr, curve_b.fpr[::-1]]),
+        np.concatenate([curve_a.tpr, curve_b.tpr[::-1]]),
+    )
+    parts.append(
+        f'<polygon points="{coords}" fill="{_COLOR_SHADE}" fill-opacity="0.35" stroke="none"/>'
+    )
 
     # chance diagonal, then the two curves on top
     parts.append(_polyline([0.0, 1.0], [0.0, 1.0], "#bbbbbb", dasharray="4,4"))

@@ -1,13 +1,28 @@
-"""Checks shared by every loader of user-supplied JSON (configs, models,
-manifests), so a bad file ends in one DataError naming what is wrong."""
+"""Checks shared by every loader of user-supplied files (SLAM splits, label
+keys, country mappings, and the JSON of configs, models and manifests), so a
+bad file ends in one DataError naming what is wrong."""
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .errors import DataError
+
+
+@contextmanager
+def open_text(path: str | Path, what: str) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8, met
+    anywhere while the ``with`` body reads, end in a DataError naming the
+    file; ``what`` names its role ("SLAM file", "label key", ...)."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_json_object(path: str | Path, what: str) -> dict:

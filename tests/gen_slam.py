@@ -83,4 +83,4 @@ def random_dataset(
                     track=track,
                 )
             )
-    return Dataset(track=track, instances=tuple(instances), split=split)
+    return Dataset.from_instances(track=track, instances=tuple(instances), split=split)

@@ -24,8 +24,7 @@ from slamaudit.features import (
     to_dense,
 )
 from slamaudit.fairness import report_to_dict
-from slamaudit.gbdt import SplitCandidate, _cut_threshold
-from slamaudit.gbdt._scan_python import scan_splits
+from slamaudit.gbdt import SplitCandidate, _cut_threshold, scan_splits
 from slamaudit.metrics import f1_at_threshold
 from slamaudit.multitask import _PackedRows, grad, init_model, instance_loss
 from slamaudit.slam_format import (
@@ -251,7 +250,8 @@ def encode_dataset(dataset, vocab):
 def predict_gbdt(model, instance):
     """Mistake probability for one token instance through the per-instance
     ``encode`` and ``to_dense``."""
-    return float(model.predict_proba(to_dense([encode(instance, model.vocab)], model.vocab))[0])
+    X = to_dense([encode(instance, model.vocab)], model.vocab)
+    return float(model.predict_proba(X, np.arange(X.shape[1]))[0])
 
 
 def best_split(X, feature, gradients, hessians, config):
@@ -588,4 +588,4 @@ def oracle_parse_dataset(lines, track, split):
     instances = []
     for _, tokens in oracle_parse_exercise_stream(lines, track):
         instances.extend(tokens)
-    return Dataset(track=track, instances=tuple(instances), split=split)
+    return Dataset.from_instances(track=track, instances=tuple(instances), split=split)

@@ -395,6 +395,40 @@ def error_lines(argv, capsys):
     return lines
 
 
+@pytest.mark.parametrize(
+    "role, what",
+    [("data", "SLAM file"), ("labels", "label key"), ("mapping", "country mapping")],
+)
+def test_bad_utf8_is_one_error_line_naming_the_file(
+    tmp_path, gbdt_model, mini_dir, capsys, role, what
+):
+    """A byte that is not UTF-8, halfway into a SLAM file, a label key or a
+    country mapping, fails the command that reads it without a traceback."""
+    source = {
+        "data": mini_dir / "en_es.train.slam",
+        "labels": mini_dir / "en_es.dev.key",
+        "mapping": REPO_ROOT / "src" / "slamaudit" / "data" / "country_mapping.txt",
+    }[role]
+    raw = source.read_bytes()
+    cut = raw.index(b"\n", len(raw) // 2) + 1
+    bad = tmp_path / source.name
+    bad.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    dev = ["--model", str(gbdt_model), "--data", str(mini_dir / "en_es.dev.slam"),
+           "--track", "en_es"]
+    argv = {
+        "data": ["train", "--data", str(bad), "--track", "en_es", "--model", "gbdt",
+                 "--out", str(tmp_path / "never.json")],
+        "labels": ["evaluate", *dev, "--labels", str(bad)],
+        "mapping": ["audit", *dev, "--labels", str(mini_dir / "en_es.dev.key"),
+                    "--dimension", "development", "--country-mapping", str(bad),
+                    "--out", str(tmp_path / "never")],
+    }[role]
+    assert error_lines(argv, capsys) == [
+        f"error: cannot read {what} {bad}: not UTF-8 text (invalid start byte)"
+    ]
+    assert not any(p.name.startswith("never") for p in tmp_path.iterdir())
+
+
 class TestOptionChecks:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "1.5"])
     @pytest.mark.parametrize("command", ["evaluate", "audit"])

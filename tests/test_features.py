@@ -71,7 +71,9 @@ def make_instance(
 
 
 def single_instance_dataset():
-    return Dataset(track=Track.EN_ES, instances=(make_instance(),), split=Split.TRAIN)
+    return Dataset.from_instances(
+        track=Track.EN_ES, instances=(make_instance(),), split=Split.TRAIN
+    )
 
 
 class TestBuildVocab:
@@ -95,15 +97,17 @@ class TestBuildVocab:
         assert "Yo" not in vocab.maps["token"]
 
     def test_empty_dataset_rejected(self):
-        empty = Dataset(track=Track.EN_ES, instances=(), split=Split.TRAIN)
+        empty = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.TRAIN)
         with pytest.raises(DataError, match="empty"):
             build_vocab(empty)
 
     def test_multiple_datasets_pool_counts(self):
         # strings are pooled across datasets and indexed by first occurrence
         # in dataset order; a string seen again keeps its first index
-        a = Dataset(track=Track.EN_ES, instances=(make_instance(),), split=Split.TRAIN)
-        b = Dataset(
+        a = Dataset.from_instances(
+            track=Track.EN_ES, instances=(make_instance(),), split=Split.TRAIN
+        )
+        b = Dataset.from_instances(
             track=Track.EN_ES,
             instances=(
                 make_instance(instance_id="efgh567801", token="Tu", user="userB"),
@@ -145,7 +149,9 @@ class TestBuildVocab:
                     for inst in rng.sample(instances, rng.randint(0, len(instances)))
                 ]
                 rng.shuffle(instances)
-                draws.append(Dataset(track=ds.track, instances=instances, split=ds.split))
+                draws.append(
+                    Dataset.from_instances(track=ds.track, instances=instances, split=ds.split)
+                )
             assert build_vocab(draws).to_dict() == oracle_build_vocab(draws)
 
     def test_namespace_ranges_disjoint_and_cover_binary_block(self):
@@ -176,7 +182,7 @@ class TestEncode:
 
     def test_morph_features_each_active_and_deduped(self):
         inst = make_instance(morph=("Person=1", "Number=Sing", "Person=1"))
-        ds = Dataset(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
+        ds = Dataset.from_instances(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
         vocab = build_vocab(ds)
         fv = encode(inst, vocab)
         morph_hits = [
@@ -188,14 +194,14 @@ class TestEncode:
 
     def test_days_zero_encodes_to_zero(self):
         inst = make_instance(days=0.0)
-        ds = Dataset(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
+        ds = Dataset.from_instances(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
         vocab = build_vocab(ds)
         fv = encode(inst, vocab)
         assert dict(fv.numeric)[vocab.numeric_index("days")] == 0.0
 
     def test_time_clamped_to_sixty_seconds(self):
         inst = make_instance(time=600)
-        ds = Dataset(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
+        ds = Dataset.from_instances(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
         vocab = build_vocab(ds)
         fv = encode(inst, vocab)
         numeric = dict(fv.numeric)
@@ -204,7 +210,7 @@ class TestEncode:
 
     def test_missing_time_sets_presence_indicator_only(self):
         inst = make_instance(time=None)
-        ds = Dataset(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
+        ds = Dataset.from_instances(track=Track.EN_ES, instances=(inst,), split=Split.TRAIN)
         vocab = build_vocab(ds)
         numeric = dict(encode(inst, vocab).numeric)
         assert numeric[vocab.numeric_index("time")] == 0.0
@@ -213,7 +219,7 @@ class TestEncode:
     def test_identical_instances_encode_identically(self):
         a = make_instance(instance_id="abcd123401")
         b = make_instance(instance_id="abcd123402")
-        ds = Dataset(track=Track.EN_ES, instances=(a, b), split=Split.TRAIN)
+        ds = Dataset.from_instances(track=Track.EN_ES, instances=(a, b), split=Split.TRAIN)
         vocab = build_vocab(ds)
         assert encode(a, vocab) == encode(b, vocab)
 
@@ -321,7 +327,7 @@ class TestEncodeRows:
     def test_edge_instances(self):
         base = make_instance()
         vocab = build_vocab(
-            Dataset(track=Track.EN_ES, instances=(base,), split=Split.TRAIN)
+            Dataset.from_instances(track=Track.EN_ES, instances=(base,), split=Split.TRAIN)
         )
         variants = [
             dict(token="zzz", part_of_speech="XX", dep_label="yy"),  # OOV strings

@@ -75,7 +75,7 @@ def make_dataset(rows, track=Track.EN_ES):
         )
         for i, (token, label) in enumerate(rows)
     )
-    return Dataset(track=track, instances=instances, split=Split.TRAIN)
+    return Dataset.from_instances(track=track, instances=instances, split=Split.TRAIN)
 
 
 def separable_dataset(rng, n=200):
@@ -260,7 +260,7 @@ class TestTraining:
         raw = np.full(len(y), model.base_score)
         assert model.train_losses[0] == log_loss_from_raw(raw, y)
         for t, tree in enumerate(model.trees, start=1):
-            raw = raw + cfg.learning_rate * tree.predict_batch(X)
+            raw = raw + cfg.learning_rate * tree.predict_batch(X, np.arange(vocab.total_dims))
             assert model.train_losses[t] == pytest.approx(
                 log_loss_from_raw(raw, y), abs=1e-15
             )
@@ -418,7 +418,7 @@ class TestSerialization:
 def dense_scores(model, dataset):
     """Reference scores over the full dense (n, total_dims) encoding."""
     X = to_dense((encode(i, model.vocab) for i in dataset.instances), model.vocab)
-    return model.predict_proba(X)
+    return model.predict_proba(X, np.arange(X.shape[1]))
 
 
 def random_tree(rng, vocab, max_depth):
@@ -489,7 +489,7 @@ class TestPredictScores:
             train_losses=(),
         )
         assert predict_scores(model, ds).tobytes() == dense_scores(model, ds).tobytes()
-        empty = Dataset(track=Track.EN_ES, instances=(), split=Split.DEV)
+        empty = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.DEV)
         assert predict_scores(model, empty).shape == (0,)
 
 
@@ -551,4 +551,5 @@ class TestSparseSplitFinder:
             learning_rate=cfg.learning_rate, min_samples_leaf=cfg.min_samples_leaf,
             l2_leaf_reg=cfg.l2_leaf_reg,
         )
-        assert np.abs(model.predict_proba(X) - sigmoid(raw)).max() <= 1e-12
+        dense = model.predict_proba(X, np.arange(vocab.total_dims))
+        assert np.abs(dense - sigmoid(raw)).max() <= 1e-12

@@ -1,5 +1,6 @@
 """Checks on the bundled synthetic fixture under data/mini/."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,25 @@ def test_files_parse_and_round_trip(track):
     assert all(inst.label is None for inst in raw_dev.instances)
 
 
+def test_generator_writes_fixture_from_columns(tmp_path, monkeypatch):
+    """The generator reproduces data/mini/ byte for byte, and neither its
+    ``generate_track`` nor ``write_dataset`` builds a dataset's instances."""
+
+    def refuse(dataset):
+        raise AssertionError("the generator built the dataset's TokenInstance objects")
+
+    monkeypatch.setattr(Dataset, "instances", property(refuse))
+    path = MINI.parent.parent / "scripts" / "generate_mini_dataset.py"
+    spec = importlib.util.spec_from_file_location("generate_mini_dataset", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.main(["--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in MINI.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (MINI / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("track", ALL_TRACKS)
 def test_dev_key_covers_every_instance(track):
     dev = load_dev(track)
@@ -92,7 +112,7 @@ def test_joint_training_beats_solo_on_minority_slice():
     es_train = load_train(Track.ES_EN)
     fr_train = load_train(Track.FR_EN)
     fr_dev = load_dev(Track.FR_EN)
-    fr200 = Dataset(
+    fr200 = Dataset.from_instances(
         track=Track.FR_EN, instances=fr_train.instances[:200], split=Split.TRAIN
     )
     vocab = build_vocab([es_train, fr200])

@@ -1,12 +1,13 @@
 """Fuzz the SLAM and label-key parsers, and `train`/`audit`, on damaged input.
 
 Each case takes a slice of the bundled fixture and damages one to three of
-its lines: a line is deleted, duplicated, moved, cut short, or has one field
-replaced. The parsers must either return or raise the package's own error,
-and the column parser must return or raise exactly what the per-token
-reference parser in ``oracles.py`` does. A command must either succeed or
-exit 1 with exactly one `error:` line, the last on stderr (library warnings
-may come before it): never a traceback.
+its lines: a line is deleted, duplicated, moved, cut short, has one field
+replaced, or gets a byte that is not UTF-8 (``BAD_BYTE``, which ``write``
+turns into the byte 0xff). The parsers must either return or raise the
+package's own error, and the column parser must return or raise exactly
+what the per-token reference parser in ``oracles.py`` does. A command must
+either succeed or exit 1 with exactly one `error:` line, the last on stderr
+(library warnings may come before it): never a traceback.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from slamaudit.cli import main
 from slamaudit.errors import SlamAuditError
-from slamaudit.slam_format import Track, parse_exercise_stream, parse_label_key
+from slamaudit.slam_format import Split, Track, parse_dataset, parse_label_key
 
 from test_slam_format import assert_parses_like_oracle
 
@@ -26,6 +27,7 @@ FIELD = st.sampled_from(
     ["", "nan", "inf", "-1", "1e309", "0", "2", "#", "x:y", "a|b=c"]
 ) | st.text(alphabet="abcXYZ019:|=._-# \té", max_size=8)
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+BAD_BYTE = "\udcff"  # written as 0xff through the surrogateescape error handler
 
 
 def damaged(data, lines):
@@ -33,7 +35,9 @@ def damaged(data, lines):
     lines = list(lines)
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(lines) - 1))
-        action = data.draw(st.sampled_from(["delete", "duplicate", "move", "cut", "field"]))
+        action = data.draw(
+            st.sampled_from(["delete", "duplicate", "move", "cut", "field", "byte"])
+        )
         if action == "delete" and len(lines) > 1:
             del lines[i]
         elif action == "duplicate":
@@ -42,6 +46,9 @@ def damaged(data, lines):
             lines.insert(data.draw(st.integers(0, len(lines) - 1)), lines.pop(i))
         elif action == "cut":
             lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+        elif action == "byte":
+            j = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + BAD_BYTE + lines[i][j:]
         else:
             fields = lines[i].split(" ")
             fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(FIELD)
@@ -85,7 +92,7 @@ def model(workdir, mini_dir, gbdt_config):
 
 
 def write(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     return str(path)
 
 
@@ -105,7 +112,7 @@ def assert_succeeds_or_fails_cleanly(argv):
 def test_exercise_stream_parses_or_raises_package_error(data, slices):
     lines = damaged(data, slices[data.draw(st.sampled_from(["train", "dev"]))])
     try:
-        list(parse_exercise_stream(lines, Track.EN_ES))
+        parse_dataset(lines, Track.EN_ES, Split.TRAIN)
     except SlamAuditError:
         pass
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,6 @@ from slamaudit.slam_format import (
     Track,
     join_labels,
     parse_dataset,
-    parse_exercise_stream,
     parse_label_key,
     read_dataset,
     read_label_key,
@@ -20,17 +20,24 @@ from slamaudit.slam_format import (
 )
 
 from gen_slam import random_dataset
-from oracles import oracle_parse_dataset, oracle_parse_exercise_stream
+from oracles import oracle_parse_dataset
 
 HEADER = "# user:XEinXf5+ countries:US days:1.5 client:web session:lesson format:reverse_translate time:9"
 TOKEN = "aaaa0001 Yo PRON Person=1 nsubj 2 0"
 
 
 def parse_lines(text, track=Track.EN_ES):
-    return list(parse_exercise_stream(text.splitlines(), track))
+    """(meta, tokens) per exercise of the parsed dataset, in file order."""
+    ds = parse_dataset(text.splitlines(), track, Split.TRAIN)
+    exercises = [(meta, []) for meta in ds.columns.metas]
+    for e, inst in zip(ds.columns.exercise, ds.instances):
+        exercises[e][1].append(inst)
+    return exercises
 
 
 class TestParseExerciseStream:
+    """A stream of exercise blocks, as ``parse_dataset`` reads it."""
+
     def test_empty_stream(self):
         assert parse_lines("") == []
 
@@ -103,6 +110,15 @@ class TestParseExerciseStream:
         with pytest.raises(ParseError, match="line 1"):
             parse_lines("# user XEinXf5+\n")
 
+    def test_block_without_tokens_checked_and_adds_no_rows(self):
+        second = HEADER.replace("time:9", "time:4")
+        (meta, tokens), = parse_lines(f"{HEADER}\n\n{second}\n{TOKEN}\n")
+        assert meta.time == 4
+        assert [i.instance_id for i in tokens] == ["aaaa0001"]
+        bad = HEADER.replace("days:1.5", "days:-1")
+        with pytest.raises(ParseError, match="line 1: negative days"):
+            parse_lines(f"{bad}\n\n{HEADER}\n{TOKEN}\n")
+
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="columns"):
             parse_lines(f"{HEADER}\naaaa0001 Yo PRON\n")
@@ -152,7 +168,7 @@ class TestLabelKey:
 
 class TestJoinLabels:
     def test_empty_dataset_empty_key(self):
-        ds = Dataset(track=Track.EN_ES, instances=(), split=Split.DEV)
+        ds = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.DEV)
         assert join_labels(ds, {}) == ds
 
     def test_join_single(self):
@@ -207,40 +223,18 @@ class TestJoinLabels:
         assert all(i.label is None for i in ds.instances)
 
 
-def exercise_runs(instances):
-    """Each instance's run of shared metadata objects, numbered from 0."""
-    runs = []
-    for k, inst in enumerate(instances):
-        if k == 0:
-            runs.append(0)
-        else:
-            runs.append(runs[-1] + (inst.meta is not instances[k - 1].meta))
-    return runs
-
-
 def parse_outcome(parse, lines):
-    """What parsing gives: the instances and their metadata runs, or the
-    error's type, message and line number."""
+    """What parsing gives: the dataset (its metadata, tokens and exercise
+    boundaries), or the error's type, message and line number."""
     try:
-        instances = parse(lines, Track.EN_ES, Split.TRAIN).instances
-    except SlamAuditError as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
-    return instances, exercise_runs(instances)
-
-
-def stream_outcome(parse, lines):
-    try:
-        return [(meta, tokens) for meta, tokens in parse(lines, Track.EN_ES)]
+        return parse(lines, Track.EN_ES, Split.TRAIN)
     except SlamAuditError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
 def assert_parses_like_oracle(lines):
-    """The column parser and its stream view agree with the per-token parser."""
+    """The column parser agrees with the per-token parser."""
     assert parse_outcome(parse_dataset, lines) == parse_outcome(oracle_parse_dataset, lines)
-    assert stream_outcome(parse_exercise_stream, lines) == stream_outcome(
-        oracle_parse_exercise_stream, lines
-    )
 
 
 class TestColumnParserOracle:
@@ -282,7 +276,7 @@ class TestColumnParserOracle:
 
 class TestSerialize:
     def test_empty_dataset(self):
-        ds = Dataset(track=Track.EN_ES, instances=(), split=Split.TRAIN)
+        ds = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.TRAIN)
         assert serialize_dataset(ds) == ""
 
     def test_one_exercise_round_trip(self):
@@ -310,6 +304,33 @@ class TestDatasetInvariants:
         text = f"{HEADER}\n{TOKEN}\n{TOKEN}\n"
         with pytest.raises(DataError, match="duplicate"):
             parse_dataset(text.splitlines(), Track.EN_ES, Split.TRAIN)
+
+    def test_from_instances_names_track_mismatch_after_earlier_duplicate(self):
+        a, b = parse_dataset(
+            f"{HEADER}\n{TOKEN}\nbbbb0001 tú PRON _ nsubj 2 1\n".splitlines(),
+            Track.EN_ES,
+            Split.TRAIN,
+        ).instances
+        fr = replace(b, track=Track.FR_EN)
+        with pytest.raises(DataError, match="'bbbb0001' has track fr_en, dataset is en_es"):
+            Dataset.from_instances(track=Track.EN_ES, instances=(a, fr, a), split=Split.TRAIN)
+        with pytest.raises(DataError, match="duplicate instance id 'aaaa0001'"):
+            Dataset.from_instances(track=Track.EN_ES, instances=(a, a, fr), split=Split.TRAIN)
+
+    def test_equal_instances_with_other_exercise_boundaries_differ(self):
+        one = parse_dataset(
+            f"{HEADER}\n{TOKEN}\nbbbb0001 tú PRON _ nsubj 2 1\n".splitlines(),
+            Track.EN_ES,
+            Split.TRAIN,
+        )
+        two = parse_dataset(
+            f"{HEADER}\n{TOKEN}\n\n{HEADER}\nbbbb0001 tú PRON _ nsubj 2 1\n".splitlines(),
+            Track.EN_ES,
+            Split.TRAIN,
+        )
+        assert one.instances == two.instances
+        assert one != two
+        assert serialize_dataset(one) != serialize_dataset(two)
 
 
 class TestSampleFiles:

@@ -7,12 +7,11 @@ from xml.sax.saxutils import escape
 
 import pytest
 
-from slamaudit.fairness import abroca, difference_intervals
-from slamaudit.metrics import RocCurve
+from slamaudit.fairness import abroca
+from slamaudit.metrics import RocCurve, auc_trapezoid
 from slamaudit.svgplot import _escape, _px, _py, render_roc_plot
 
 from conftest import REPO_ROOT
-from oracles import loop_difference_intervals
 from test_fairness import DIAGONAL, PERFECT, random_curve
 
 
@@ -61,8 +60,7 @@ class TestContent:
     def test_perfect_vs_diagonal_panel(self):
         doc = render(PERFECT, DIAGONAL)
         assert "ABROCA = 0.5000" in doc
-        # one shaded quad per difference interval
-        assert doc.count("<polygon") == len(difference_intervals(PERFECT, DIAGONAL))
+        assert doc.count("<polygon") == 1  # the shading, whatever the crossings
         assert "AUC = 1.0000" in doc
         assert "AUC = 0.5000" in doc
 
@@ -78,26 +76,29 @@ class TestContent:
         a2, b2 = random_curve(rng2), random_curve(rng2)
         assert render(a1, b1) == render(a2, b2)
 
-    def test_shading_matches_interval_count_on_random_pairs(self):
+    def test_shading_area_is_the_auc_difference(self):
+        """The shading runs along A and back along B, so its signed
+        (shoelace) area in ROC units is AUC(A) - AUC(B): positive where A
+        lies above B, negative where B does."""
         rng = random.Random(5003)
-        for _ in range(10):
+        for _ in range(200):
             a, b = random_curve(rng), random_curve(rng)
-            doc = render(a, b)
-            assert doc.count("<polygon") == len(difference_intervals(a, b))
+            vertices = a.points + b.points[::-1]
+            area = 0.5 * sum(
+                x1 * y0 - x0 * y1
+                for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1])
+            )
+            assert abs(area - (auc_trapezoid(a) - auc_trapezoid(b))) <= 1e-12
 
     def test_coordinates_equal_per_point_formatting(self):
         """The array formatting writes what formatting each coordinate
-        with ``_px``/``_py`` writes: the curves' points, and each shaded
-        quad's corners in order."""
+        with ``_px``/``_py`` writes: the curves' points, and the shading's
+        points, A's in order and then B's reversed."""
         rng = random.Random(5004)
         for _ in range(20):
             a, b = random_curve(rng), random_curve(rng)
             lines = render(a, b).splitlines()
-            quads = [
-                f"{_px(x0)},{_py(ya0)} {_px(x1)},{_py(ya1)} "
-                f"{_px(x1)},{_py(yb1)} {_px(x0)},{_py(yb0)}"
-                for x0, x1, ya0, ya1, yb0, yb1 in loop_difference_intervals(a.points, b.points)
-            ]
-            assert [l.split('"')[1] for l in lines if l.startswith("<polygon")] == quads
+            shading = " ".join(f"{_px(x)},{_py(y)}" for x, y in a.points + b.points[::-1])
+            assert [l.split('"')[1] for l in lines if l.startswith("<polygon")] == [shading]
             curves = [" ".join(f"{_px(x)},{_py(y)}" for x, y in c.points) for c in (a, b)]
             assert [l.split('"')[1] for l in lines if l.startswith("<polyline")][1:] == curves
