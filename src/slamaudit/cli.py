@@ -51,29 +51,41 @@ def _manifest_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
-def _check_vocab_against_sidecar(model, model_path: str) -> None:
+def _check_sidecar(model, model_path: str, track: str) -> None:
     """If the model has a manifest sidecar, its recorded vocab hash must
-    match the model file. Guards against mixing up model/manifest pairs."""
+    match the model file, and its recorded tracks (comma-separated for a
+    joint model) must include ``track``. Guards against mixing up
+    model/manifest pairs and against scoring a track with another's model."""
     sidecar = _manifest_sidecar(model_path)
     if not sidecar.exists():
         return
-    recorded = dict(read_manifest(sidecar).config_hashes).get("vocab")
+    manifest = read_manifest(sidecar)
+    recorded = dict(manifest.config_hashes).get("vocab")
     if recorded is not None and recorded != model.vocab.sha256():
         raise AuditError(
             f"vocab mismatch: model file {model_path} does not match its manifest {sidecar}"
         )
+    if track not in str(manifest.track).split(","):
+        raise AuditError(
+            f"track mismatch: model file {model_path} was trained on {manifest.track}, "
+            f"not on --track {track}"
+        )
 
 
-def _scored(args: argparse.Namespace, labels_path: str | None = None):
+def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
+            need_tokens: bool = False):
     """Load a model of either kind, check its sidecar, read the split (joining
     the label key when given) and score it: ``(kind, model, dataset, scores,
-    paths)``, where ``paths`` are the input files the manifest hashes."""
+    paths)``, where ``paths`` are the input files the manifest hashes. With
+    ``need_tokens``, a split without tokens is an error."""
     kind = read_json_object(args.model, "model file").get("kind")
     if kind not in ("gbdt", "multitask"):
         raise DataError(f"unrecognized model kind {kind!r} in {args.model}")
     model = load_model(args.model) if kind == "gbdt" else load_mt_model(args.model)
-    _check_vocab_against_sidecar(model, args.model)
+    _check_sidecar(model, args.model, args.track)
     dataset = read_dataset(args.data, Track(args.track), Split(args.split))
+    if need_tokens and len(dataset) == 0:
+        raise DataError(f"data file {args.data} holds no tokens")
     paths = {args.data: args.data}
     if labels_path is not None:
         dataset = join_labels(dataset, read_label_key(labels_path))
@@ -193,7 +205,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
-    kind, model, dataset, scores, paths = _scored(args, args.labels)
+    kind, model, dataset, scores, paths = _scored(args, args.labels, need_tokens=True)
     scores, labels = checked_arrays(scores, labels_array(dataset, _LABELS_HINT))
     auc = auc_trapezoid(roc_from_arrays(scores, labels))
     f1 = f1_from_arrays(scores, labels, args.threshold)
@@ -220,7 +232,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.min_group_size < 1:
         raise DataError(f"--min-group-size must be at least 1, got {args.min_group_size}")
     dimension = Dimension(args.dimension)
-    kind, model, dataset, scores, paths = _scored(args, args.labels)
+    kind, model, dataset, scores, paths = _scored(args, args.labels, need_tokens=True)
     classification = load_country_mapping(args.country_mapping)
     scores, labels = checked_arrays(scores, labels_array(dataset, _LABELS_HINT))
     codes, names = group_codes(dataset, classification, dimension)

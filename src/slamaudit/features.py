@@ -7,13 +7,16 @@ days/100, time clamped to [0, 60] and divided by 60, and a time-present
 indicator. Stateless scaling keeps encoding a pure function of (instance,
 vocabulary).
 
-``build_vocab`` and ``encode_rows`` read a dataset's ``TokenColumns``: the
-exercise metadata once per exercise and the (token, POS, morph field, dep)
-columns once per distinct key, so a raw morph field is split into its
-features once per distinct key, not once per token. ``encode_rows`` gives the CSR arrays
-plus ``(n, 3)`` numeric block that both learners train and score from;
-``encode`` is the per-instance reference it equals row for row.
-``FeatureVector`` and ``to_dense`` remain for tests and single-instance use.
+Every feature lives on one side of a split's join (``EXERCISE_NAMESPACES``
+plus the numerics, or ``KEY_NAMESPACES``). ``build_vocab`` interns from a
+dataset's two tables, the exercise metadata and the distinct (token, POS,
+morph field, dep) keys. ``exercise_features`` and ``key_features`` look each
+side up once per exercise and once per key, so a raw morph field is split
+once per distinct key. ``encode_rows`` joins them into the CSR arrays plus
+``(n, 3)`` numeric block that both learners train from (and multitask
+scores from); GBDT scoring reads the two sides directly. ``encode`` is the
+per-instance reference ``encode_rows`` equals row for row; ``FeatureVector``
+and ``to_dense`` remain for tests and single-instance use.
 """
 
 from __future__ import annotations
@@ -27,10 +30,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .slam_format import Dataset, TokenColumns, TokenInstance, morph_features
+from .slam_format import Dataset, ExerciseMeta, TokenColumns, TokenInstance, morph_features
 
 NAMESPACES = ("user", "token", "pos", "morph", "dep", "format", "session", "client")
 NUMERIC_FEATURES = ("days", "time", "time_present")
+# The two sides of a split's join, each feature on exactly one: the exercise
+# side is read from an exercise's metadata (with NUMERIC_FEATURES), the key
+# side from a (token, POS, morph field, dep) key.
+EXERCISE_NAMESPACES = ("user", "format", "session", "client")
+KEY_NAMESPACES = ("token", "pos", "morph", "dep")
 
 VOCAB_FORMAT_VERSION = 1
 
@@ -140,34 +148,21 @@ def _assemble(maps: dict[str, dict[str, int]]) -> Vocabulary:
     )
 
 
-def _factor(columns: TokenColumns) -> tuple[list[tuple], list[int]]:
-    """``(keys, token_ids)``: the distinct (token, POS, morph field, dep) keys
-    of the rows in first-occurrence order, and each row's key."""
-    key_ids: dict[tuple, int] = {}
-    token_ids = [
-        key_ids.setdefault(key, len(key_ids))
-        for key in zip(columns.tokens, columns.pos, columns.morph, columns.deps)
-    ]
-    return list(key_ids), token_ids
-
-
 def build_vocab(train: Dataset | Sequence[Dataset]) -> Vocabulary:
     """Build a vocabulary from one or more training datasets.
 
     Index assignment follows first occurrence in input order, so rebuilding
     from the same data yields an identical vocabulary. Each namespace is fed
-    by exercise metadata alone or by token keys alone, so interning from the
-    metadata in exercise order and the distinct token keys in first-occurrence
-    order keeps that order.
+    by one side alone (``EXERCISE_NAMESPACES`` or ``KEY_NAMESPACES``), so
+    interning from the metadata in exercise order and from the datasets'
+    key tables, chained and deduplicated, keeps that order.
     """
     datasets = [train] if isinstance(train, Dataset) else list(train)
     columns = [ds.columns for ds in datasets]
     if not any(c.ids for c in columns):
         raise DataError("cannot build a vocabulary from an empty dataset")
     metas = [m for c in columns for m in c.metas]
-    keys = dict.fromkeys(
-        chain.from_iterable(zip(c.tokens, c.pos, c.morph, c.deps) for c in columns)
-    )
+    keys = dict.fromkeys(chain.from_iterable(c.keys for c in columns))
     strings = {
         "user": (m.user_id for m in metas),
         "token": (token.lower() for token, _, _, _ in keys),
@@ -211,28 +206,23 @@ def _numeric_values(meta) -> tuple[float, float, float]:
     return days_value, min(max(float(meta.time), 0.0), _TIME_CLAMP) / _TIME_CLAMP, 1.0
 
 
-def encode_rows(
-    columns: TokenColumns, vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode token rows as CSR rows: ``(indptr, indices, numeric)``.
-
-    Row i's active binary dimensions are ``indices[indptr[i]:indptr[i+1]]``,
-    strictly increasing, and ``numeric[i]`` holds its days, time and
-    time-present values; together they equal ``encode`` of token i.
-    User, format, session, client and the numerics are looked up once per
-    exercise, and token, POS, the morph set (split from its field) and dep
-    once per distinct key of ``_factor``. Namespaces occupy increasing index
-    ranges, so a row laid out in ``NAMESPACES`` order is sorted without a
-    per-row sort.
-    """
+def _indexer(vocab: Vocabulary):
+    """``vocab.global_index`` as a closure over the vocabulary's maps."""
     maps, offsets, sizes = vocab.maps, vocab.offsets, vocab.sizes
 
     def index(ns: str, value: str) -> int:
         return offsets[ns] + maps[ns].get(value, sizes[ns] - 1)
 
-    metas, meta_ids = columns.metas, columns.exercise
-    keys, token_ids = _factor(columns)
-    meta_rows = [  # user, format, session, client
+    return index
+
+
+def exercise_features(metas: Sequence[ExerciseMeta], vocab: Vocabulary
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The exercise side of a split: an ``(E, 4)`` array of each exercise's
+    indices in ``EXERCISE_NAMESPACES`` order, and an ``(E, 3)`` array of its
+    numeric values."""
+    index = _indexer(vocab)
+    rows = [
         (
             index("user", m.user_id),
             index("format", m.format.value),
@@ -241,8 +231,20 @@ def encode_rows(
         )
         for m in metas
     ]
-    numeric_rows = [_numeric_values(m) for m in metas]
-    token_parts = [  # token, POS, sorted morph, dep
+    numeric = [_numeric_values(m) for m in metas]
+    return (
+        np.array(rows, dtype=np.intp).reshape(-1, len(EXERCISE_NAMESPACES)),
+        np.array(numeric, dtype=np.float64).reshape(-1, len(NUMERIC_FEATURES)),
+    )
+
+
+def key_features(keys: Sequence[tuple[str, str, str, str]], vocab: Vocabulary
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The key side of a split as CSR rows ``(start, flat)``: key j's indices
+    are ``flat[start[j]:start[j+1]]``, its token, POS, sorted morph features
+    (split from the raw field) and dep, in ``KEY_NAMESPACES`` order."""
+    index = _indexer(vocab)
+    parts = [
         (
             index("token", token.lower()),
             index("pos", pos),
@@ -251,32 +253,45 @@ def encode_rows(
         )
         for token, pos, morph, dep in keys
     ]
+    start = np.zeros(len(parts) + 1, dtype=np.intp)
+    np.cumsum([len(p) for p in parts], out=start[1:])
+    flat = np.fromiter(chain.from_iterable(parts), dtype=np.intp, count=int(start[-1]))
+    return start, flat
 
-    n = len(meta_ids)
-    meta_id = np.array(meta_ids, dtype=np.intp)
-    token_id = np.array(token_ids, dtype=np.intp)
-    part_len = np.array([len(p) for p in token_parts], dtype=np.intp)
-    part_start = np.zeros(len(token_parts) + 1, dtype=np.intp)
-    np.cumsum(part_len, out=part_start[1:])
-    part_flat = np.fromiter(
-        chain.from_iterable(token_parts), dtype=np.intp, count=int(part_start[-1])
-    )
-    counts = part_len[token_id]
+
+def encode_rows(
+    columns: TokenColumns, vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode token rows as CSR rows: ``(indptr, indices, numeric)``.
+
+    Row i's active binary dimensions are ``indices[indptr[i]:indptr[i+1]]``,
+    strictly increasing, and ``numeric[i]`` holds its days, time and
+    time-present values; together they equal ``encode`` of token i. Each row
+    joins its exercise's ``exercise_features`` with its key's
+    ``key_features``. Namespaces occupy increasing index ranges, so a row laid
+    out as user, key part, then format, session and client is sorted without
+    a per-row sort.
+    """
+    meta_idx, numeric = exercise_features(columns.metas, vocab)
+    part_start, part_flat = key_features(columns.keys, vocab)
+    meta_id = np.asarray(columns.exercise, dtype=np.intp)
+    key_id = np.asarray(columns.key, dtype=np.intp)
+    n = len(meta_id)
+    counts = np.diff(part_start)[key_id]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts + 4, out=indptr[1:])
     indices = np.empty(int(indptr[-1]), dtype=np.intp)
-    meta_idx = np.array(meta_rows, dtype=np.intp).reshape(-1, 4)[meta_id]
+    meta_idx = meta_idx[meta_id]
     starts, ends = indptr[:-1], indptr[1:]
     indices[starts] = meta_idx[:, 0]  # user comes first
     for j in range(1, 4):  # format, session, client come last
         indices[ends - 4 + j] = meta_idx[:, j]
-    # every row's token part, copied in one gather: slot t of row i reads
-    # part_flat[part_start[token_id[i]] + t] and lands at indptr[i] + 1 + t
+    # every row's key part, copied in one gather: slot t of row i reads
+    # part_flat[part_start[key_id[i]] + t] and lands at indptr[i] + 1 + t
     within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    src = np.repeat(part_start[:-1][token_id], counts) + within
+    src = np.repeat(part_start[:-1][key_id], counts) + within
     dst = np.repeat(starts + 1, counts) + within
     indices[dst] = part_flat[src]
-    numeric = np.array(numeric_rows, dtype=np.float64).reshape(-1, len(NUMERIC_FEATURES))
     return indptr, indices, numeric[meta_id]
 
 

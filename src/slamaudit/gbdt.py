@@ -13,11 +13,12 @@ The numeric features are scanned over their sorted values
 (``scan_splits``). Training is fully deterministic, so two runs with the
 same data and config produce byte-identical models.
 
-Training and ``predict_scores`` read the batch encoding of
-``features.encode_rows``. Scoring lays out only the binary features some
-tree splits on, plus the numeric block, as a small dense ``(n, k + 3)``
-matrix and walks the trees over it, so its memory does not grow with the
-vocabulary.
+Training reads the batch encoding of ``features.encode_rows``. Scoring
+(``predict_scores``) reads the split's exercise and key tables instead: each
+internal node's test is settled once per exercise or once per key and packed
+into bit words, and each token only ORs its two sides' words and walks the
+trees on them, all trees at once over chunks of tokens. It builds no
+per-token feature matrix, so its memory does not grow with the vocabulary.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, TrainingError
-from .features import NUMERIC_FEATURES, Vocabulary, encode_rows, labels_array
+from .features import (
+    NUMERIC_FEATURES,
+    Vocabulary,
+    encode_rows,
+    exercise_features,
+    key_features,
+    labels_array,
+)
 from .features import encode, to_dense  # noqa: F401  (not called; stage timers wrap them)
 from .numerics import log_loss_from_raw, sigmoid
 from .slam_format import Dataset
@@ -127,26 +135,6 @@ class Tree:
 
         return walk(0)
 
-    def predict_batch(self, X: np.ndarray, column: np.ndarray) -> np.ndarray:
-        """Leaf value for every row of X; feature f is read from column
-        ``column[f]`` of X."""
-        feature = np.asarray(self.feature, dtype=np.int64)
-        feature = np.where(feature >= 0, column[feature], -1)
-        threshold = np.asarray(self.threshold, dtype=np.float64)
-        left = np.asarray(self.left, dtype=np.int64)
-        right = np.asarray(self.right, dtype=np.int64)
-        value = np.asarray(self.value, dtype=np.float64)
-        idx = np.zeros(len(X), dtype=np.int64)
-        while True:
-            f = feature[idx]
-            pending = np.nonzero(f >= 0)[0]
-            if pending.size == 0:
-                break
-            node = idx[pending]
-            go_right = X[pending, f[pending]] > threshold[node]
-            idx[pending] = np.where(go_right, right[node], left[node])
-        return value[idx]
-
     def to_dict(self) -> dict:
         return {
             "feature": list(self.feature),
@@ -200,14 +188,6 @@ class GbdtModel:
             )
         if not math.isfinite(self.base_score):
             raise TrainingError("base_score must be finite")
-
-    def predict_proba(self, X: np.ndarray, column: np.ndarray) -> np.ndarray:
-        """Probability for every row of X; feature f is read from column
-        ``column[f]`` of X."""
-        raw = np.full(len(X), self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            raw += self.config.learning_rate * tree.predict_batch(X, column)
-        return sigmoid(raw)
 
 
 def scan_splits(vals, g, h, lam, min_leaf):
@@ -455,33 +435,194 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
     )
 
 
-def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
-    """Vectorized probabilities for every instance in the dataset.
+# Scoring takes the trees in blocks and the tokens in chunks, so its tables
+# (per feature, threshold, exercise and key: one word per tree of a block)
+# and its (tokens, trees) walk arrays stay small whatever the model and split.
+_SCORE_TREES = 16
+_SCORE_CELLS = 1 << 14
 
-    Equal bit for bit to ``model.predict_proba`` over the dense encoding,
-    but the matrix holds only the k binary features the trees split on
-    (in ascending id order) and then the numeric block: ``(n, k + 3)``.
-    """
-    vocab = model.vocab
-    indptr, indices, numeric = encode_rows(dataset.columns, vocab)
-    n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
-    split_on = np.unique(
-        np.fromiter(
-            (f for tree in model.trees for f in tree.feature if 0 <= f < n_binary),
-            dtype=np.intp,
+
+@dataclass(frozen=True)
+class _Forest:
+    """A model's trees as one table of nodes, numbered in tree order. A
+    token's walk state at node g is 2g, and ``step[2g + bit]`` is its next
+    state on the test outcome ``bit`` (a leaf leads to itself). Tree t owns
+    ``n_words`` uint64 words of a token's bit words, from word
+    ``t * n_words``; its internal node of rank r (in node order) owns bit
+    ``r % 64`` of the tree's word ``r // 64``. Per state 2g that is
+    ``word`` and ``shift``; per internal node (with ``feature`` and
+    ``threshold``), ``column`` and ``onebit`` in the words of all trees."""
+
+    n_trees: int
+    n_words: int
+    depth: int
+    roots: np.ndarray
+    step: np.ndarray
+    word: np.ndarray
+    shift: np.ndarray
+    value: np.ndarray  # the leaf value of each state
+    feature: np.ndarray
+    threshold: np.ndarray
+    column: np.ndarray
+    onebit: np.ndarray
+
+    @classmethod
+    def of(cls, trees: tuple[Tree, ...]) -> "_Forest":
+        sizes = np.array([len(t.feature) for t in trees])
+        first = np.cumsum(sizes) - sizes
+
+        def flat(name: str, dtype) -> np.ndarray:
+            return np.fromiter((v for t in trees for v in getattr(t, name)), dtype)
+
+        feature = flat("feature", np.int64)
+        tree_of = np.repeat(np.arange(len(trees)), sizes)
+        internal = np.flatnonzero(feature >= 0)
+        counts = np.bincount(tree_of[internal], minlength=len(trees))
+        rank = np.arange(len(internal)) - (np.cumsum(counts) - counts)[tree_of[internal]]
+        n_words = max(1, -(-int(counts.max()) // 64))
+        child = np.repeat(np.arange(len(feature)), 2)  # a leaf leads to itself
+        child[2 * internal] = first[tree_of[internal]] + flat("left", np.int64)[internal]
+        child[2 * internal + 1] = first[tree_of[internal]] + flat("right", np.int64)[internal]
+        word = np.zeros(len(child), dtype=np.int64)
+        word[2 * internal] = rank // 64
+        shift = np.zeros(len(child), dtype=np.uint64)
+        shift[2 * internal] = rank % 64
+        depth, level = 0, internal[np.isin(internal, first)]  # the internal roots
+        while level.size:  # one level down per pass, from every root at once
+            depth += 1
+            below = np.unique(child[np.concatenate([2 * level, 2 * level + 1])])
+            level = below[feature[below] >= 0]
+        return cls(
+            n_trees=len(trees),
+            n_words=n_words,
+            depth=depth,
+            roots=2 * first,
+            step=2 * child,
+            word=word,
+            shift=shift,
+            value=np.repeat(flat("value", np.float64), 2),
+            feature=feature[internal],
+            threshold=flat("threshold", np.float64)[internal],
+            column=tree_of[internal] * n_words + rank // 64,
+            onebit=np.uint64(1) << (rank % 64).astype(np.uint64),
         )
-    )
-    k = len(split_on)
-    column = np.full(vocab.total_dims, -1, dtype=np.intp)
-    column[split_on] = np.arange(k)
-    column[n_binary:] = k + np.arange(len(NUMERIC_FEATURES))
-    X = np.zeros((len(numeric), k + len(NUMERIC_FEATURES)), dtype=np.float64)
-    entry_rows = np.repeat(np.arange(len(numeric)), np.diff(indptr))
-    entry_cols = column[indices]
-    kept = entry_cols >= 0
-    X[entry_rows[kept], entry_cols[kept]] = 1.0
-    X[:, k:] = numeric
-    return model.predict_proba(X, column)
+
+    def outcome_words(self, sides: "_Sides") -> tuple[np.ndarray, np.ndarray]:
+        """``(exercise_words, key_words)``: one row of bit words per exercise
+        and per key, holding the outcome of ``value > threshold`` at every
+        internal node whose feature is on that row's side, and 0 at the rest.
+        A binary feature's value is 1.0 where a row holds the feature and 0.0
+        elsewhere, so its test is always true (threshold below 0), always
+        false (at or above 1) or "holds the feature", whose bits are ORed in
+        from a per-feature mask. A numeric test passes where its threshold is
+        below the exercise's value, so its bits are a prefix OR over the
+        feature's thresholds in ascending order."""
+        width = self.n_trees * self.n_words
+        f, t, column, onebit = self.feature, self.threshold, self.column, self.onebit
+        binary = f < sides.n_binary
+        holds = binary & (0.0 <= t) & (t < 1.0)
+        mask = np.zeros((sides.n_used + 1, width), dtype=np.uint64)  # the last row: no test
+        np.bitwise_or.at(mask.reshape(-1), sides.column[f[holds]] * width + column[holds],
+                         onebit[holds])
+        true = binary & (t < 0.0)
+        always = np.zeros(width, dtype=np.uint64)
+        np.bitwise_or.at(always, column[true], onebit[true])
+        exercise_words = np.tile(always, (len(sides.ex_num), 1))
+        for j in range(len(NUMERIC_FEATURES)):
+            on = np.flatnonzero(f == sides.n_binary + j)
+            on = on[np.argsort(t[on])]
+            prefix = np.zeros((len(on) + 1, width), dtype=np.uint64)
+            prefix[np.arange(1, len(on) + 1), column[on]] = onebit[on]
+            prefix = np.bitwise_or.accumulate(prefix, axis=0)
+            exercise_words |= prefix[np.searchsorted(t[on], sides.ex_num[:, j], side="left")]
+        for features in sides.ex_col.T:
+            exercise_words |= mask[features]
+        key_words = np.zeros((len(sides.key_col), width), dtype=np.uint64)
+        for features in sides.key_col.T:
+            key_words |= mask[features]
+        return exercise_words, key_words
+
+    def raw_scores(self, words: np.ndarray, base: np.ndarray, learning_rate: float
+                   ) -> np.ndarray:
+        """Raw scores of token rows from their ``(rows, n_trees * n_words)``
+        bit words: every row walks every tree level by level on its bits,
+        and each tree's leaf value times the learning rate is added to the
+        row's ``base`` in tree order."""
+        rows = len(words)
+        words = words.reshape(rows, self.n_trees, self.n_words)
+        state = np.tile(self.roots, (rows, 1))
+        for _level in range(self.depth):
+            if self.n_words == 1:
+                w = words[:, :, 0]
+            else:
+                w = np.take_along_axis(words, self.word[state][:, :, None], axis=2)[:, :, 0]
+            state = self.step[state + ((w >> self.shift[state]) & 1).view(np.int64)]
+        terms = np.empty((rows, self.n_trees + 1))
+        terms[:, 0] = base
+        np.multiply(learning_rate, self.value[state], out=terms[:, 1:])
+        return np.add.accumulate(terms, axis=1)[:, -1]  # left to right, one tree at a time
+
+
+@dataclass(frozen=True)
+class _Sides:
+    """A split's exercise and key tables as scoring reads them. ``column``
+    numbers the binary features some tree splits on 0..n_used-1 and maps
+    every other to n_used. Exercise e holds the binary features
+    ``ex_col[e]`` (four, in that numbering) and the numeric values
+    ``ex_num[e]``; key j holds ``key_col[j]``, padded with n_used."""
+
+    n_binary: int
+    n_used: int
+    column: np.ndarray
+    ex_col: np.ndarray
+    ex_num: np.ndarray
+    key_col: np.ndarray
+
+    @classmethod
+    def of(cls, model: GbdtModel, dataset: Dataset) -> "_Sides":
+        vocab, columns = model.vocab, dataset.columns
+        n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
+        used = np.unique(
+            np.fromiter(
+                (f for t in model.trees for f in t.feature if 0 <= f < n_binary), np.intp
+            )
+        )
+        column = np.full(n_binary, len(used), dtype=np.intp)
+        column[used] = np.arange(len(used))
+        ex_idx, ex_num = exercise_features(columns.metas, vocab)
+        key_start, key_flat = key_features(columns.keys, vocab)
+        lengths = np.diff(key_start)
+        key_col = np.full((len(lengths), lengths.max(initial=0)), len(used), dtype=np.intp)
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        key_col[owner, np.arange(len(key_flat)) - key_start[owner]] = column[key_flat]
+        return cls(n_binary, len(used), column, column[ex_idx], ex_num, key_col)
+
+
+def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
+    """Probabilities for every token of the dataset, scored over its exercise
+    and key tables; no per-token feature matrix is built.
+
+    Every feature lives on one side of the split (``EXERCISE_NAMESPACES``
+    with the numerics, or ``KEY_NAMESPACES``, in ``features``), so each
+    internal node's test is settled once per exercise or once per key and
+    packed into bit words, one set per side (``_Forest.outcome_words``). A
+    token ORs its exercise's words with its key's and walks a block of trees
+    level by level on those bits. Leaf values are added in tree order, so
+    the scores equal the dense per-token walk bit for bit.
+    """
+    sides = _Sides.of(model, dataset)
+    exercise = np.asarray(dataset.columns.exercise, dtype=np.intp)
+    key = np.asarray(dataset.columns.key, dtype=np.intp)
+    raw = np.full(len(exercise), model.base_score, dtype=np.float64)
+    for first in range(0, len(model.trees), _SCORE_TREES):
+        forest = _Forest.of(model.trees[first : first + _SCORE_TREES])
+        exercise_words, key_words = forest.outcome_words(sides)
+        chunk = max(1, _SCORE_CELLS // exercise_words.shape[1])
+        for lo in range(0, len(raw), chunk):
+            rows = slice(lo, lo + chunk)
+            words = exercise_words[exercise[rows]] | key_words[key[rows]]
+            raw[rows] = forest.raw_scores(words, raw[rows], model.config.learning_rate)
+    return sigmoid(raw)
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:

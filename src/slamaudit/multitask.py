@@ -359,23 +359,26 @@ def train_multitask(
     tracks = sorted(by_track, key=lambda t: t.value)
     lr = config.learning_rate
 
-    for _epoch in range(config.epochs):
-        batches: dict[Track, list[np.ndarray]] = {}
-        for t in tracks:
-            perm = rng.permutation(by_track[t].n)
-            batches[t] = [
-                perm[i : i + config.batch_size]
-                for i in range(0, len(perm), config.batch_size)
-            ]
-        rounds = max(len(b) for b in batches.values())
-        for r in range(rounds):
+    # a run that overflows ends in non-finite parameters, which
+    # validate_finite reports as one error, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(config.epochs):
+            batches: dict[Track, list[np.ndarray]] = {}
             for t in tracks:
-                if r >= len(batches[t]):
-                    continue
-                _apply_batch(model, t, by_track[t], batches[t][r], lr)
+                perm = rng.permutation(by_track[t].n)
+                batches[t] = [
+                    perm[i : i + config.batch_size]
+                    for i in range(0, len(perm), config.batch_size)
+                ]
+            rounds = max(len(b) for b in batches.values())
+            for r in range(rounds):
+                for t in tracks:
+                    if r >= len(batches[t]):
+                        continue
+                    _apply_batch(model, t, by_track[t], batches[t][r], lr)
 
-    for t in tracks:
-        model.train_losses[t] = float(np.mean(_track_losses(model, t, by_track[t])))
+        for t in tracks:
+            model.train_losses[t] = float(np.mean(_track_losses(model, t, by_track[t])))
     model.validate_finite()
     return model
 

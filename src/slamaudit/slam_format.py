@@ -6,12 +6,16 @@ lines followed by whitespace-separated token lines
 Labeled splits carry the label inline; dev/test labels live in separate
 two-column key files.
 
-The parser appends each token line's fields to per-field lists
-(``TokenColumns``) and builds one ``ExerciseMeta`` per exercise. A
+A parsed split is the join of two tables (``TokenColumns``): one
+``ExerciseMeta`` per exercise and one (token, POS, morph field, dep) tuple
+per distinct token key, which the parser interns as it reads. Each token
+keeps its id, head and label and two int codes, its exercise index and
+its key index. Within one parse each distinct countries field is split and
+checked once, and client, session and format values map through dicts. A
 ``Dataset`` is a track, a split and those columns; the label join fills the
 label column by one key lookup per id, and serialization writes one block
-per exercise straight from the columns. ``TokenInstance`` objects are built
-only when asked for (``Dataset.instances``), for tests and single-token use.
+per exercise from the two tables. ``TokenInstance`` objects are built only
+when asked for (``Dataset.instances``), for tests and single-token use.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .validation import open_text
 
 log = logging.getLogger(__name__)
 
-_COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
+# a countries field: two-letter codes joined by "|"
+_COUNTRIES_RE = re.compile(r"[A-Z]{2}(?:\|[A-Z]{2})*")
 
 # Metadata keys handled explicitly; anything else is preserved as an extra.
 _KNOWN_META_KEYS = ("user", "countries", "days", "client", "session", "format", "time")
@@ -106,21 +111,21 @@ def _morph_field(features: tuple[str, ...]) -> str:
 
 @dataclass(frozen=True)
 class TokenColumns:
-    """A token sequence held as one list per field, plus one metadata object
-    per exercise.
+    """A token sequence held as the join of two tables: one metadata object
+    per exercise and one (token, POS, morph field, dep) tuple per distinct
+    token key.
 
-    Row i is one token: ``ids[i]``, ``tokens[i]``, ``pos[i]``, ``morph[i]``
-    (the raw SLAM field, see ``morph_features``), ``deps[i]``, ``heads[i]``,
-    ``labels[i]`` (None when unlabeled) and ``exercise[i]``, the index of its
-    metadata in ``metas``. Exercise indices never decrease along the rows and
-    every entry of ``metas`` has at least one row.
+    Row i is one token: ``ids[i]``, ``heads[i]``, ``labels[i]`` (None when
+    unlabeled), ``exercise[i]``, the index of its metadata in ``metas``, and
+    ``key[i]``, the index of its key in ``keys``. A key's morph field is the
+    raw SLAM field (see ``morph_features``). Exercise indices never decrease
+    along the rows, every entry of ``metas`` has at least one row, and
+    ``keys`` holds each key once, in order of first occurrence.
     """
 
     ids: list[str]
-    tokens: list[str]
-    pos: list[str]
-    morph: list[str]
-    deps: list[str]
+    key: list[int]
+    keys: list[tuple[str, str, str, str]]
     heads: list[int]
     labels: list[int | None]
     exercise: list[int]
@@ -132,17 +137,20 @@ class TokenColumns:
         metadata object changes. Morph features are joined as
         ``serialize_dataset`` writes them."""
         metas: list[ExerciseMeta] = []
-        exercise = []
+        exercise: list[int] = []
+        key_ids: dict[tuple[str, str, str, str], int] = {}
+        key: list[int] = []
         for inst in instances:
             if not metas or inst.meta is not metas[-1]:
                 metas.append(inst.meta)
             exercise.append(len(metas) - 1)
+            k = (inst.token, inst.part_of_speech, _morph_field(inst.morph_features),
+                 inst.dep_label)
+            key.append(key_ids.setdefault(k, len(key_ids)))
         return cls(
             ids=[i.instance_id for i in instances],
-            tokens=[i.token for i in instances],
-            pos=[i.part_of_speech for i in instances],
-            morph=[_morph_field(i.morph_features) for i in instances],
-            deps=[i.dep_label for i in instances],
+            key=key,
+            keys=list(key_ids),
             heads=[i.dep_head for i in instances],
             labels=[i.label for i in instances],
             exercise=exercise,
@@ -151,12 +159,13 @@ class TokenColumns:
 
     def instance(self, i: int, track: Track) -> TokenInstance:
         """Row i as a token instance of ``track``."""
+        token, pos, morph, dep = self.keys[self.key[i]]
         return TokenInstance(
             instance_id=self.ids[i],
-            token=self.tokens[i],
-            part_of_speech=self.pos[i],
-            morph_features=morph_features(self.morph[i]),
-            dep_label=self.deps[i],
+            token=token,
+            part_of_speech=pos,
+            morph_features=morph_features(morph),
+            dep_label=dep,
             dep_head=self.heads[i],
             label=self.labels[i],
             meta=self.metas[self.exercise[i]],
@@ -224,22 +233,38 @@ def _parse_meta_pairs(body: str, lineno: int) -> list[tuple[str, str]]:
     return pairs
 
 
-def _enum_value(enum_cls, key: str, value: str, lineno: int):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise ParseError(f"unknown {key} value {value!r}", lineno) from None
+def _members(enum_cls) -> dict[str, Enum]:
+    return {member.value: member for member in enum_cls}
+
+
+_CLIENTS, _SESSIONS, _FORMATS = _members(Client), _members(Session), _members(ExerciseFormat)
+
+
+def _enum_value(members: dict[str, Enum], key: str, value: str, lineno: int):
+    member = members.get(value)
+    if member is None:
+        raise ParseError(f"unknown {key} value {value!r}", lineno)
+    return member
 
 
 def _build_meta(meta: dict[str, str], prompt: str | None,
-                extras: Iterable[tuple[str, str]], lineno: int) -> ExerciseMeta:
+                extras: Iterable[tuple[str, str]], lineno: int,
+                countries_of: dict[str, tuple[str, ...]] | None = None) -> ExerciseMeta:
+    """The metadata of one exercise block. ``countries_of`` maps each
+    countries field already checked in this parse to its tuple, so a repeated
+    field is split and checked once."""
     missing = [k for k in _KNOWN_META_KEYS[:-1] if k not in meta]  # time optional
     if missing:
         raise ParseError(f"exercise metadata missing {', '.join(missing)}", lineno)
 
-    countries = tuple(meta["countries"].split("|"))
-    if not countries or any(not _COUNTRY_RE.match(c) for c in countries):
-        raise ParseError(f"bad countries value {meta['countries']!r}", lineno)
+    field = meta["countries"]
+    countries = None if countries_of is None else countries_of.get(field)
+    if countries is None:
+        if not _COUNTRIES_RE.fullmatch(field):
+            raise ParseError(f"bad countries value {field!r}", lineno)
+        countries = tuple(field.split("|"))
+        if countries_of is not None:
+            countries_of[field] = countries
 
     try:
         days = float(meta["days"])
@@ -263,9 +288,9 @@ def _build_meta(meta: dict[str, str], prompt: str | None,
         user_id=meta["user"],
         countries=countries,
         days=days,
-        client=_enum_value(Client, "client", meta["client"], lineno),
-        session=_enum_value(Session, "session", meta["session"], lineno),
-        format=_enum_value(ExerciseFormat, "format", meta["format"], lineno),
+        client=_enum_value(_CLIENTS, "client", meta["client"], lineno),
+        session=_enum_value(_SESSIONS, "session", meta["session"], lineno),
+        format=_enum_value(_FORMATS, "format", meta["format"], lineno),
         time=time,
         prompt=prompt,
         extras=tuple(extras),
@@ -287,14 +312,16 @@ _LABELS = {"0": 0, "1": 1}
 
 def _parse_columns(lines: Iterable[str]) -> TokenColumns:
     """Parse SLAM text into the ``TokenColumns`` of its exercises, in file
-    order. A block without tokens adds no exercise, but its metadata is
-    still checked.
+    order, interning each token key as it is read. A block without tokens
+    adds no exercise, but its metadata is still checked.
 
     Every non-blank line is consumed exactly once; malformed input raises
     :class:`ParseError` with the line number.
     """
-    ids, tokens, pos, morph, deps, heads, labels, exercise = [], [], [], [], [], [], [], []
+    ids, key, heads, labels, exercise = [], [], [], [], []
+    key_ids: dict[tuple[str, str, str, str], int] = {}
     heads_of: dict[str, int] = {}  # int() runs once per distinct head field
+    countries_of: dict[str, tuple[str, ...]] = {}
     metas: list[ExerciseMeta] = []
     meta_fields: dict[str, str] = {}
     extras: dict[str, str] = {}  # unknown keys, in file order
@@ -305,7 +332,7 @@ def _parse_columns(lines: Iterable[str]) -> TokenColumns:
     def flush():
         nonlocal meta_fields, extras, prompt, meta
         if meta is None and meta_fields:  # no tokens: check the metadata, add no exercise
-            _build_meta(meta_fields, prompt, extras.items(), meta_line)
+            _build_meta(meta_fields, prompt, extras.items(), meta_line, countries_of)
         meta_fields, extras, prompt, meta = {}, {}, None, None
 
     for lineno, raw in enumerate(lines, 1):
@@ -323,20 +350,21 @@ def _parse_columns(lines: Iterable[str]) -> TokenColumns:
                     raise ParseError("duplicate prompt line", lineno)
                 prompt = line[line.index("prompt:") + len("prompt:"):]
                 continue
-            for key, value in _parse_meta_pairs(body, lineno):
-                if key in meta_fields or key in extras:
-                    raise ParseError(f"duplicate metadata key {key!r}", lineno)
-                if key in _KNOWN_META_KEYS:
-                    meta_fields[key] = value
+            for name, value in _parse_meta_pairs(body, lineno):
+                if name in meta_fields or name in extras:
+                    raise ParseError(f"duplicate metadata key {name!r}", lineno)
+                if name in _KNOWN_META_KEYS:
+                    meta_fields[name] = value
                 else:
-                    extras[key] = value
+                    extras[name] = value
             meta_line = lineno
             continue
         if meta is None:
             if not meta_fields:
                 raise ParseError("token line outside an exercise block", lineno)
-            meta = _build_meta(meta_fields, prompt, extras.items(), meta_line)
+            meta = _build_meta(meta_fields, prompt, extras.items(), meta_line, countries_of)
             metas.append(meta)
+            e = len(metas) - 1
         n = len(cols)
         if n == 7:
             label = _LABELS.get(cols[6])
@@ -350,15 +378,12 @@ def _parse_columns(lines: Iterable[str]) -> TokenColumns:
         if head is None:
             head = heads_of[cols[5]] = _dep_head(cols[5], lineno)
         ids.append(cols[0])
-        tokens.append(cols[1])
-        pos.append(cols[2])
-        morph.append(cols[3])
-        deps.append(cols[4])
+        key.append(key_ids.setdefault((cols[1], cols[2], cols[3], cols[4]), len(key_ids)))
         heads.append(head)
         labels.append(label)
-        exercise.append(len(metas) - 1)
+        exercise.append(e)
     flush()
-    return TokenColumns(ids, tokens, pos, morph, deps, heads, labels, exercise, metas)
+    return TokenColumns(ids, key, list(key_ids), heads, labels, exercise, metas)
 
 
 def parse_dataset(lines: Iterable[str], track: Track, split: Split) -> Dataset:
@@ -433,12 +458,12 @@ def _format_meta(meta: ExerciseMeta) -> list[str]:
 
 
 def serialize_dataset(dataset: Dataset) -> str:
-    """Render a dataset back to SLAM text, one block per exercise;
-    re-parsing reproduces it exactly."""
+    """Render a dataset back to SLAM text, one block per exercise, from its
+    two tables; re-parsing reproduces it exactly."""
     c = dataset.columns
     blocks = [_format_meta(meta) for meta in c.metas]
-    rows = zip(c.exercise, c.ids, c.tokens, c.pos, c.morph, c.deps, c.heads, c.labels)
-    for e, instance_id, token, pos, morph, dep, head, label in rows:
+    for e, instance_id, k, head, label in zip(c.exercise, c.ids, c.key, c.heads, c.labels):
+        token, pos, morph, dep = c.keys[k]
         line = f"{instance_id} {token} {pos} {morph} {dep} {head}"
         blocks[e].append(line if label is None else f"{line} {label}")
     if not blocks:

@@ -27,6 +27,7 @@ from slamaudit.fairness import report_to_dict
 from slamaudit.gbdt import SplitCandidate, _cut_threshold, scan_splits
 from slamaudit.metrics import f1_at_threshold
 from slamaudit.multitask import _PackedRows, grad, init_model, instance_loss
+from slamaudit.numerics import sigmoid
 from slamaudit.slam_format import (
     _KNOWN_META_KEYS,
     Dataset,
@@ -247,11 +248,41 @@ def encode_dataset(dataset, vocab):
     return [encode(inst, vocab) for inst in dataset.instances]
 
 
+def tree_predict_batch(tree, X):
+    """Leaf value for every row of the dense matrix X (column f holds feature
+    f), walking all rows down the tree one level at a time."""
+    feature = np.asarray(tree.feature, dtype=np.int64)
+    threshold = np.asarray(tree.threshold, dtype=np.float64)
+    left = np.asarray(tree.left, dtype=np.int64)
+    right = np.asarray(tree.right, dtype=np.int64)
+    value = np.asarray(tree.value, dtype=np.float64)
+    idx = np.zeros(len(X), dtype=np.int64)
+    while True:
+        f = feature[idx]
+        pending = np.nonzero(f >= 0)[0]
+        if pending.size == 0:
+            break
+        node = idx[pending]
+        go_right = X[pending, f[pending]] > threshold[node]
+        idx[pending] = np.where(go_right, right[node], left[node])
+    return value[idx]
+
+
+def gbdt_predict_proba(model, X):
+    """The dense scoring route: probability for every row of the dense
+    ``(n, total_dims)`` matrix X, adding each tree's leaf values in tree
+    order."""
+    raw = np.full(len(X), model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        raw += model.config.learning_rate * tree_predict_batch(tree, X)
+    return sigmoid(raw)
+
+
 def predict_gbdt(model, instance):
     """Mistake probability for one token instance through the per-instance
     ``encode`` and ``to_dense``."""
     X = to_dense([encode(instance, model.vocab)], model.vocab)
-    return float(model.predict_proba(X, np.arange(X.shape[1]))[0])
+    return float(gbdt_predict_proba(model, X)[0])
 
 
 def best_split(X, feature, gradients, hessians, config):

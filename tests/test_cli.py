@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -834,3 +835,109 @@ def test_json_writer_equals_json_dumps(value):
 def test_report_json_is_what_json_dumps_writes(audit_dir):
     text = (audit_dir / "report.json").read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("learning_rate", [1e308, 1e200, 1e30])
+def test_overflowing_multitask_training_is_one_error_line(
+    tmp_path, mini_dir, capsys, learning_rate
+):
+    """Training that overflows ends with the finiteness error alone: no
+    numpy warning reaches stderr first."""
+    config = tmp_path / "mt.json"
+    config.write_text(json.dumps({"learning_rate": learning_rate, "epochs": 1}))
+    argv = ["train", "--data", str(mini_dir / "es_en.train.slam"), "--track", "es_en",
+            "--model", "multitask", "--config", str(config),
+            "--out", str(tmp_path / "never.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lines = error_lines(argv, capsys)
+    assert [str(w.message) for w in caught] == []
+    assert lines == ["error: model contains non-finite parameters"]
+
+
+def scoring_argv(command, model, data, track, tmp_path, labels=None):
+    argv = [command, "--model", str(model), "--data", str(data), "--track", track]
+    if command != "predict" and labels is not None:
+        argv += ["--labels", str(labels)]
+    if command == "audit":
+        argv += ["--dimension", "client"]
+    if command != "evaluate":
+        argv += ["--out", str(tmp_path / f"{command}.out")]
+    return argv
+
+
+class TestTrackCheck:
+    COMMANDS = ["predict", "evaluate", "audit"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_gbdt_model_refuses_another_track(
+        self, tmp_path, gbdt_model, mini_dir, capsys, command
+    ):
+        argv = scoring_argv(command, gbdt_model, mini_dir / "es_en.dev.slam", "es_en",
+                            tmp_path, mini_dir / "es_en.dev.key")
+        assert error_lines(argv, capsys) == [
+            f"error: track mismatch: model file {gbdt_model} was trained on en_es, "
+            "not on --track es_en"
+        ]
+        assert not (tmp_path / f"{command}.out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_joint_model_refuses_a_track_it_lacks(
+        self, tmp_path, mt_model, mini_dir, capsys, command
+    ):
+        argv = scoring_argv(command, mt_model, mini_dir / "en_es.dev.slam", "en_es",
+                            tmp_path, mini_dir / "en_es.dev.key")
+        assert error_lines(argv, capsys) == [
+            f"error: track mismatch: model file {mt_model} was trained on es_en,fr_en, "
+            "not on --track en_es"
+        ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_joint_model_scores_each_of_its_tracks(
+        self, tmp_path, mt_model, mini_dir, command
+    ):
+        for track in ("es_en", "fr_en"):
+            argv = scoring_argv(command, mt_model, mini_dir / f"{track}.dev.slam", track,
+                                tmp_path, mini_dir / f"{track}.dev.key")
+            assert run(argv) == 0
+
+    def test_model_without_sidecar_is_not_checked(self, tmp_path, gbdt_model, mini_dir):
+        bare = tmp_path / "bare.json"
+        bare.write_bytes(gbdt_model.read_bytes())
+        argv = scoring_argv("evaluate", bare, mini_dir / "es_en.dev.slam", "es_en",
+                            tmp_path, mini_dir / "es_en.dev.key")
+        assert run(argv) == 0
+
+
+class TestEmptySplit:
+    @pytest.fixture
+    def empty(self, tmp_path):
+        data, key = tmp_path / "empty.slam", tmp_path / "empty.key"
+        data.write_text("")
+        key.write_text("")
+        return data, key
+
+    def test_predict_writes_header_only(self, tmp_path, gbdt_model, empty):
+        data, _ = empty
+        assert run(scoring_argv("predict", gbdt_model, data, "en_es", tmp_path)) == 0
+        assert (tmp_path / "predict.out").read_text() == "instance_id,score\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "audit"])
+    def test_evaluate_and_audit_name_the_empty_file(
+        self, tmp_path, gbdt_model, empty, capsys, command
+    ):
+        data, key = empty
+        argv = scoring_argv(command, gbdt_model, data, "en_es", tmp_path, key)
+        assert error_lines(argv, capsys) == [f"error: data file {data} holds no tokens"]
+        assert not (tmp_path / f"{command}.out").exists()
+
+    def test_metadata_only_file_holds_no_tokens(self, tmp_path, gbdt_model, mini_dir, capsys):
+        blocks = (mini_dir / "en_es.dev.slam").read_text().split("\n\n")
+        meta_only = tmp_path / "meta.slam"
+        meta_only.write_text(
+            "\n\n".join("\n".join(l for l in b.splitlines() if l.startswith("#"))
+                        for b in blocks[:3]) + "\n"
+        )
+        argv = scoring_argv("audit", gbdt_model, meta_only, "en_es", tmp_path,
+                            mini_dir / "en_es.dev.key")
+        assert error_lines(argv, capsys) == [f"error: data file {meta_only} holds no tokens"]

@@ -7,6 +7,8 @@ import pytest
 
 from slamaudit.errors import DataError
 from slamaudit.features import (
+    EXERCISE_NAMESPACES,
+    KEY_NAMESPACES,
     NAMESPACES,
     NUMERIC_FEATURES,
     FeatureVector,
@@ -133,6 +135,14 @@ class TestBuildVocab:
         ]
         assert build_vocab(joint).to_dict() == oracle_build_vocab(joint)
 
+    def test_equals_oracle_on_every_fixture_file(self, mini_dir):
+        files = [
+            read_dataset(mini_dir / f"{t.value}.{split.value}.slam", t, split)
+            for t in Track
+            for split in (Split.TRAIN, Split.DEV)
+        ]
+        assert build_vocab(files).to_dict() == oracle_build_vocab(files)
+
     def test_equals_oracle_on_random_draws(self):
         rng = random.Random(4802)
         for _ in range(40):
@@ -153,6 +163,12 @@ class TestBuildVocab:
                     Dataset.from_instances(track=ds.track, instances=instances, split=ds.split)
                 )
             assert build_vocab(draws).to_dict() == oracle_build_vocab(draws)
+
+    def test_sides_partition_the_namespaces(self):
+        assert sorted(EXERCISE_NAMESPACES + KEY_NAMESPACES) == sorted(NAMESPACES)
+        assert [ns for ns in NAMESPACES if ns in EXERCISE_NAMESPACES] == list(
+            EXERCISE_NAMESPACES
+        )
 
     def test_namespace_ranges_disjoint_and_cover_binary_block(self):
         rng = random.Random(42)

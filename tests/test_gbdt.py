@@ -41,10 +41,12 @@ from slamaudit.slam_format import (
 from gen_slam import random_dataset
 from oracles import (
     best_split,
+    gbdt_predict_proba,
     oracle_best_split,
     oracle_split_candidates,
     oracle_train_raw,
     predict_gbdt,
+    tree_predict_batch,
 )
 
 
@@ -260,7 +262,7 @@ class TestTraining:
         raw = np.full(len(y), model.base_score)
         assert model.train_losses[0] == log_loss_from_raw(raw, y)
         for t, tree in enumerate(model.trees, start=1):
-            raw = raw + cfg.learning_rate * tree.predict_batch(X, np.arange(vocab.total_dims))
+            raw = raw + cfg.learning_rate * tree_predict_batch(tree, X)
             assert model.train_losses[t] == pytest.approx(
                 log_loss_from_raw(raw, y), abs=1e-15
             )
@@ -418,12 +420,21 @@ class TestSerialization:
 def dense_scores(model, dataset):
     """Reference scores over the full dense (n, total_dims) encoding."""
     X = to_dense((encode(i, model.vocab) for i in dataset.instances), model.vocab)
-    return model.predict_proba(X, np.arange(X.shape[1]))
+    return gbdt_predict_proba(model, X)
 
 
-def random_tree(rng, vocab, max_depth):
+def binary_cut(rng):
+    """0.5, the cut training writes, or a cut below 0, in [0, 1) or at or
+    above 1."""
+    return rng.choice([0.5, -rng.uniform(0.0, 2.0), rng.choice([0.0, rng.random()]),
+                       rng.choice([1.0, rng.uniform(1.0, 2.0)])])
+
+
+def random_tree(rng, vocab, max_depth, data_values):
     """A tree over binary ids anywhere in the vocabulary (OOV slots among
-    them), and over the numeric dims at cuts inside their ranges."""
+    them) at ``binary_cut`` cuts, and over the numeric dims at cuts inside
+    their ranges or equal to a value of the scored data (``data_values``,
+    by feature name)."""
     n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
     arrays = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
 
@@ -440,10 +451,12 @@ def random_tree(rng, vocab, max_depth):
             feature = vocab.numeric_index(name)
             threshold = {"days": rng.uniform(0.0, 1.2), "time": rng.uniform(0.0, 1.0),
                          "time_present": 0.5}[name]
+            if rng.random() < 0.5:
+                threshold = rng.choice(data_values[name])
         elif kind < 0.55:
-            feature, threshold = vocab.oov_index(rng.choice(NAMESPACES)), 0.5
+            feature, threshold = vocab.oov_index(rng.choice(NAMESPACES)), binary_cut(rng)
         else:
-            feature, threshold = rng.randrange(n_binary), 0.5
+            feature, threshold = rng.randrange(n_binary), binary_cut(rng)
         arrays["feature"][i], arrays["threshold"][i] = feature, threshold
         arrays["left"][i] = grow(depth + 1)
         arrays["right"][i] = grow(depth + 1)
@@ -463,22 +476,43 @@ class TestPredictScores:
 
     def test_bitwise_equal_to_dense_on_random_models(self):
         rng = random.Random(3101)
-        numeric_splits = oov_splits = 0
+        numeric_splits = oov_splits = wide_trees = 0
+        binary_cuts = {"below 0": 0, "in [0, 1) but not 0.5": 0, "at or above 1": 0}
+        data_cuts = 0
         for draw in range(30):
             vocab = build_vocab(random_dataset(rng, n_exercises=rng.randint(2, 6)))
-            trees = tuple(random_tree(rng, vocab, rng.randint(1, 4)) for _ in range(4))
+            scored = random_dataset(rng, n_exercises=rng.randint(1, 8))
+            numeric = [dict(encode(i, vocab).numeric) for i in scored.instances]
+            data_values = {
+                name: [row[vocab.numeric_index(name)] for row in numeric]
+                for name in NUMERIC_FEATURES
+            }
+            trees = tuple(
+                random_tree(rng, vocab, rng.randint(1, 8), data_values) for _ in range(4)
+            )
             model = GbdtModel(
                 config=GbdtConfig(n_trees=len(trees), learning_rate=rng.uniform(0.05, 1.0)),
                 base_score=rng.uniform(-1.0, 1.0), trees=trees, vocab=vocab,
                 train_losses=(),
             )
             oov = {vocab.oov_index(ns) for ns in NAMESPACES}
+            n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
             used = [f for t in trees for f in t.feature]
-            numeric_splits += sum(f >= vocab.total_dims - len(NUMERIC_FEATURES) for f in used)
+            numeric_splits += sum(f >= n_binary for f in used)
             oov_splits += sum(f in oov for f in used)
-            scored = random_dataset(rng, n_exercises=rng.randint(1, 8))
+            wide_trees += sum(sum(f >= 0 for f in t.feature) > 63 for t in trees)
+            for t in trees:
+                for f, cut in zip(t.feature, t.threshold):
+                    if 0 <= f < n_binary and cut != 0.5:
+                        binary_cuts["below 0" if cut < 0 else "at or above 1" if cut >= 1
+                                    else "in [0, 1) but not 0.5"] += 1
+                    elif f >= n_binary:
+                        name = NUMERIC_FEATURES[f - n_binary]
+                        data_cuts += cut in data_values[name]
             assert predict_scores(model, scored).tobytes() == dense_scores(model, scored).tobytes()
         assert numeric_splits > 20 and oov_splits > 20
+        assert wide_trees >= 5 and data_cuts > 20
+        assert min(binary_cuts.values()) > 20, binary_cuts
 
     def test_leaf_only_model_and_empty_data(self):
         ds = make_dataset([("aa", 1), ("bb", 0)])
@@ -491,6 +525,22 @@ class TestPredictScores:
         assert predict_scores(model, ds).tobytes() == dense_scores(model, ds).tobytes()
         empty = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.DEV)
         assert predict_scores(model, empty).shape == (0,)
+
+    def test_empty_data_under_trees_of_every_kind_of_split(self, mini_dir):
+        """No exercise, no key and no token: still one empty score array,
+        for trees over both sides and wider than one word."""
+        rng = random.Random(3102)
+        train = read_dataset(mini_dir / "en_es.train.slam", Track.EN_ES, Split.TRAIN)
+        vocab = build_vocab(train)
+        data_values = {name: [0.0, 0.5, 1.0] for name in NUMERIC_FEATURES}
+        trees = (train_gbdt(train, vocab, GbdtConfig(n_trees=3)).trees
+                 + tuple(random_tree(rng, vocab, 8, data_values) for _ in range(3)))
+        assert max(sum(f >= 0 for f in t.feature) for t in trees) > 63
+        model = GbdtModel(config=GbdtConfig(n_trees=len(trees)), base_score=0.0,
+                          trees=trees, vocab=vocab, train_losses=())
+        empty = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.DEV)
+        scores = predict_scores(model, empty)
+        assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 class TestSparseSplitFinder:
@@ -551,5 +601,5 @@ class TestSparseSplitFinder:
             learning_rate=cfg.learning_rate, min_samples_leaf=cfg.min_samples_leaf,
             l2_leaf_reg=cfg.l2_leaf_reg,
         )
-        dense = model.predict_proba(X, np.arange(vocab.total_dims))
+        dense = gbdt_predict_proba(model, X)
         assert np.abs(dense - sigmoid(raw)).max() <= 1e-12

@@ -1,4 +1,8 @@
+import gc
+import importlib.util
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -10,8 +14,10 @@ from slamaudit.slam_format import (
     ExerciseFormat,
     Session,
     Split,
+    TokenColumns,
     Track,
     join_labels,
+    morph_features,
     parse_dataset,
     parse_label_key,
     read_dataset,
@@ -19,6 +25,7 @@ from slamaudit.slam_format import (
     serialize_dataset,
 )
 
+from conftest import REPO_ROOT
 from gen_slam import random_dataset
 from oracles import oracle_parse_dataset
 
@@ -272,6 +279,79 @@ class TestColumnParserOracle:
     def test_edge_inputs(self, text):
         assert_parses_like_oracle(text.splitlines(keepends=True))
         assert_parses_like_oracle(text.splitlines())
+
+
+def key_fields(inst):
+    return inst.token, inst.part_of_speech, inst.morph_features, inst.dep_label
+
+
+class TestTokenKeyTable:
+    """A split's rows join its exercise table with a table of its distinct
+    (token, POS, morph field, dep) keys."""
+
+    @staticmethod
+    def assert_tables_match(columns, instances):
+        keys, key = columns.keys, list(columns.key)
+        assert len(set(keys)) == len(keys)
+        assert list(dict.fromkeys(key)) == list(range(len(keys)))  # first-occurrence order
+        fields = [(t, p, morph_features(m), d) for t, p, m, d in (keys[k] for k in key)]
+        assert fields == [key_fields(inst) for inst in instances]
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    @pytest.mark.parametrize("track", list(Track))
+    def test_fixture_keys_equal_oracle_parser_fields(self, mini_dir, track, split):
+        lines = (mini_dir / f"{track.value}.{split}.slam").read_text().splitlines()
+        ds = parse_dataset(lines, track, Split(split))
+        oracle = oracle_parse_dataset(lines, track, Split(split)).instances
+        self.assert_tables_match(ds.columns, oracle)
+        assert len(ds.columns.keys) < 0.85 * len(ds)  # the fixture repeats its keys
+        assert TokenColumns.from_instances(oracle) == ds.columns
+
+    def test_random_repeated_keys(self):
+        rng = random.Random(1601)
+        repeats = 0
+        for _ in range(40):
+            ds = random_dataset(rng, n_exercises=rng.randint(0, 8))
+            instances = list(ds.instances)
+            for i in range(1, len(instances)):
+                if rng.random() < 0.4:  # take an earlier row's key, keep the rest
+                    t, p, m, d = key_fields(instances[rng.randrange(i)])
+                    instances[i] = replace(instances[i], token=t, part_of_speech=p,
+                                           morph_features=m, dep_label=d)
+                    repeats += 1
+            columns = TokenColumns.from_instances(instances)
+            self.assert_tables_match(columns, instances)
+            lines = serialize_dataset(Dataset(ds.track, ds.split, columns)).splitlines()
+            assert parse_dataset(lines, ds.track, ds.split).columns == columns
+        assert repeats > 50
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", REPO_ROOT / "bench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parsed_benchmark_dev_split_stays_within_300_bytes_per_token(tmp_path):
+    """The benchmark's 25x en_es dev split, parsed: live memory per token
+    (ids, labels, heads, the two int code columns and both tables)."""
+    corpus = load_bench_module("corpus")
+    spec = corpus.CorpusSpec(tracks=("en_es",), dev=25)
+    corpus.generate(corpus.load_generator(REPO_ROOT), spec, corpus.FIXTURE_SEED, tmp_path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ds = read_dataset(tmp_path / "en_es.dev.slam", Track.EN_ES, Split.DEV)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 13077
+    assert live / len(ds) <= 300
 
 
 class TestSerialize:
