@@ -78,10 +78,12 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
     the label key when given) and score it: ``(kind, model, dataset, scores,
     paths)``, where ``paths`` are the input files the manifest hashes. With
     ``need_tokens``, a split without tokens is an error."""
-    kind = read_json_object(args.model, "model file").get("kind")
+    payload = read_json_object(args.model, "model file")  # parsed once, for both steps
+    kind = payload.get("kind")
     if kind not in ("gbdt", "multitask"):
         raise DataError(f"unrecognized model kind {kind!r} in {args.model}")
-    model = load_model(args.model) if kind == "gbdt" else load_mt_model(args.model)
+    load = load_model if kind == "gbdt" else load_mt_model
+    model = load(args.model, payload)
     _check_sidecar(model, args.model, args.track)
     dataset = read_dataset(args.data, Track(args.track), Split(args.split))
     if need_tokens and len(dataset) == 0:

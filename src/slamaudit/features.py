@@ -2,21 +2,23 @@
 
 Categorical namespaces (user, lowercased token, POS, each morph key=value,
 dependency label, exercise format, session, client) map to disjoint index
-ranges, each with a trailing OOV slot. Three numeric dimensions follow:
-days/100, time clamped to [0, 60] and divided by 60, and a time-present
-indicator. Stateless scaling keeps encoding a pure function of (instance,
-vocabulary).
+ranges, each with a trailing OOV slot; these binary dimensions come first,
+``0..n_binary-1``. Three numeric dimensions follow: days/100, time clamped
+to [0, 60] and divided by 60, and a time-present indicator. Stateless
+scaling keeps encoding a pure function of (instance, vocabulary).
 
 Every feature lives on one side of a split's join (``EXERCISE_NAMESPACES``
 plus the numerics, or ``KEY_NAMESPACES``). ``build_vocab`` interns from a
 dataset's two tables, the exercise metadata and the distinct (token, POS,
-morph field, dep) keys. ``exercise_features`` and ``key_features`` look each
+morph field, dep) keys. ``exercise_features`` and ``key_rows`` look each
 side up once per exercise and once per key, so a raw morph field is split
-once per distinct key. ``encode_rows`` joins them into the CSR arrays plus
-``(n, 3)`` numeric block that both learners train from (and multitask
-scores from); GBDT scoring reads the two sides directly. ``encode`` is the
-per-instance reference ``encode_rows`` equals row for row; ``FeatureVector``
-and ``to_dense`` remain for tests and single-instance use.
+once per distinct key; a key's row is padded to a fixed width with
+``n_binary``, which is no binary feature. GBDT scoring reads the two sides
+as they are. ``token_features`` joins them into one padded row of binary
+features and one row of numerics per token, which both learners train from
+(and multitask scores from). ``encode`` is the per-instance reference that
+``token_features`` equals row for row; ``FeatureVector`` and ``to_dense``
+remain for tests and single-instance use.
 """
 
 from __future__ import annotations
@@ -77,9 +79,13 @@ class Vocabulary:
     def oov_index(self, namespace: str) -> int:
         return self.offsets[namespace] + self.sizes[namespace] - 1
 
+    @property
+    def n_binary(self) -> int:
+        """The binary dimensions are 0..n_binary-1; the numeric ones follow."""
+        return self.total_dims - len(NUMERIC_FEATURES)
+
     def numeric_index(self, name: str) -> int:
-        base = self.total_dims - len(NUMERIC_FEATURES)
-        return base + NUMERIC_FEATURES.index(name)
+        return self.n_binary + NUMERIC_FEATURES.index(name)
 
     def to_dict(self) -> dict:
         return {
@@ -238,11 +244,11 @@ def exercise_features(metas: Sequence[ExerciseMeta], vocab: Vocabulary
     )
 
 
-def key_features(keys: Sequence[tuple[str, str, str, str]], vocab: Vocabulary
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The key side of a split as CSR rows ``(start, flat)``: key j's indices
-    are ``flat[start[j]:start[j+1]]``, its token, POS, sorted morph features
-    (split from the raw field) and dep, in ``KEY_NAMESPACES`` order."""
+def key_rows(keys: Sequence[tuple[str, str, str, str]], vocab: Vocabulary) -> np.ndarray:
+    """The key side of a split: row j holds key j's binary features, its
+    token, POS, sorted morph features (split from the raw field) and dep in
+    ``KEY_NAMESPACES`` order, padded to the longest key with
+    ``vocab.n_binary``."""
     index = _indexer(vocab)
     parts = [
         (
@@ -253,46 +259,25 @@ def key_features(keys: Sequence[tuple[str, str, str, str]], vocab: Vocabulary
         )
         for token, pos, morph, dep in keys
     ]
-    start = np.zeros(len(parts) + 1, dtype=np.intp)
-    np.cumsum([len(p) for p in parts], out=start[1:])
-    flat = np.fromiter(chain.from_iterable(parts), dtype=np.intp, count=int(start[-1]))
-    return start, flat
+    lengths = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+    rows = np.full((len(parts), lengths.max(initial=0)), vocab.n_binary, dtype=np.intp)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(parts), dtype=np.intp, count=int(lengths.sum())
+    )
+    return rows
 
 
-def encode_rows(
-    columns: TokenColumns, vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode token rows as CSR rows: ``(indptr, indices, numeric)``.
-
-    Row i's active binary dimensions are ``indices[indptr[i]:indptr[i+1]]``,
-    strictly increasing, and ``numeric[i]`` holds its days, time and
-    time-present values; together they equal ``encode`` of token i. Each row
-    joins its exercise's ``exercise_features`` with its key's
-    ``key_features``. Namespaces occupy increasing index ranges, so a row laid
-    out as user, key part, then format, session and client is sorted without
-    a per-row sort.
-    """
-    meta_idx, numeric = exercise_features(columns.metas, vocab)
-    part_start, part_flat = key_features(columns.keys, vocab)
-    meta_id = np.asarray(columns.exercise, dtype=np.intp)
-    key_id = np.asarray(columns.key, dtype=np.intp)
-    n = len(meta_id)
-    counts = np.diff(part_start)[key_id]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts + 4, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.intp)
-    meta_idx = meta_idx[meta_id]
-    starts, ends = indptr[:-1], indptr[1:]
-    indices[starts] = meta_idx[:, 0]  # user comes first
-    for j in range(1, 4):  # format, session, client come last
-        indices[ends - 4 + j] = meta_idx[:, j]
-    # every row's key part, copied in one gather: slot t of row i reads
-    # part_flat[part_start[key_id[i]] + t] and lands at indptr[i] + 1 + t
-    within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    src = np.repeat(part_start[:-1][key_id], counts) + within
-    dst = np.repeat(starts + 1, counts) + within
-    indices[dst] = part_flat[src]
-    return indptr, indices, numeric[meta_id]
+def token_features(columns: TokenColumns, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Every token's features: ``(binary, numeric)``. Row i of ``binary``
+    holds token i's exercise's four ``exercise_features``, then its key's
+    ``key_rows`` row (padding included); row i of ``numeric`` its days, time
+    and time-present values. The binary entries other than ``vocab.n_binary``
+    are, as a set, ``encode(token i).indices``."""
+    ex_idx, ex_num = exercise_features(columns.metas, vocab)
+    exercise = np.asarray(columns.exercise, dtype=np.intp)
+    key = np.asarray(columns.key, dtype=np.intp)
+    binary = np.concatenate([ex_idx[exercise], key_rows(columns.keys, vocab)[key]], axis=1)
+    return binary, ex_num[exercise]
 
 
 def to_dense(fvs: Iterable[FeatureVector], vocab: Vocabulary) -> np.ndarray:

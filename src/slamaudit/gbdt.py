@@ -13,7 +13,8 @@ The numeric features are scanned over their sorted values
 (``scan_splits``). Training is fully deterministic, so two runs with the
 same data and config produce byte-identical models.
 
-Training reads the batch encoding of ``features.encode_rows``. Scoring
+Training takes those entries from the padded token rows of
+``features.token_features``, dropping the padding. Scoring
 (``predict_scores``) reads the split's exercise and key tables instead: each
 internal node's test is settled once per exercise or once per key and packed
 into bit words, and each token only ORs its two sides' words and walks the
@@ -34,10 +35,10 @@ from .errors import DataError, TrainingError
 from .features import (
     NUMERIC_FEATURES,
     Vocabulary,
-    encode_rows,
     exercise_features,
-    key_features,
+    key_rows,
     labels_array,
+    token_features,
 )
 from .features import encode, to_dense  # noqa: F401  (not called; stage timers wrap them)
 from .numerics import log_loss_from_raw, sigmoid
@@ -390,6 +391,15 @@ class _TreeBuilder:
         )
 
 
+def _root(train: Dataset, vocab: Vocabulary) -> _Node:
+    """The root node over every training row, its entries read from the rows
+    of ``token_features`` without their padding. The padded rows are freed
+    on return; the nodes hold all that training reads."""
+    binary, numeric = token_features(train.columns, vocab)
+    entry_rows, slot = np.nonzero(binary != vocab.n_binary)  # row-major
+    return _Node.root(entry_rows, binary[entry_rows, slot], numeric)
+
+
 def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtModel:
     """Fit the boosted ensemble; raises if training loss ever increases.
 
@@ -403,10 +413,7 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
         raise TrainingError("training data must contain both classes")
     base = math.log(positives / (n - positives))
 
-    indptr, entry_feats, numeric = encode_rows(train.columns, vocab)
-    n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
-    entry_rows = np.repeat(np.arange(n), np.diff(indptr))
-    root = _Node.root(entry_rows, entry_feats, numeric)
+    root = _root(train, vocab)
 
     raw = np.full(n, base, dtype=np.float64)
     losses = [log_loss_from_raw(raw, y)]
@@ -415,7 +422,7 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        builder = _TreeBuilder(n_binary, g, h, config)
+        builder = _TreeBuilder(vocab.n_binary, g, h, config)
         builder.build(root, 0)
         trees.append(builder.tree())
         raw = raw + config.learning_rate * builder.contrib
@@ -567,9 +574,10 @@ class _Forest:
 class _Sides:
     """A split's exercise and key tables as scoring reads them. ``column``
     numbers the binary features some tree splits on 0..n_used-1 and maps
-    every other to n_used. Exercise e holds the binary features
-    ``ex_col[e]`` (four, in that numbering) and the numeric values
-    ``ex_num[e]``; key j holds ``key_col[j]``, padded with n_used."""
+    every other, and the key rows' padding n_binary, to n_used. Exercise e
+    holds the binary features ``ex_col[e]`` (four, in that numbering) and
+    the numeric values ``ex_num[e]``; key j holds ``key_col[j]``, padded
+    with n_used."""
 
     n_binary: int
     n_used: int
@@ -581,20 +589,16 @@ class _Sides:
     @classmethod
     def of(cls, model: GbdtModel, dataset: Dataset) -> "_Sides":
         vocab, columns = model.vocab, dataset.columns
-        n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
+        n_binary = vocab.n_binary
         used = np.unique(
             np.fromiter(
                 (f for t in model.trees for f in t.feature if 0 <= f < n_binary), np.intp
             )
         )
-        column = np.full(n_binary, len(used), dtype=np.intp)
+        column = np.full(n_binary + 1, len(used), dtype=np.intp)
         column[used] = np.arange(len(used))
         ex_idx, ex_num = exercise_features(columns.metas, vocab)
-        key_start, key_flat = key_features(columns.keys, vocab)
-        lengths = np.diff(key_start)
-        key_col = np.full((len(lengths), lengths.max(initial=0)), len(used), dtype=np.intp)
-        owner = np.repeat(np.arange(len(lengths)), lengths)
-        key_col[owner, np.arange(len(key_flat)) - key_start[owner]] = column[key_flat]
+        key_col = column[key_rows(columns.keys, vocab)]
         return cls(n_binary, len(used), column, column[ex_idx], ex_num, key_col)
 
 
@@ -640,8 +644,11 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
     )
 
 
-def load_model(path: str | Path) -> GbdtModel:
-    payload = read_json_object(path, "model file")
+def load_model(path: str | Path, payload: dict | None = None) -> GbdtModel:
+    """Read a GBDT model file; ``payload``, when given, is the file's JSON
+    object as the caller already parsed it, and the file is not read again."""
+    if payload is None:
+        payload = read_json_object(path, "model file")
     if payload.get("kind") != "gbdt":
         raise DataError(f"not a gbdt model file: {path}")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:

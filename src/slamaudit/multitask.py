@@ -12,11 +12,12 @@ map, the active head), never to biases, and per instance only to rows that
 instance actually touched; embedding rows of inactive features therefore
 get exactly zero gradient.
 
-Training packs each track once, from the batch encoding of
-``features.encode_rows``, into CSR rows of mixing weights (1/k on each of an
-instance's k active binary dimensions, the value on each nonzero numeric
-one). A mini-batch gathers its rows into a small dense matrix M over
-the u distinct dimensions it touches, so the batch embeds as
+Training packs each track once, from the padded token rows of
+``features.token_features``, into fixed-width rows of (dimension, mixing
+weight) pairs: 1/k on each of an instance's k active binary dimensions, the
+value on each numeric one, and weight 0 on the padding. A mini-batch gathers
+the nonzero pairs of its rows into a small dense matrix M over the u
+distinct dimensions it touches, so the batch embeds as
 ``M @ embedding[u]``; one vectorized forward and backward pass gives the
 batch's summed gradient, and only the rows u of the embedding are updated.
 The final loss pass and ``predict_mt_scores`` run the same forward pass over
@@ -41,8 +42,8 @@ from .features import (  # noqa: F401 (encode)
     FeatureVector,
     Vocabulary,
     encode,  # unused here, but bench/tracing.py wraps slamaudit.multitask.encode
-    encode_rows,
     labels_array,
+    token_features,
 )
 from .numerics import sigmoid
 from .slam_format import Dataset, TokenColumns, Track
@@ -248,45 +249,37 @@ def grad(model: MtModel, track: Track, fv: FeatureVector, label: int) -> MtGradi
 
 @dataclass(frozen=True, eq=False)
 class _PackedRows:
-    """Instances as CSR rows of mixing weights: row i of the implied
-    (n, total_dims) matrix M holds 1/k on each of its k active binary
-    dimensions and the value of each nonzero numeric dimension, so
-    ``M @ embedding`` is every instance's ``_embed``. No (row, dim) pair
-    repeats: binary indices are a set and numeric dims are disjoint from
-    them. The nonzero pattern of a row is exactly the embedding rows that
-    instance touches, which is also its L2 penalty set."""
+    """Instances as rows of mixing weights: row i of the implied
+    (n, total_dims) matrix M holds ``vals[i, s]`` at ``cols[i, s]`` for
+    every slot s with a nonzero weight, which is 1/k on each of its k active
+    binary dimensions and the value of each nonzero numeric dimension, so
+    ``M @ embedding`` is every instance's ``_embed``. Slots of weight 0
+    (padding, zero numerics) are not entries. No (row, dim) entry repeats:
+    binary indices are a set and numeric dims are disjoint from them. The
+    entries of a row are exactly the embedding rows that instance touches,
+    which is also its L2 penalty set."""
 
-    indptr: np.ndarray  # (n + 1,) int64
-    cols: np.ndarray  # (nnz,) int64
-    vals: np.ndarray  # (nnz,) float64
+    cols: np.ndarray  # (n, width) intp
+    vals: np.ndarray  # (n, width) float64
     labels: np.ndarray | None  # (n,) float64
 
     @property
     def n(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.cols)
 
 
 def _pack(columns: TokenColumns, vocab: Vocabulary, labels=None) -> _PackedRows:
-    """Pack token rows from their ``encode_rows`` CSR: each row's k binary
-    entries at 1/k, then its nonzero numerics in dimension order."""
-    indptr, indices, numeric = encode_rows(columns, vocab)
-    k = np.diff(indptr)
-    nonzero = numeric != 0.0
-    out_ptr = np.zeros(len(k) + 1, dtype=np.int64)
-    np.cumsum(k + nonzero.sum(axis=1), out=out_ptr[1:])
-    cols = np.empty(int(out_ptr[-1]), dtype=np.int64)
-    vals = np.empty(int(out_ptr[-1]), dtype=np.float64)
-    at = np.arange(len(indices)) + np.repeat(out_ptr[:-1] - indptr[:-1], k)
-    cols[at] = indices
-    vals[at] = np.repeat(1.0 / k, k)
-    row, dim = np.nonzero(nonzero)  # row-major, so dims ascend within a row
-    at = out_ptr[row] + k[row] + np.cumsum(nonzero, axis=1)[row, dim] - 1
-    cols[at] = vocab.total_dims - len(NUMERIC_FEATURES) + dim
-    vals[at] = numeric[row, dim]
+    """Pack token rows from their ``token_features``: each row's binary
+    slots, weight 1/k on its k features and 0 on the ``vocab.n_binary``
+    padding, then its numeric dims weighted by their values."""
+    binary, numeric = token_features(columns, vocab)
+    active = binary != vocab.n_binary
+    k = active.sum(axis=1, keepdims=True)
+    numeric_dims = np.broadcast_to(vocab.n_binary + np.arange(len(NUMERIC_FEATURES)),
+                                   numeric.shape)
     return _PackedRows(
-        indptr=out_ptr,
-        cols=cols,
-        vals=vals,
+        cols=np.concatenate([binary, numeric_dims], axis=1),
+        vals=np.concatenate([np.where(active, 1.0 / k, 0.0), numeric], axis=1),
         labels=None if labels is None else np.array(labels, dtype=np.float64),
     )
 
@@ -294,14 +287,11 @@ def _pack(columns: TokenColumns, vocab: Vocabulary, labels=None) -> _PackedRows:
 def _gather(packed: _PackedRows, rows: np.ndarray):
     """Dense (len(rows), u) mixing matrix of the given rows over the sorted
     distinct dims ``u`` they touch, and each entry's position in ``u``."""
-    starts = packed.indptr[rows]
-    counts = packed.indptr[rows + 1] - starts
-    owner = np.repeat(np.arange(len(rows)), counts)
-    first = np.cumsum(counts) - counts  # each row's first slot in the gather
-    entries = np.repeat(starts - first, counts) + np.arange(counts.sum())
-    u, inv = np.unique(packed.cols[entries], return_inverse=True)
+    vals = packed.vals[rows]
+    owner, slot = np.nonzero(vals)
+    u, inv = np.unique(packed.cols[rows[owner], slot], return_inverse=True)
     mix = np.zeros((len(rows), len(u)))
-    mix[owner, inv] = packed.vals[entries]
+    mix[owner, inv] = vals[owner, slot]
     return mix, u, inv
 
 
@@ -496,10 +486,13 @@ def _track_map(value, source: str) -> dict[Track, object]:
         raise DataError(f"{source}: {exc}") from None
 
 
-def load_mt_model(path: str | Path) -> MtModel:
+def load_mt_model(path: str | Path, payload: dict | None = None) -> MtModel:
     """Read a multitask model file, checking every key, type and shape, so a
-    bad file ends in one DataError and never loads half-valid."""
-    payload = read_json_object(path, "model file")
+    bad file ends in one DataError and never loads half-valid. ``payload``,
+    when given, is the file's JSON object as the caller already parsed it,
+    and the file is not read again."""
+    if payload is None:
+        payload = read_json_object(path, "model file")
     if payload.get("kind") != "multitask":
         raise DataError(f"not a multitask model file: {path}")
     if payload.get("format_version") != MT_FORMAT_VERSION:

@@ -9,9 +9,7 @@ something.
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect_right
-from itertools import repeat
 
 import numpy as np
 
@@ -494,21 +492,23 @@ def oracle_mt_step(model, track, data, batch, lr):
 
 def oracle_pack(fvs, labels=None):
     """Per-instance packing of ``FeatureVector``s into the multitask model's
-    CSR mixing rows: 1/k on each of k active binary dimensions, then each
-    nonzero numeric value."""
-    indptr, cols, vals = array("q", [0]), array("q"), array("d")
+    fixed-width mixing rows: 1/k on each of k active binary dimensions, then
+    each nonzero numeric value, then weight-0 padding up to the widest row."""
+    rows = []
     for fv in fvs:
-        cols.extend(fv.indices)
-        vals.extend(repeat(1.0 / len(fv.indices), len(fv.indices)))
-        for dim, value in fv.numeric:
-            if value != 0.0:
-                cols.append(dim)
-                vals.append(value)
-        indptr.append(len(cols))
+        row = [(dim, 1.0 / len(fv.indices)) for dim in fv.indices]
+        row.extend((dim, value) for dim, value in fv.numeric if value != 0.0)
+        rows.append(row)
+    width = max(map(len, rows), default=0)
+    cols = np.zeros((len(rows), width), dtype=np.intp)
+    vals = np.zeros((len(rows), width), dtype=np.float64)
+    for i, row in enumerate(rows):
+        for s, (dim, value) in enumerate(row):
+            cols[i, s] = dim
+            vals[i, s] = value
     return _PackedRows(
-        indptr=np.frombuffer(indptr, dtype=np.int64),
-        cols=np.frombuffer(cols, dtype=np.int64),
-        vals=np.frombuffer(vals, dtype=np.float64),
+        cols=cols,
+        vals=vals,
         labels=None if labels is None else np.array(labels, dtype=np.float64),
     )
 

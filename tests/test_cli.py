@@ -910,6 +910,12 @@ class TestTrackCheck:
 
 
 class TestEmptySplit:
+    """Scoring a split without tokens, with the GBDT model."""
+
+    @pytest.fixture
+    def scorer(self, gbdt_model):
+        return gbdt_model, "en_es"
+
     @pytest.fixture
     def empty(self, tmp_path):
         data, key = tmp_path / "empty.slam", tmp_path / "empty.key"
@@ -917,27 +923,60 @@ class TestEmptySplit:
         key.write_text("")
         return data, key
 
-    def test_predict_writes_header_only(self, tmp_path, gbdt_model, empty):
+    def test_predict_writes_header_only(self, tmp_path, scorer, empty):
+        model, track = scorer
         data, _ = empty
-        assert run(scoring_argv("predict", gbdt_model, data, "en_es", tmp_path)) == 0
+        assert run(scoring_argv("predict", model, data, track, tmp_path)) == 0
         assert (tmp_path / "predict.out").read_text() == "instance_id,score\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "audit"])
     def test_evaluate_and_audit_name_the_empty_file(
-        self, tmp_path, gbdt_model, empty, capsys, command
+        self, tmp_path, scorer, empty, capsys, command
     ):
+        model, track = scorer
         data, key = empty
-        argv = scoring_argv(command, gbdt_model, data, "en_es", tmp_path, key)
+        argv = scoring_argv(command, model, data, track, tmp_path, key)
         assert error_lines(argv, capsys) == [f"error: data file {data} holds no tokens"]
         assert not (tmp_path / f"{command}.out").exists()
 
-    def test_metadata_only_file_holds_no_tokens(self, tmp_path, gbdt_model, mini_dir, capsys):
-        blocks = (mini_dir / "en_es.dev.slam").read_text().split("\n\n")
+    def test_metadata_only_file_holds_no_tokens(self, tmp_path, scorer, mini_dir, capsys):
+        model, track = scorer
+        blocks = (mini_dir / f"{track}.dev.slam").read_text().split("\n\n")
         meta_only = tmp_path / "meta.slam"
         meta_only.write_text(
             "\n\n".join("\n".join(l for l in b.splitlines() if l.startswith("#"))
                         for b in blocks[:3]) + "\n"
         )
-        argv = scoring_argv("audit", gbdt_model, meta_only, "en_es", tmp_path,
-                            mini_dir / "en_es.dev.key")
+        argv = scoring_argv("audit", model, meta_only, track, tmp_path,
+                            mini_dir / f"{track}.dev.key")
         assert error_lines(argv, capsys) == [f"error: data file {meta_only} holds no tokens"]
+
+
+class TestEmptySplitMultitask(TestEmptySplit):
+    """The same with the joint multitask model, which packs zero rows over
+    zero keys."""
+
+    @pytest.fixture
+    def scorer(self, mt_model):
+        return mt_model, "es_en"
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "audit"])
+@pytest.mark.parametrize("kind", ["gbdt", "multitask"])
+def test_scoring_reads_the_model_file_once(
+    tmp_path, gbdt_model, mt_model, mini_dir, monkeypatch, command, kind
+):
+    model, track = (gbdt_model, "en_es") if kind == "gbdt" else (mt_model, "es_en")
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if self == model:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    argv = scoring_argv(command, model, mini_dir / f"{track}.dev.slam", track, tmp_path,
+                        mini_dir / f"{track}.dev.key")
+    assert run(argv) == 0
+    assert len(reads) == 1

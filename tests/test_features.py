@@ -15,9 +15,9 @@ from slamaudit.features import (
     Vocabulary,
     build_vocab,
     encode,
-    encode_rows,
     labels_array,
     to_dense,
+    token_features,
 )
 from slamaudit.slam_format import (
     Client,
@@ -179,7 +179,7 @@ class TestBuildVocab:
         assert spans[0][0] == 0
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert end == start
-        assert spans[-1][1] == vocab.total_dims - len(NUMERIC_FEATURES)
+        assert spans[-1][1] == vocab.total_dims - len(NUMERIC_FEATURES) == vocab.n_binary
 
 
 class TestEncode:
@@ -308,14 +308,16 @@ class TestDense:
 
 
 def assert_rows_equal_encode(instances, vocab):
-    """encode_rows must give, row for row, exactly what encode gives."""
-    indptr, indices, numeric = encode_rows(TokenColumns.from_instances(instances), vocab)
-    assert indptr.shape == (len(instances) + 1,) and indptr[0] == 0
+    """token_features must give, row for row, exactly what encode gives: the
+    row's binary entries but its padding, sorted, are encode's indices (so
+    none repeats), and its numerics are encode's values."""
+    binary, numeric = token_features(TokenColumns.from_instances(instances), vocab)
+    assert binary.shape[0] == len(instances)
     assert numeric.shape == (len(instances), len(NUMERIC_FEATURES))
-    assert len(indices) == indptr[-1]
     for i, inst in enumerate(instances):
         fv = encode(inst, vocab)
-        assert tuple(indices[indptr[i] : indptr[i + 1]].tolist()) == fv.indices
+        active = binary[i][binary[i] != vocab.n_binary]
+        assert tuple(sorted(active.tolist())) == fv.indices
         assert tuple(numeric[i].tolist()) == tuple(value for _dim, value in fv.numeric)
         assert [dim for dim, _ in fv.numeric] == [
             vocab.numeric_index(name) for name in NUMERIC_FEATURES
@@ -365,7 +367,6 @@ class TestEncodeRows:
 
     def test_empty_input(self):
         vocab = build_vocab(single_instance_dataset())
-        indptr, indices, numeric = encode_rows(TokenColumns.from_instances(()), vocab)
-        assert indptr.tolist() == [0]
-        assert indices.size == 0
+        binary, numeric = token_features(TokenColumns.from_instances(()), vocab)
+        assert binary.shape[0] == 0 and binary.size == 0
         assert numeric.shape == (0, len(NUMERIC_FEATURES))

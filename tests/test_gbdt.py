@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -588,6 +589,28 @@ class TestSparseSplitFinder:
                 best[2], rel=1e-12, abs=0.0
             )
         assert splits >= 200  # most problems must exercise a real split
+
+    def test_key_row_padding_is_no_feature(self):
+        # keys hold one or two morph features, so the shorter key rows end in
+        # one padding slot; the label marks the longer keys, which the padding
+        # would split off perfectly at the root and no single feature does
+        morphs = [("Number=Sing",), ("Person=3",), ("Number=Sing", "Person=3")]
+        instances = tuple(
+            dataclasses.replace(inst, morph_features=morphs[i % 3], label=int(i % 3 == 2))
+            for i, inst in enumerate(make_dataset([("w", 0)] * 45).instances)
+        )
+        train = Dataset.from_instances(track=Track.EN_ES, instances=instances, split=Split.TRAIN)
+        vocab = build_vocab(train)
+        cfg = GbdtConfig(n_trees=1, max_depth=1, min_samples_leaf=1)
+        model = train_gbdt(train, vocab, cfg)
+        assert model.trees[0].feature[0] < vocab.n_binary
+        X = to_dense((encode(i, vocab) for i in train.instances), vocab)
+        raw = oracle_train_raw(
+            X, labels_array(train), n_trees=cfg.n_trees, max_depth=cfg.max_depth,
+            learning_rate=cfg.learning_rate, min_samples_leaf=cfg.min_samples_leaf,
+            l2_leaf_reg=cfg.l2_leaf_reg,
+        )
+        assert np.abs(gbdt_predict_proba(model, X) - sigmoid(raw)).max() <= 1e-12
 
     @pytest.mark.parametrize("track", [Track.EN_ES, Track.ES_EN, Track.FR_EN])
     def test_fixture_train_scores_match_oracle_trainer(self, mini_dir, track):

@@ -385,12 +385,24 @@ class TestBatchedStep:
         assert seen_m == {1, 2}
 
 
-def assert_packed_equal(got, want):
-    for name in ("indptr", "cols", "vals", "labels"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+def mixing_matrix(packed, total_dims):
+    """The (n, total_dims) mixing matrix a packing implies: weight
+    ``vals[i, s]`` at ``(i, cols[i, s])`` for every nonzero weight. Fails if
+    two entries of a row share a dimension."""
+    rows, slots = np.nonzero(packed.vals)
+    mix = np.zeros((packed.n, total_dims))
+    mix[rows, packed.cols[rows, slots]] = packed.vals[rows, slots]
+    assert np.count_nonzero(mix) == len(rows), "a (row, dim) entry repeats"
+    return mix
+
+
+def assert_packed_equal(got, want, total_dims):
+    assert got.n == want.n
+    assert mixing_matrix(got, total_dims).tobytes() == mixing_matrix(want, total_dims).tobytes()
+    assert (got.labels is None) == (want.labels is None)
+    if got.labels is not None:
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
 
 
 class TestPacking:
@@ -403,9 +415,12 @@ class TestPacking:
         assert_packed_equal(
             _pack(train.columns, vocab, labels),
             oracle_pack([encode(i, vocab) for i in train.instances], labels),
+            vocab.total_dims,
         )
         assert_packed_equal(
-            _pack(dev.columns, vocab), oracle_pack([encode(i, vocab) for i in dev.instances])
+            _pack(dev.columns, vocab),
+            oracle_pack([encode(i, vocab) for i in dev.instances]),
+            vocab.total_dims,
         )
 
     def test_equals_per_instance_oracle_on_random_draws(self):
@@ -415,7 +430,7 @@ class TestPacking:
             vocab = build_vocab(random_dataset(rng, n_exercises=3))
             ds = random_dataset(rng, n_exercises=rng.randint(0, 6))
             fvs = [encode(i, vocab) for i in ds.instances]
-            assert_packed_equal(_pack(ds.columns, vocab), oracle_pack(fvs))
+            assert_packed_equal(_pack(ds.columns, vocab), oracle_pack(fvs), vocab.total_dims)
 
 
 @pytest.fixture(scope="module")
