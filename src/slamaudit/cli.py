@@ -7,11 +7,23 @@ SOURCE_DATE_EPOCH. ``predict``, ``evaluate`` and
 ``audit`` share one scoring step (``_scored``) and one manifest builder. On
 stderr a command prints library warnings as ``warning: ...`` lines and, on
 failure, one last ``error: ...`` line before it exits 1.
+
+A command imports only the modules it runs: at import this module binds the
+names of ``errors``, ``slam_format``, ``features``, ``manifest`` and
+``validation``, which every command uses. The names it takes from ``gbdt``,
+``multitask``, ``metrics``, ``grouping``, ``fairness`` and ``svgplot`` are
+listed in ``_DEFERRED``; a command calls ``_load`` for the modules it needs,
+which imports them and binds those names as globals here, and the module
+``__getattr__`` does the same for a reader from outside. The names stay
+globals of this module, looked up when a command calls them, because stage
+timers replace them here by name; ``_load`` leaves a name that is bound
+already, so a replacement made before its module loaded stays in place.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import sys
 from dataclasses import replace
@@ -19,31 +31,50 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .errors import SlamAuditError, AuditError, DataError
-from .fairness import DEFAULT_MIN_GROUP_SIZE, audit_groups, report_to_csv, report_to_dict
 from .features import build_vocab, labels_array
-from .gbdt import GbdtConfig, load_model, predict_scores, save_model, train_gbdt
-from .grouping import Dimension, group_codes, load_country_mapping
 from .manifest import build_manifest, read_manifest, sha256_config, write_manifest
-from .metrics import auc_trapezoid, checked_arrays, f1_from_arrays, roc_from_arrays
-from .multitask import (
-    MtConfig,
-    load_mt_model,
-    predict_mt_scores,
-    save_mt_model,
-    train_multitask,
-)
 from .slam_format import Split, Track, join_labels, read_dataset, read_label_key
-from .svgplot import render_roc_plot
 from .validation import config_from, read_json_object
 
-# not called here, but bound: stage timers wrap these module attributes by name
-from .fairness import group_audit  # noqa: F401
-from .grouping import slice_predictions, tag_instance  # noqa: F401
-from .metrics import f1_at_threshold, roc_curve  # noqa: F401
+# Loaded on first use by ``_load``, which binds these names as globals of this
+# module. Some are not called here, but stage timers wrap them by name.
+_DEFERRED = {
+    "gbdt": ("GbdtConfig", "load_model", "predict_scores", "save_model", "train_gbdt"),
+    "multitask": ("MtConfig", "load_mt_model", "predict_mt_scores", "save_mt_model",
+                  "train_multitask"),
+    "metrics": ("auc_trapezoid", "checked_arrays", "f1_at_threshold", "f1_from_arrays",
+                "roc_curve", "roc_from_arrays"),
+    "grouping": ("Dimension", "group_codes", "load_country_mapping", "slice_predictions",
+                 "tag_instance"),
+    "fairness": ("audit_groups", "group_audit", "report_to_csv", "report_to_dict"),
+    "svgplot": ("render_roc_plot",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import each named module of the package and bind its ``_DEFERRED``
+    names as globals of this module. A name bound already stays as it is, so
+    a wrapper put in its place before the module loaded is the one called."""
+    namespace = globals()
+    for name in modules:
+        module = importlib.import_module(f"{__package__}.{name}")
+        for attr in _DEFERRED[name]:
+            namespace.setdefault(attr, getattr(module, attr))
+
+
+def __getattr__(name: str):
+    """A deferred name read from outside loads its module first (PEP 562)."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TRACK_CHOICES = [t.value for t in Track]
 SPLIT_CHOICES = [s.value for s in Split]
-DIMENSION_CHOICES = [d.value for d in Dimension]
+DIMENSION_CHOICES = ["client", "development"]  # grouping.Dimension's values
+DEFAULT_MIN_GROUP_SIZE = 50  # as fairness.DEFAULT_MIN_GROUP_SIZE
 _LABELS_HINT = "; give the split's label key with --labels"  # ends the unlabeled-instance error
 
 
@@ -82,6 +113,7 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
     kind = payload.get("kind")
     if kind not in ("gbdt", "multitask"):
         raise DataError(f"unrecognized model kind {kind!r} in {args.model}")
+    _load(kind)
     load = load_model if kind == "gbdt" else load_mt_model
     model = load(args.model, payload)
     _check_sidecar(model, args.model, args.track)
@@ -157,6 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.config is not None:
         config_payload = read_json_object(args.config, "config file")
     source = f"config file {args.config}"
+    _load(args.model)
 
     datasets = [
         read_dataset(path, track, split) for path, track in zip(args.data, tracks)
@@ -207,6 +240,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
+    _load("metrics")
     kind, model, dataset, scores, paths = _scored(args, args.labels, need_tokens=True)
     scores, labels = checked_arrays(scores, labels_array(dataset, _LABELS_HINT))
     auc = auc_trapezoid(roc_from_arrays(scores, labels))
@@ -233,6 +267,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     if args.min_group_size < 1:
         raise DataError(f"--min-group-size must be at least 1, got {args.min_group_size}")
+    _load("metrics", "grouping", "fairness", "svgplot")
     dimension = Dimension(args.dimension)
     kind, model, dataset, scores, paths = _scored(args, args.labels, need_tokens=True)
     classification = load_country_mapping(args.country_mapping)

@@ -84,7 +84,8 @@ def difference_intervals(curve_a: RocCurve, curve_b: RocCurve) -> np.ndarray:
     sign, so the region between them is a simple quad. Shared by the
     integral below and by plot shading.
     """
-    xs = np.union1d(curve_a.fpr, curve_b.fpr)
+    xs = np.sort(np.concatenate([curve_a.fpr, curve_b.fpr]))  # np.union1d loads numpy.ma
+    xs = xs[np.concatenate([[True], xs[1:] != xs[:-1]])]
     u0, u1 = xs[:-1], xs[1:]
     ya0, ya1 = _ends(curve_a, u0, u1)
     yb0, yb1 = _ends(curve_b, u0, u1)

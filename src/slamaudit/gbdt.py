@@ -497,8 +497,9 @@ class _Forest:
         depth, level = 0, internal[np.isin(internal, first)]  # the internal roots
         while level.size:  # one level down per pass, from every root at once
             depth += 1
-            below = np.unique(child[np.concatenate([2 * level, 2 * level + 1])])
-            level = below[feature[below] >= 0]
+            below = np.zeros(len(feature), dtype=bool)  # a mark: np.unique loads numpy.ma
+            below[child[np.concatenate([2 * level, 2 * level + 1])]] = True
+            level = np.flatnonzero(below & (feature >= 0))
         return cls(
             n_trees=len(trees),
             n_words=n_words,
@@ -590,11 +591,11 @@ class _Sides:
     def of(cls, model: GbdtModel, dataset: Dataset) -> "_Sides":
         vocab, columns = model.vocab, dataset.columns
         n_binary = vocab.n_binary
-        used = np.unique(
-            np.fromiter(
-                (f for t in model.trees for f in t.feature if 0 <= f < n_binary), np.intp
-            )
-        )
+        split_on = np.zeros(n_binary, dtype=bool)  # a mark: np.unique loads numpy.ma
+        split_on[np.fromiter(
+            (f for t in model.trees for f in t.feature if 0 <= f < n_binary), np.intp
+        )] = True
+        used = np.flatnonzero(split_on)
         column = np.full(n_binary + 1, len(used), dtype=np.intp)
         column[used] = np.arange(len(used))
         ex_idx, ex_num = exercise_features(columns.metas, vocab)

@@ -15,12 +15,14 @@ the trapezoid area agree with the half-credit rank statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import MetricError
-from .grouping import GroupTag
+
+if TYPE_CHECKING:  # an annotation only: evaluate runs no grouping code
+    from .grouping import GroupTag
 
 __all__ = [
     "Prediction",

@@ -323,7 +323,7 @@ def _prepare_tracks(
         if ds.track in by_track:
             raise TrainingError(f"duplicate dataset for track {ds.track.value!r}")
         labels = labels_array(ds)
-        if len(np.unique(labels)) < 2:
+        if not (len(labels) and labels.min() < labels.max()):  # np.unique loads numpy.ma
             raise TrainingError(
                 f"track {ds.track.value!r} contains a single class"
             )
