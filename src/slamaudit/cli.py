@@ -32,9 +32,9 @@ from pathlib import Path
 
 from .errors import SlamAuditError, AuditError, DataError
 from .features import build_vocab, labels_array
-from .manifest import build_manifest, read_manifest, sha256_config, write_manifest
+from .manifest import build_manifest, read_manifest, sha256_config, sha256_text, write_manifest
 from .slam_format import Split, Track, join_labels, read_dataset, read_label_key
-from .validation import config_from, read_json_object
+from .validation import config_from, read_json_object, read_json_text
 
 # Loaded on first use by ``_load``, which binds these names as globals of this
 # module. Some are not called here, but stage timers wrap them by name.
@@ -106,10 +106,11 @@ def _check_sidecar(model, model_path: str, track: str) -> None:
 def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
             need_tokens: bool = False):
     """Load a model of either kind, check its sidecar, read the split (joining
-    the label key when given) and score it: ``(kind, model, dataset, scores,
-    paths)``, where ``paths`` are the input files the manifest hashes. With
-    ``need_tokens``, a split without tokens is an error."""
-    payload = read_json_object(args.model, "model file")  # parsed once, for both steps
+    the label key when given) and score it: ``(kind, dataset, scores, paths,
+    hashes)``, where ``paths`` are the input files the manifest hashes and
+    ``hashes`` the sha256 of the model file's text and of its vocabulary.
+    With ``need_tokens``, a split without tokens is an error."""
+    text, payload = read_json_text(args.model, "model file")  # read once, for every step
     kind = payload.get("kind")
     if kind not in ("gbdt", "multitask"):
         raise DataError(f"unrecognized model kind {kind!r} in {args.model}")
@@ -125,10 +126,11 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
         dataset = join_labels(dataset, read_label_key(labels_path))
         paths[labels_path] = labels_path
     predict = predict_scores if kind == "gbdt" else predict_mt_scores
-    return kind, model, dataset, predict(model, dataset), paths
+    hashes = {"model": sha256_text(text), "vocab": model.vocab.sha256()}
+    return kind, dataset, predict(model, dataset), paths, hashes
 
 
-def _manifest(args: argparse.Namespace, kind: str, paths: dict, **hashes: str):
+def _manifest(args: argparse.Namespace, kind: str, paths: dict, hashes: dict):
     """The run manifest of a scoring command over ``args.track``/``args.split``."""
     return build_manifest(
         track=args.track,
@@ -228,11 +230,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    kind, model, dataset, scores, paths = _scored(args)
+    kind, dataset, scores, paths, hashes = _scored(args)
     lines = ["instance_id,score"]
     lines.extend(f"{i},{s!r}" for i, s in zip(dataset.columns.ids, scores.tolist()))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    manifest = _manifest(args, kind, paths, vocab=model.vocab.sha256())
+    manifest = _manifest(args, kind, paths, hashes)
     write_manifest(manifest, _manifest_sidecar(args.out))
     print(f"wrote {args.out}")
     return 0
@@ -241,11 +243,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     _load("metrics")
-    kind, model, dataset, scores, paths = _scored(args, args.labels, need_tokens=True)
+    kind, dataset, scores, paths, hashes = _scored(args, args.labels, need_tokens=True)
     scores, labels = checked_arrays(scores, labels_array(dataset, _LABELS_HINT))
     auc = auc_trapezoid(roc_from_arrays(scores, labels))
     f1 = f1_from_arrays(scores, labels, args.threshold)
-    manifest = _manifest(args, kind, paths, vocab=model.vocab.sha256())
+    manifest = _manifest(args, kind, paths, hashes)
     payload = {
         "manifest": manifest.to_dict(),
         "track": args.track,
@@ -269,12 +271,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise DataError(f"--min-group-size must be at least 1, got {args.min_group_size}")
     _load("metrics", "grouping", "fairness", "svgplot")
     dimension = Dimension(args.dimension)
-    kind, model, dataset, scores, paths = _scored(args, args.labels, need_tokens=True)
+    kind, dataset, scores, paths, hashes = _scored(args, args.labels, need_tokens=True)
     classification = load_country_mapping(args.country_mapping)
     scores, labels = checked_arrays(scores, labels_array(dataset, _LABELS_HINT))
     codes, names = group_codes(dataset, classification, dimension)
 
-    hashes = {"vocab": model.vocab.sha256(), "country_mapping": classification.sha256}
+    hashes["country_mapping"] = classification.sha256
     report = audit_groups(
         scores, labels, codes, names, track=dataset.track, dimension=dimension,
         model=kind, min_group_size=args.min_group_size, config_hashes=hashes,
@@ -304,7 +306,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             }
         )
 
-    manifest = _manifest(args, kind, paths, **hashes)
+    manifest = _manifest(args, kind, paths, hashes)
 
     _write_json(
         {

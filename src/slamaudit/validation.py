@@ -25,16 +25,23 @@ def open_text(path: str | Path, what: str) -> Iterator[TextIO]:
             raise DataError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
-    """Parse a JSON file that must hold an object; ``what`` names the file's
-    role ("model file", "manifest file", ...) in error messages."""
+def read_json_text(path: str | Path, what: str) -> tuple[str, dict]:
+    """The text of a JSON file that must hold an object, and that object;
+    ``what`` names the file's role ("model file", "manifest file", ...) in
+    error messages."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        payload = json.loads(text)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{what} {path} must hold a JSON object")
-    return payload
+    return text, payload
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that must hold an object (see ``read_json_text``)."""
+    return read_json_text(path, what)[1]
 
 
 def require_keys(payload: dict, keys, source: str) -> None:

@@ -1,5 +1,6 @@
 """End-to-end command tests against the bundled fixture."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -980,3 +981,31 @@ def test_scoring_reads_the_model_file_once(
                         mini_dir / f"{track}.dev.key")
     assert run(argv) == 0
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "audit"])
+def test_scoring_manifests_name_the_model(tmp_path, gbdt_model, mini_dir, command):
+    """Two models that share a vocabulary write different scoring manifests:
+    each records the sha256 of its model file's text as ``model``."""
+    other = tmp_path / "other.json"
+    payload = json.loads(gbdt_model.read_text(encoding="utf-8"))
+    payload["base_score"] = payload["base_score"] + 1e-9
+    other.write_text(json.dumps(payload), encoding="utf-8")
+    recorded = []
+    for model in (gbdt_model, other):
+        out = tmp_path / model.stem
+        argv = scoring_argv(command, model, mini_dir / "en_es.dev.slam", "en_es", out,
+                            mini_dir / "en_es.dev.key")
+        if command == "evaluate":
+            argv += ["--out", str(out / "evaluate.json")]
+        out.mkdir()
+        assert run(argv) == 0
+        written = {"predict": "predict.out.manifest.json", "evaluate": "evaluate.json",
+                   "audit": "audit.out/report.json"}[command]
+        manifest = json.loads((out / written).read_text(encoding="utf-8"))
+        manifest = manifest.get("manifest", manifest)
+        text = model.read_text(encoding="utf-8")
+        assert manifest["config_hashes"]["model"] == hashlib.sha256(text.encode()).hexdigest()
+        recorded.append(manifest["config_hashes"])
+    assert recorded[0]["vocab"] == recorded[1]["vocab"]
+    assert recorded[0]["model"] != recorded[1]["model"]
