@@ -10,9 +10,12 @@ runs ``slamaudit.cli.main`` in process:
 - for each of the six (model, track) pairs: ``predict``, ``evaluate --out``
   and ``audit`` on both dimensions.
 
-Every file written is hashed with sha256. ``tests/golden.sha256`` holds the
-hashes, after a header naming the Python, numpy and BLAS versions and the
-machine they were made under; ``tests/test_golden.py`` reruns the commands
+Every file written is hashed with sha256, under ``out/``. So is every input
+file of each benchmark workload's seed-0 corpus, generated through
+``bench/corpus.py`` as ``bench/run.py`` generates it, under
+``corpus/<workload>/``. ``tests/golden.sha256`` holds the hashes, after a
+header naming the Python, numpy and BLAS versions and the machine they were
+made under; ``tests/test_golden.py`` reruns the commands and the generator
 and compares. Floating-point sums may round otherwise under another numpy,
 BLAS or machine, so a header that differs from the host fails that test by
 name rather than as a hash mismatch.
@@ -25,6 +28,7 @@ Regenerate (only when an output is meant to change):
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import platform
 import shutil
@@ -35,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH = REPO_ROOT / "bench"
 GOLDEN = REPO_ROOT / "tests" / "golden.sha256"
 EPOCH = "1700000000"
 TRACKS = ("en_es", "es_en", "fr_en")
@@ -106,6 +111,34 @@ def run_all(workdir: Path) -> dict[str, str]:
     }
 
 
+def _bench_module(name: str):
+    """``bench/<name>.py`` as module ``bench_<name>``, loaded with ``bench/``
+    importable (its dataclasses need the module in ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
+
+
+def corpus_hashes(workdir: Path) -> dict[str, str]:
+    """Generate each benchmark workload's seed-0 corpus in ``workdir`` and
+    return the sha256 of its input files, keyed ``corpus/<workload>/<file>``."""
+    run = _bench_module("run")
+    corpus = run.corpus
+    gen = corpus.load_generator(REPO_ROOT)
+    hashes = {}
+    for name, workload in run.WORKLOADS.items():
+        out = workdir / name
+        corpus.generate(gen, workload.corpus, corpus.FIXTURE_SEED, out)  # as --seed 0 does
+        files = corpus.sha256_files(out, corpus.input_files(workload.corpus))
+        hashes.update((f"corpus/{name}/{file}", digest) for file, digest in files.items())
+    return hashes
+
+
 def render(env: dict[str, str], hashes: dict[str, str]) -> str:
     lines = [f"# {name}: {env[name]}" for name in FIELDS]
     lines.extend(f"{digest}  {path}" for path, digest in sorted(hashes.items()))
@@ -128,7 +161,8 @@ def parse(text: str) -> tuple[dict[str, str], dict[str, str]]:
 def main() -> int:
     os.environ["SOURCE_DATE_EPOCH"] = EPOCH
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = run_all(Path(tmp))
+        hashes = run_all(Path(tmp) / "commands")
+        hashes.update(corpus_hashes(Path(tmp) / "corpora"))
     GOLDEN.write_text(render(environment(), hashes), encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)
     return 0
