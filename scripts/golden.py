@@ -8,7 +8,10 @@ runs ``slamaudit.cli.main`` in process:
 - a default GBDT model per track;
 - one joint multitask model over all three tracks (``--seed 0``);
 - for each of the six (model, track) pairs: ``predict``, ``evaluate --out``
-  and ``audit`` on both dimensions.
+  and ``audit`` on both dimensions;
+- on en_es, a GBDT under each non-default config of ``GBDT_CONFIGS`` (read
+  from ``config/<name>.json``) and its ``predict``, so the trees are pinned
+  beyond the defaults too.
 
 Every file written is hashed with sha256, under ``out/``. So is every input
 file of each benchmark workload's seed-0 corpus, generated through
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import os
 import platform
 import shutil
@@ -45,6 +49,11 @@ EPOCH = "1700000000"
 TRACKS = ("en_es", "es_en", "fr_en")
 DIMENSIONS = ("client", "development")
 FIELDS = ("python", "numpy", "blas", "machine")
+# Deep trees with one-row leaves and no L2, and stumps.
+GBDT_CONFIGS = {
+    "deep": {"min_samples_leaf": 1, "max_depth": 8, "l2_leaf_reg": 0.0, "n_trees": 20},
+    "stumps": {"max_depth": 1, "n_trees": 10},
+}
 
 
 def environment() -> dict[str, str]:
@@ -85,6 +94,12 @@ def commands() -> list[list[str]]:
                 ["audit", *scoring, *labels, "--dimension", d, "--out", f"{stem}.audit_{d}"]
                 for d in DIMENSIONS
             )
+    for name in GBDT_CONFIGS:
+        model = f"out/gbdt_{name}_en_es.json"
+        argvs.append(["train", "--data", f"{data['en_es']}.train.slam", "--track", "en_es",
+                      "--model", "gbdt", "--config", f"config/{name}.json", "--out", model])
+        argvs.append(["predict", "--model", model, "--data", f"{data['en_es']}.dev.slam",
+                      "--track", "en_es", "--out", f"out/gbdt_{name}_en_es.predict.csv"])
     return argvs
 
 
@@ -96,6 +111,9 @@ def run_all(workdir: Path) -> dict[str, str]:
 
     shutil.copytree(REPO_ROOT / "data" / "mini", workdir / "data" / "mini")
     (workdir / "out").mkdir()
+    (workdir / "config").mkdir()
+    for name, config in GBDT_CONFIGS.items():
+        (workdir / "config" / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     here = Path.cwd()
     os.chdir(workdir)
     try:
