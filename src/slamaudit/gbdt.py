@@ -197,35 +197,33 @@ def scan_splits(vals, g, h, lam, min_leaf):
     vals, g, h: (F, k) float64 arrays, row f sorted ascending by value with
     g/h aligned to that order. Returns (feature, position, gain) where the
     cut is between sorted positions `position` and `position + 1`, or
-    (-1, -1, 0.0) when no candidate has positive gain. Prefix sums come from
-    cumsum, which accumulates left to right, and totals from the last cumsum
-    column rather than a separate reduction. Ties resolve by a C-order
-    argmax: lowest feature row, then lowest split position.
+    (-1, -1, 0.0) when no candidate has positive gain. Only the candidates
+    are scored: cuts that leave at least min_leaf rows on each side, where
+    the sorted value changes. Prefix sums come from cumsum, which accumulates
+    left to right, and totals from the last cumsum column rather than a
+    separate reduction. Ties go to the first candidate in (feature, position)
+    order.
     """
-    F, k = vals.shape
-    if k < 2:
+    k = vals.shape[1]
+    lo, hi = min_leaf - 1, k - min_leaf
+    if hi <= lo:
         return (-1, -1, 0.0)
+    flat = np.flatnonzero(vals[:, lo:hi] < vals[:, lo + 1 : hi + 1])
+    if not flat.size:
+        return (-1, -1, 0.0)
+    feature, position = np.divmod(flat, hi - lo)
+    position += lo
     cg = np.cumsum(g, axis=1)
     ch = np.cumsum(h, axis=1)
-    gt = cg[:, -1:]
-    ht = ch[:, -1:]
-    gl = cg[:, :-1]
-    hl = ch[:, :-1]
-    gr = gt - gl
-    hr = ht - hl
+    gt, ht = cg[feature, -1], ch[feature, -1]
+    gl, hl = cg[feature, position], ch[feature, position]
+    gr, hr = gt - gl, ht - hl
     gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
-    left_count = np.arange(1, k)
-    valid = (
-        (vals[:, :-1] < vals[:, 1:])
-        & (left_count >= min_leaf)
-        & (k - left_count >= min_leaf)
-    )
-    gain = np.where(valid, gain, -np.inf)
-    flat = int(np.argmax(gain))  # first occurrence of the max, C order
-    best = float(gain.ravel()[flat])
+    i = int(np.argmax(gain))  # first occurrence of the max
+    best = float(gain[i])
     if not best > 0.0:
         return (-1, -1, 0.0)
-    return (flat // (k - 1), flat % (k - 1), best)
+    return (int(feature[i]), int(position[i]), best)
 
 
 def _cut_threshold(sorted_vals: np.ndarray, pos: int) -> float:
@@ -241,52 +239,61 @@ def _cut_threshold(sorted_vals: np.ndarray, pos: int) -> float:
 class _Node:
     """The training rows that reach one tree node.
 
-    `rows` lists the member row ids in ascending order; `entry_rows` and
-    `entry_feats` are their active (row, binary feature) pairs in row-major
-    order. Row j of `num_rows` lists the member rows sorted by numeric column
-    j (stable, so equal values keep row order) and row j of `num_vals` holds
-    the values in that order. Children take filtered copies, so each numeric
-    column is sorted once per training run.
+    `rows` lists the member row ids in ascending order. A node that may split
+    also holds its active (row, binary feature) pairs in row-major order,
+    `entry_rows` and `entry_feats`, and `counts`, the bincount of
+    `entry_feats`. Row j of `num_rows` lists the member rows sorted by numeric
+    column j (stable, so equal values keep row order) and row j of `num_vals`
+    holds the values in that order. Each numeric column is sorted once per
+    training run: children take filtered copies. A node that will be a leaf
+    holds only `rows`; its other fields are None.
     """
 
     rows: np.ndarray
-    entry_rows: np.ndarray
-    entry_feats: np.ndarray
-    num_rows: np.ndarray
-    num_vals: np.ndarray
+    entry_rows: np.ndarray | None = None
+    entry_feats: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    num_rows: np.ndarray | None = None
+    num_vals: np.ndarray | None = None
 
     @classmethod
     def root(cls, entry_rows, entry_feats, numeric) -> "_Node":
         num_rows = np.ascontiguousarray(np.argsort(numeric, axis=0, kind="stable").T)
         num_vals = np.ascontiguousarray(np.take_along_axis(numeric.T, num_rows, axis=1))
-        return cls(np.arange(len(numeric)), entry_rows, entry_feats, num_rows, num_vals)
+        return cls(np.arange(len(numeric)), entry_rows, entry_feats, np.bincount(entry_feats),
+                   num_rows, num_vals)
 
     def right_rows(self, split: SplitCandidate, n_binary: int) -> np.ndarray:
         """Member rows with value > split.threshold on split.feature."""
         if split.feature < n_binary:
             return self.entry_rows[self.entry_feats == split.feature]
         j = split.feature - n_binary
-        return self.num_rows[j][self.num_vals[j] > split.threshold]
+        return self.num_rows[j][np.searchsorted(self.num_vals[j], split.threshold, "right"):]
 
-    def partition(self, go_right: np.ndarray) -> tuple["_Node", "_Node"]:
-        """(left, right) children; go_right is a mask over all training rows."""
-        m = len(self.num_rows)
-
-        def child(sel, entry_sel, num_sel) -> _Node:
-            size = int(sel.sum())
-            return _Node(
-                self.rows[sel],
-                self.entry_rows[entry_sel],
-                self.entry_feats[entry_sel],
-                self.num_rows[num_sel].reshape(m, size),
-                self.num_vals[num_sel].reshape(m, size),
-            )
-
+    def partition(self, go_right: np.ndarray, may_split) -> tuple["_Node", "_Node"]:
+        """(left, right) children; go_right is a mask over all training rows.
+        A child gets more than its rows only if ``may_split(its size)``. The
+        smaller child's counts are a bincount, the larger's the parent's minus
+        those (integers, so exact)."""
         in_right = go_right[self.rows]
+        rows = (self.rows[~in_right], self.rows[in_right])
+        full = [may_split(len(r)) for r in rows]
+        if not any(full):
+            return _Node(rows[0]), _Node(rows[1])
         entry_right = go_right[self.entry_rows]
         num_right = go_right[self.num_rows]
-        left = child(~in_right, ~entry_right, ~num_right)
-        return left, child(in_right, entry_right, num_right)
+        entry_sel, num_sel = (~entry_right, entry_right), (~num_right, num_right)
+        small = int(len(rows[1]) < len(rows[0]))
+        counts = [np.bincount(self.entry_feats[entry_sel[small]], minlength=len(self.counts))] * 2
+        counts[1 - small] = self.counts - counts[small]
+        m = len(self.num_rows)
+        return tuple(
+            _Node(rows[s], self.entry_rows[entry_sel[s]], self.entry_feats[entry_sel[s]],
+                  counts[s], self.num_rows[num_sel[s]].reshape(m, len(rows[s])),
+                  self.num_vals[num_sel[s]].reshape(m, len(rows[s])))
+            if full[s] else _Node(rows[s])
+            for s in (0, 1)
+        )
 
 
 def _find_split(
@@ -294,22 +301,22 @@ def _find_split(
 ) -> SplitCandidate | None:
     """Best split of a node, or None without a positive-gain split.
 
-    Binary features 0..n_binary-1 split at 0.5. One bincount each over the
-    node's active entries gives count, G and H of every feature's value-1
-    side; the value-0 side is the node total minus that. The numeric
-    features n_binary.. take the exact scan over their sorted values. Ties
-    go to the lowest feature id, then the lowest cut.
+    Binary features 0..n_binary-1 split at 0.5. The node's counts and one
+    bincount each over its active entries give count, G and H of every
+    feature's value-1 side; the value-0 side is the node total minus that.
+    The numeric features n_binary.. take the exact scan over their sorted
+    values. Ties go to the lowest feature id, then the lowest cut.
     """
     k = len(node.rows)
     big_g = g[node.rows].sum()
     big_h = h[node.rows].sum()
     best = None
-    count1 = np.bincount(node.entry_feats, minlength=n_binary)
+    count1 = node.counts
     valid = np.flatnonzero((count1 >= min_leaf) & (k - count1 >= min_leaf))
-    if valid.size:
+    if valid.size:  # a valid feature has entries, so the bincounts reach it
         feats, rows = node.entry_feats, node.entry_rows
-        g1 = np.bincount(feats, weights=g[rows], minlength=n_binary)[valid]
-        h1 = np.bincount(feats, weights=h[rows], minlength=n_binary)[valid]
+        g1 = np.bincount(feats, weights=g[rows])[valid]
+        h1 = np.bincount(feats, weights=h[rows])[valid]
         g0 = big_g - g1
         h0 = big_h - h1
         gain = g0 * g0 / (h0 + lam) + g1 * g1 / (h1 + lam) - big_g * big_g / (big_h + lam)
@@ -317,11 +324,7 @@ def _find_split(
         if gain[i] > 0.0:
             best = SplitCandidate(feature=int(valid[i]), threshold=0.5, gain=float(gain[i]))
     j, pos, num_gain = scan_splits(
-        node.num_vals,
-        np.ascontiguousarray(g[node.num_rows]),
-        np.ascontiguousarray(h[node.num_rows]),
-        lam,
-        min_leaf,
+        node.num_vals, g[node.num_rows], h[node.num_rows], lam, min_leaf
     )
     if j >= 0 and (best is None or num_gain > best.gain):
         best = SplitCandidate(
@@ -340,55 +343,35 @@ class _TreeBuilder:
         self.g = g
         self.h = h
         self.config = config
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+        self.nodes: list[list] = []  # [feature, threshold, left, right, value] per node
         self.contrib = np.zeros(len(g), dtype=np.float64)
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def _leaf(self, index: int, rows: np.ndarray):
-        lam = self.config.l2_leaf_reg
-        value = -self.g[rows].sum() / (self.h[rows].sum() + lam)
-        self.value[index] = value
-        self.contrib[rows] = value
+    def _may_split(self, size: int, depth: int) -> bool:
+        return depth < self.config.max_depth and size >= 2 * self.config.min_samples_leaf
 
     def build(self, node: _Node, depth: int) -> int:
-        index = self._new_node()
+        index = len(self.nodes)
+        self.nodes.append([-1, 0.0, -1, -1, 0.0])
         cfg = self.config
         split = None
-        if depth < cfg.max_depth and len(node.rows) >= 2 * cfg.min_samples_leaf:
+        if self._may_split(len(node.rows), depth):
             split = _find_split(
                 node, self.g, self.h, self.n_binary, cfg.l2_leaf_reg, cfg.min_samples_leaf
             )
         if split is None:
-            self._leaf(index, node.rows)
+            value = -self.g[node.rows].sum() / (self.h[node.rows].sum() + cfg.l2_leaf_reg)
+            self.nodes[index][4] = value
+            self.contrib[node.rows] = value
             return index
         go_right = np.zeros(len(self.g), dtype=bool)
         go_right[node.right_rows(split, self.n_binary)] = True
-        left, right = node.partition(go_right)
-        self.feature[index] = split.feature
-        self.threshold[index] = split.threshold
-        self.left[index] = self.build(left, depth + 1)
-        self.right[index] = self.build(right, depth + 1)
+        left, right = node.partition(go_right, lambda size: self._may_split(size, depth + 1))
+        self.nodes[index][:2] = split.feature, split.threshold
+        self.nodes[index][2:4] = self.build(left, depth + 1), self.build(right, depth + 1)
         return index
 
     def tree(self) -> Tree:
-        return Tree(
-            feature=tuple(self.feature),
-            threshold=tuple(self.threshold),
-            left=tuple(self.left),
-            right=tuple(self.right),
-            value=tuple(self.value),
-        )
+        return Tree(*(tuple(field) for field in zip(*self.nodes)))
 
 
 def _root(train: Dataset, vocab: Vocabulary) -> _Node:
