@@ -82,20 +82,23 @@ def _manifest_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
-def _check_sidecar(model, model_path: str, track: str) -> None:
+def _check_sidecar(model, model_path: str, track: str, model_sha256: str) -> None:
     """If the model has a manifest sidecar, its recorded vocab hash must
-    match the model file, and its recorded tracks (comma-separated for a
-    joint model) must include ``track``. Guards against mixing up
-    model/manifest pairs and against scoring a track with another's model."""
+    match the model file, its recorded model hash (when it has one) must be
+    ``model_sha256``, the hash of the model file's text, and its recorded
+    tracks (comma-separated for a joint model) must include ``track``.
+    Guards against mixing up model/manifest pairs, against a model file
+    edited after training and against scoring a track with another's model."""
     sidecar = _manifest_sidecar(model_path)
     if not sidecar.exists():
         return
     manifest = read_manifest(sidecar)
-    recorded = dict(manifest.config_hashes).get("vocab")
-    if recorded is not None and recorded != model.vocab.sha256():
-        raise AuditError(
-            f"vocab mismatch: model file {model_path} does not match its manifest {sidecar}"
-        )
+    recorded = dict(manifest.config_hashes)
+    for name, have in (("vocab", model.vocab.sha256()), ("model", model_sha256)):
+        if recorded.get(name, have) != have:
+            raise AuditError(
+                f"{name} mismatch: model file {model_path} does not match its manifest {sidecar}"
+            )
     if track not in str(manifest.track).split(","):
         raise AuditError(
             f"track mismatch: model file {model_path} was trained on {manifest.track}, "
@@ -117,7 +120,8 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
     _load(kind)
     load = load_model if kind == "gbdt" else load_mt_model
     model = load(args.model, payload)
-    _check_sidecar(model, args.model, args.track)
+    model_sha256 = sha256_text(text)
+    _check_sidecar(model, args.model, args.track, model_sha256)
     dataset = read_dataset(args.data, Track(args.track), Split(args.split))
     if need_tokens and len(dataset) == 0:
         raise DataError(f"data file {args.data} holds no tokens")
@@ -126,7 +130,7 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
         dataset = join_labels(dataset, read_label_key(labels_path))
         paths[labels_path] = labels_path
     predict = predict_scores if kind == "gbdt" else predict_mt_scores
-    hashes = {"model": sha256_text(text), "vocab": model.vocab.sha256()}
+    hashes = {"model": model_sha256, "vocab": model.vocab.sha256()}
     return kind, dataset, predict(model, dataset), paths, hashes
 
 
@@ -219,6 +223,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         model_kind=args.model,
         split=split.value,
         config_hashes={
+            "model": sha256_text(Path(args.out).read_text(encoding="utf-8")),
             "model_config": sha256_config(config.to_dict()),
             "vocab": vocab.sha256(),
         },

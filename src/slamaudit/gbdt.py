@@ -10,8 +10,12 @@ node over the node's active (row, feature) entries gives the value-1 side
 of all binary features at once, and the value-0 side is the node total
 minus that (sparsity-aware split finding, Chen & Guestrin 2016, Alg. 3).
 The numeric features are scanned over their sorted values
-(``scan_splits``). Training is fully deterministic, so two runs with the
-same data and config produce byte-identical models.
+(``scan_splits``), which scores only the cuts that can be taken. Only a
+node that may split holds its entries and sorted columns: a child past the
+depth limit or too small to split keeps its row ids alone. Each sum keeps
+one order (bincounts over ascending rows, cumsums left to right, pairwise
+sums over a node's ascending rows), so training is fully deterministic and
+two runs with the same data and config produce byte-identical models.
 
 Training takes those entries from the padded token rows of
 ``features.token_features``, dropping the padding. Scoring
@@ -81,8 +85,8 @@ class GbdtConfig:
             raise TrainingError("learning_rate must be in [0, 1]")
         if self.min_samples_leaf < 1:
             raise TrainingError("min_samples_leaf must be >= 1")
-        if self.l2_leaf_reg < 0.0:
-            raise TrainingError("l2_leaf_reg must be >= 0")
+        if not (math.isfinite(self.l2_leaf_reg) and self.l2_leaf_reg >= 0.0):
+            raise TrainingError("l2_leaf_reg must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -284,8 +288,8 @@ class _Node:
         num_right = go_right[self.num_rows]
         entry_sel, num_sel = (~entry_right, entry_right), (~num_right, num_right)
         small = int(len(rows[1]) < len(rows[0]))
-        counts = [np.bincount(self.entry_feats[entry_sel[small]], minlength=len(self.counts))] * 2
-        counts[1 - small] = self.counts - counts[small]
+        small_counts = np.bincount(self.entry_feats[entry_sel[small]], minlength=len(self.counts))
+        counts = {small: small_counts, 1 - small: self.counts - small_counts}
         m = len(self.num_rows)
         return tuple(
             _Node(rows[s], self.entry_rows[entry_sel[s]], self.entry_feats[entry_sel[s]],
@@ -343,7 +347,7 @@ class _TreeBuilder:
         self.g = g
         self.h = h
         self.config = config
-        self.nodes: list[list] = []  # [feature, threshold, left, right, value] per node
+        self.nodes: list[tuple] = []  # (feature, threshold, left, right, value) per node
         self.contrib = np.zeros(len(g), dtype=np.float64)
 
     def _may_split(self, size: int, depth: int) -> bool:
@@ -351,7 +355,7 @@ class _TreeBuilder:
 
     def build(self, node: _Node, depth: int) -> int:
         index = len(self.nodes)
-        self.nodes.append([-1, 0.0, -1, -1, 0.0])
+        self.nodes.append(())  # set below, once the children are numbered
         cfg = self.config
         split = None
         if self._may_split(len(node.rows), depth):
@@ -360,18 +364,19 @@ class _TreeBuilder:
             )
         if split is None:
             value = -self.g[node.rows].sum() / (self.h[node.rows].sum() + cfg.l2_leaf_reg)
-            self.nodes[index][4] = value
+            self.nodes[index] = (-1, 0.0, -1, -1, value)
             self.contrib[node.rows] = value
             return index
         go_right = np.zeros(len(self.g), dtype=bool)
         go_right[node.right_rows(split, self.n_binary)] = True
         left, right = node.partition(go_right, lambda size: self._may_split(size, depth + 1))
-        self.nodes[index][:2] = split.feature, split.threshold
-        self.nodes[index][2:4] = self.build(left, depth + 1), self.build(right, depth + 1)
+        left_index = self.build(left, depth + 1)
+        self.nodes[index] = (split.feature, split.threshold, left_index,
+                             self.build(right, depth + 1), 0.0)
         return index
 
     def tree(self) -> Tree:
-        return Tree(*(tuple(field) for field in zip(*self.nodes)))
+        return Tree(*zip(*self.nodes))
 
 
 def _root(train: Dataset, vocab: Vocabulary) -> _Node:

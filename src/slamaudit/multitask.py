@@ -96,8 +96,8 @@ class MtConfig:
             raise TrainingError("batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise TrainingError("learning_rate must be finite and >= 0")
-        if self.l2 < 0.0:
-            raise TrainingError("l2 must be >= 0")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise TrainingError("l2 must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

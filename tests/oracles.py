@@ -307,6 +307,38 @@ def best_split(X, feature, gradients, hessians, config):
     )
 
 
+def dense_scan_splits(vals, g, h, lam, min_leaf):
+    """``slamaudit.gbdt.scan_splits`` as it was before it scored only the
+    candidate cuts: every cut of every row is scored and the inadmissible
+    ones masked to -inf before one C-order argmax. The library's scan must
+    return the same (feature, position, gain), gain bit for bit.
+    """
+    F, k = vals.shape
+    if k < 2:
+        return (-1, -1, 0.0)
+    cg = np.cumsum(g, axis=1)
+    ch = np.cumsum(h, axis=1)
+    gt = cg[:, -1:]
+    ht = ch[:, -1:]
+    gl = cg[:, :-1]
+    hl = ch[:, :-1]
+    gr = gt - gl
+    hr = ht - hl
+    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
+    left_count = np.arange(1, k)
+    valid = (
+        (vals[:, :-1] < vals[:, 1:])
+        & (left_count >= min_leaf)
+        & (k - left_count >= min_leaf)
+    )
+    gain = np.where(valid, gain, -np.inf)
+    flat = int(np.argmax(gain))  # first occurrence of the max, C order
+    best = float(gain.ravel()[flat])
+    if not best > 0.0:
+        return (-1, -1, 0.0)
+    return (flat // (k - 1), flat % (k - 1), best)
+
+
 def oracle_split_candidates(X, g, h, lam, min_leaf):
     """Every admissible cut of every column of X, scored by brute force.
 

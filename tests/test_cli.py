@@ -103,7 +103,10 @@ class TestTrain:
         assert manifest["track"] == "en_es"
         assert manifest["model_kind"] == "gbdt"
         assert manifest["split"] == "train"
-        assert set(manifest["config_hashes"]) == {"model_config", "vocab"}
+        assert set(manifest["config_hashes"]) == {"model", "model_config", "vocab"}
+        assert manifest["config_hashes"]["model"] == hashlib.sha256(
+            gbdt_model.read_bytes()
+        ).hexdigest()
         assert len(manifest["dataset_hashes"]) == 1
 
     def test_same_seed_is_byte_identical(self, tmp_path, mini_dir, monkeypatch):
@@ -231,6 +234,17 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert repr(key) in err[0]
+        assert not (tmp_path / "x.json").exists()
+
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("model, key", [("gbdt", "l2_leaf_reg"), ("multitask", "l2")])
+    def test_non_finite_l2_rejected(self, tmp_path, mini_dir, capsys, model, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{key}": {value}}}')
+        argv = ["train", "--data", str(mini_dir / "en_es.train.slam"), "--track", "en_es",
+                "--model", model, "--config", str(config), "--out", str(tmp_path / "x.json")]
+        assert error_lines(argv, capsys) == [f"error: {key} must be finite and >= 0"]
         assert not (tmp_path / "x.json").exists()
 
 
@@ -907,6 +921,52 @@ class TestTrackCheck:
         bare.write_bytes(gbdt_model.read_bytes())
         argv = scoring_argv("evaluate", bare, mini_dir / "es_en.dev.slam", "es_en",
                             tmp_path, mini_dir / "es_en.dev.key")
+        assert run(argv) == 0
+
+
+class TestModelHashCheck:
+    """A model file edited after training no longer has the sha256 that its
+    train manifest records, and scoring refuses it."""
+
+    @staticmethod
+    def edited_copy(tmp_path, gbdt_model, drop_hash=False):
+        """A copy of the model with 0.5 added to its base score, next to a
+        copy of its sidecar (without the model hash if ``drop_hash``)."""
+        payload = json.loads(gbdt_model.read_text())
+        payload["base_score"] += 0.5
+        model = tmp_path / "edited.json"
+        model.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sidecar = json.loads(Path(str(gbdt_model) + ".manifest.json").read_text())
+        if drop_hash:
+            del sidecar["config_hashes"]["model"]
+        Path(str(model) + ".manifest.json").write_text(json.dumps(sidecar))
+        return model
+
+    @pytest.mark.parametrize("command", TestTrackCheck.COMMANDS)
+    def test_edited_model_refused(self, tmp_path, gbdt_model, mini_dir, capsys, command):
+        model = self.edited_copy(tmp_path, gbdt_model)
+        argv = scoring_argv(command, model, mini_dir / "en_es.dev.slam", "en_es",
+                            tmp_path, mini_dir / "en_es.dev.key")
+        assert error_lines(argv, capsys) == [
+            f"error: model mismatch: model file {model} does not match its manifest "
+            f"{model}.manifest.json"
+        ]
+        assert not (tmp_path / f"{command}.out").exists()
+
+    def test_unedited_copy_passes(self, tmp_path, gbdt_model, mini_dir):
+        model = tmp_path / "copy.json"
+        model.write_bytes(gbdt_model.read_bytes())
+        Path(str(model) + ".manifest.json").write_bytes(
+            Path(str(gbdt_model) + ".manifest.json").read_bytes()
+        )
+        argv = scoring_argv("evaluate", model, mini_dir / "en_es.dev.slam", "en_es",
+                            tmp_path, mini_dir / "en_es.dev.key")
+        assert run(argv) == 0
+
+    def test_sidecar_without_model_hash_passes(self, tmp_path, gbdt_model, mini_dir):
+        model = self.edited_copy(tmp_path, gbdt_model, drop_hash=True)
+        argv = scoring_argv("evaluate", model, mini_dir / "en_es.dev.slam", "en_es",
+                            tmp_path, mini_dir / "en_es.dev.key")
         assert run(argv) == 0
 
 
