@@ -26,7 +26,7 @@ import argparse
 import importlib
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -82,20 +82,21 @@ def _manifest_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
-def _check_sidecar(model, model_path: str, track: str, model_sha256: str) -> None:
-    """If the model has a manifest sidecar, its recorded vocab hash must
-    match the model file, its recorded model hash (when it has one) must be
-    ``model_sha256``, the hash of the model file's text, and its recorded
-    tracks (comma-separated for a joint model) must include ``track``.
-    Guards against mixing up model/manifest pairs, against a model file
-    edited after training and against scoring a track with another's model."""
+def _check_sidecar(model_path: str, track: str, hashes: dict) -> None:
+    """If the model has a manifest sidecar, the ``vocab`` and ``model``
+    hashes it records (when it records them) must equal those in ``hashes``,
+    the sha256 of the model's vocabulary and of the model file's text, and
+    its recorded tracks (comma-separated for a joint model) must include
+    ``track``. Guards against mixing up model/manifest pairs, against a model
+    file edited after training and against scoring a track with another's
+    model."""
     sidecar = _manifest_sidecar(model_path)
     if not sidecar.exists():
         return
     manifest = read_manifest(sidecar)
     recorded = dict(manifest.config_hashes)
-    for name, have in (("vocab", model.vocab.sha256()), ("model", model_sha256)):
-        if recorded.get(name, have) != have:
+    for name in ("vocab", "model"):
+        if recorded.get(name, hashes[name]) != hashes[name]:
             raise AuditError(
                 f"{name} mismatch: model file {model_path} does not match its manifest {sidecar}"
             )
@@ -120,8 +121,8 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
     _load(kind)
     load = load_model if kind == "gbdt" else load_mt_model
     model = load(args.model, payload)
-    model_sha256 = sha256_text(text)
-    _check_sidecar(model, args.model, args.track, model_sha256)
+    hashes = {"model": sha256_text(text), "vocab": model.vocab.sha256()}
+    _check_sidecar(args.model, args.track, hashes)
     dataset = read_dataset(args.data, Track(args.track), Split(args.split))
     if need_tokens and len(dataset) == 0:
         raise DataError(f"data file {args.data} holds no tokens")
@@ -130,7 +131,6 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
         dataset = join_labels(dataset, read_label_key(labels_path))
         paths[labels_path] = labels_path
     predict = predict_scores if kind == "gbdt" else predict_mt_scores
-    hashes = {"model": model_sha256, "vocab": model.vocab.sha256()}
     return kind, dataset, predict(model, dataset), paths, hashes
 
 
@@ -190,41 +190,32 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise DataError(
             f"{len(args.data)} data paths given for {len(tracks)} tracks; counts must match"
         )
+    gbdt = args.model == "gbdt"
+    if gbdt and len(tracks) != 1:
+        raise DataError("gbdt training takes exactly one track")
     split = Split(args.split)
-    config_payload = {}
-    if args.config is not None:
-        config_payload = read_json_object(args.config, "config file")
-    source = f"config file {args.config}"
+    payload = {} if args.config is None else read_json_object(args.config, "config file")
     _load(args.model)
+    config = config_from(GbdtConfig if gbdt else MtConfig, payload, f"config file {args.config}")
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
 
     datasets = [
         read_dataset(path, track, split) for path, track in zip(args.data, tracks)
     ]
-
-    if args.model == "gbdt":
-        if len(datasets) != 1:
-            raise DataError("gbdt training takes exactly one track")
-        config = config_from(GbdtConfig, config_payload, source)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        vocab = build_vocab(datasets[0])
-        model = train_gbdt(datasets[0], vocab, config)
-        save_model(model, args.out)
+    vocab = build_vocab(datasets)
+    if gbdt:
+        text = save_model(train_gbdt(datasets[0], vocab, config), args.out)
     else:
-        config = config_from(MtConfig, config_payload, source)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        vocab = build_vocab(datasets)
-        model = train_multitask(datasets, vocab, config)
-        save_mt_model(model, args.out)
+        text = save_mt_model(train_multitask(datasets, vocab, config), args.out)
 
     manifest = build_manifest(
         track=",".join(t.value for t in tracks),
         model_kind=args.model,
         split=split.value,
         config_hashes={
-            "model": sha256_text(Path(args.out).read_text(encoding="utf-8")),
-            "model_config": sha256_config(config.to_dict()),
+            "model": sha256_text(text),
+            "model_config": sha256_config(asdict(config)),
             "vocab": vocab.sha256(),
         },
         dataset_paths={path: path for path in args.data},

@@ -81,8 +81,8 @@ def difference_intervals(curve_a: RocCurve, curve_b: RocCurve) -> np.ndarray:
 
     Returns one row (x0, x1, ya0, ya1, yb0, yb1) per interval; inside each
     interval both curves are linear and their difference does not change
-    sign, so the region between them is a simple quad. Shared by the
-    integral below and by plot shading.
+    sign, so the region between them is a simple quad. The integral below
+    sums those quads.
     """
     xs = np.sort(np.concatenate([curve_a.fpr, curve_b.fpr]))  # np.union1d loads numpy.ma
     xs = xs[np.concatenate([[True], xs[1:] != xs[:-1]])]

@@ -23,8 +23,6 @@ remain for tests and single-instance use.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -32,6 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .manifest import sha256_config
 from .slam_format import Dataset, ExerciseMeta, TokenColumns, TokenInstance, morph_features
 
 NAMESPACES = ("user", "token", "pos", "morph", "dep", "format", "session", "client")
@@ -122,8 +121,7 @@ class Vocabulary:
         return _assemble(maps)
 
     def sha256(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256_config(self.to_dict())
 
 
 @dataclass(frozen=True)

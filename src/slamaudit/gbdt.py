@@ -28,9 +28,8 @@ per-token feature matrix, so its memory does not grow with the vocabulary.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from .features import (
 from .features import encode, to_dense  # noqa: F401  (not called; stage timers wrap them)
 from .numerics import log_loss_from_raw, sigmoid
 from .slam_format import Dataset
-from .validation import config_from, number, read_json_object, require_keys
+from .validation import number, read_model_file, require_keys, write_model_file
 
 MODEL_FORMAT_VERSION = 1
 _MODEL_KEYS = ("trees", "config", "base_score", "vocab", "train_losses")
@@ -87,9 +86,8 @@ class GbdtConfig:
             raise TrainingError("min_samples_leaf must be >= 1")
         if not (math.isfinite(self.l2_leaf_reg) and self.l2_leaf_reg >= 0.0):
             raise TrainingError("l2_leaf_reg must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.seed < 0:
+            raise TrainingError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -618,33 +616,21 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     return sigmoid(raw)
 
 
-def save_model(model: GbdtModel, path: str | Path) -> None:
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "gbdt",
-        "config": model.config.to_dict(),
+def save_model(model: GbdtModel, path: str | Path) -> str:
+    """Write a GBDT model file and return its text."""
+    return write_model_file(path, "gbdt", MODEL_FORMAT_VERSION, model.config, model.vocab, {
         "base_score": model.base_score,
         "train_losses": list(model.train_losses),
-        "vocab": model.vocab.to_dict(),
         "trees": [t.to_dict() for t in model.trees],
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
 
 
 def load_model(path: str | Path, payload: dict | None = None) -> GbdtModel:
     """Read a GBDT model file; ``payload``, when given, is the file's JSON
     object as the caller already parsed it, and the file is not read again."""
-    if payload is None:
-        payload = read_json_object(path, "model file")
-    if payload.get("kind") != "gbdt":
-        raise DataError(f"not a gbdt model file: {path}")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported model format version {payload.get('format_version')!r}"
-        )
-    require_keys(payload, _MODEL_KEYS, f"model file {path}")
+    payload, config = read_model_file(
+        path, payload, "gbdt", MODEL_FORMAT_VERSION, _MODEL_KEYS, GbdtConfig
+    )
     where = f"model file {path}"
     trees, losses = payload["trees"], payload["train_losses"]
     if not isinstance(trees, list):
@@ -652,7 +638,7 @@ def load_model(path: str | Path, payload: dict | None = None) -> GbdtModel:
     if not isinstance(losses, list):
         raise DataError(f"{where}: train_losses must be a list")
     model = GbdtModel(
-        config=config_from(GbdtConfig, payload["config"], f"the config in {where}"),
+        config=config,
         base_score=number(payload["base_score"], f"{where}: base_score"),
         trees=tuple(Tree.from_dict(d, f"{where}: tree {i}") for i, d in enumerate(trees)),
         vocab=Vocabulary.from_dict(payload["vocab"]),
@@ -661,7 +647,7 @@ def load_model(path: str | Path, payload: dict | None = None) -> GbdtModel:
     for i, tree in enumerate(model.trees):
         if max(tree.feature) >= model.vocab.total_dims:
             raise DataError(
-                f"model file {path}: tree {i} splits on feature {max(tree.feature)}, "
+                f"{where}: tree {i} splits on feature {max(tree.feature)}, "
                 f"beyond the vocabulary's {model.vocab.total_dims} dimensions"
             )
     return model

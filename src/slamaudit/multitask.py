@@ -28,9 +28,8 @@ the batched step is tested against the sum of ``grad`` over a batch.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,7 +46,7 @@ from .features import (  # noqa: F401 (encode)
 )
 from .numerics import sigmoid
 from .slam_format import Dataset, TokenColumns, Track
-from .validation import config_from, number, read_json_object, require_keys
+from .validation import number, read_model_file, require_keys, write_model_file
 
 MT_FORMAT_VERSION = 1
 _MT_MODEL_KEYS = (
@@ -98,9 +97,8 @@ class MtConfig:
             raise TrainingError("learning_rate must be finite and >= 0")
         if not (math.isfinite(self.l2) and self.l2 >= 0.0):
             raise TrainingError("l2 must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.seed < 0:
+            raise TrainingError("seed must be >= 0")
 
 
 @dataclass(eq=False)
@@ -442,27 +440,16 @@ def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
     return scores
 
 
-def save_mt_model(model: MtModel, path: str | Path) -> None:
-    payload = {
-        "format_version": MT_FORMAT_VERSION,
-        "kind": "multitask",
-        "config": model.config.to_dict(),
-        "vocab": model.vocab.to_dict(),
+def save_mt_model(model: MtModel, path: str | Path) -> str:
+    """Write a multitask model file and return its text (the writer sorts
+    every object's keys, so heads and losses come in track-name order)."""
+    return write_model_file(path, "multitask", MT_FORMAT_VERSION, model.config, model.vocab, {
         "embedding": model.embedding.tolist(),
         "hidden_weight": model.hidden_weight.tolist(),
         "hidden_bias": model.hidden_bias.tolist(),
-        "heads": {
-            t.value: {"weight": w.tolist(), "bias": b}
-            for t, (w, b) in sorted(model.heads.items(), key=lambda kv: kv[0].value)
-        },
-        "train_losses": {
-            t.value: loss
-            for t, loss in sorted(model.train_losses.items(), key=lambda kv: kv[0].value)
-        },
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        "heads": {t.value: {"weight": w.tolist(), "bias": b} for t, (w, b) in model.heads.items()},
+        "train_losses": {t.value: loss for t, loss in model.train_losses.items()},
+    })
 
 
 def _float_array(value, shape: tuple, source: str) -> np.ndarray:
@@ -491,17 +478,10 @@ def load_mt_model(path: str | Path, payload: dict | None = None) -> MtModel:
     bad file ends in one DataError and never loads half-valid. ``payload``,
     when given, is the file's JSON object as the caller already parsed it,
     and the file is not read again."""
-    if payload is None:
-        payload = read_json_object(path, "model file")
-    if payload.get("kind") != "multitask":
-        raise DataError(f"not a multitask model file: {path}")
-    if payload.get("format_version") != MT_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported model format version {payload.get('format_version')!r}"
-        )
+    payload, config = read_model_file(
+        path, payload, "multitask", MT_FORMAT_VERSION, _MT_MODEL_KEYS, MtConfig
+    )
     where = f"model file {path}"
-    require_keys(payload, _MT_MODEL_KEYS, where)
-    config = config_from(MtConfig, payload["config"], f"the config in {where}")
     vocab = Vocabulary.from_dict(payload["vocab"])
     d, hdim = config.embed_dim, config.hidden_dim
     heads = {}

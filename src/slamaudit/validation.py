@@ -1,12 +1,17 @@
 """Checks shared by every loader of user-supplied files (SLAM splits, label
 keys, country mappings, and the JSON of configs, models and manifests), so a
-bad file ends in one DataError naming what is wrong."""
+bad file ends in one DataError naming what is wrong.
+
+This module also owns the model-file envelope both learners share: one JSON
+object holding ``kind``, ``format_version``, ``config`` and ``vocab`` next
+to the kind's own parameters, written by ``write_model_file`` and checked by
+``read_model_file``."""
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -85,3 +90,33 @@ def config_from(cls, payload, source: str):
                 f"got {value!r}"
             )
     return cls(**payload)
+
+
+def write_model_file(path: str | Path, kind: str, version: int, config, vocab,
+                     params: dict) -> str:
+    """Write a model file, ``{format_version, kind, config, vocab, **params}``
+    as sorted, indented JSON, and return its text. ``config`` is a config
+    dataclass and ``vocab`` a ``features.Vocabulary``."""
+    payload = {"format_version": version, "kind": kind, "config": asdict(config),
+               "vocab": vocab.to_dict(), **params}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
+def read_model_file(path: str | Path, payload: dict | None, kind: str, version: int,
+                    keys, config_cls) -> tuple[dict, object]:
+    """Check the envelope of a model file of ``kind``: its kind, its format
+    version and every key of ``keys``, and parse its config as a
+    ``config_cls``. Returns the file's JSON object and that config.
+    ``payload``, when given, is the object as the caller already parsed it,
+    and the file is not read again."""
+    if payload is None:
+        payload = read_json_object(path, "model file")
+    if payload.get("kind") != kind:
+        raise DataError(f"not a {kind} model file: {path}")
+    if payload.get("format_version") != version:
+        raise DataError(f"unsupported model format version {payload.get('format_version')!r}")
+    where = f"model file {path}"
+    require_keys(payload, keys, where)
+    return payload, config_from(config_cls, payload["config"], f"the config in {where}")

@@ -18,8 +18,9 @@ import pytest
 from slamaudit import metrics
 from slamaudit.fairness import group_audit
 from slamaudit.features import build_vocab
-from slamaudit.gbdt import GbdtConfig, predict_scores, train_gbdt
+from slamaudit.gbdt import GbdtConfig, load_model, predict_scores, save_model, train_gbdt
 from slamaudit.grouping import Dimension, load_country_mapping, tag_instance
+from slamaudit.multitask import MtConfig, load_mt_model, save_mt_model, train_multitask
 from slamaudit.slam_format import Split, Track, join_labels, read_dataset, read_label_key
 
 from conftest import REPO_ROOT
@@ -62,7 +63,7 @@ def test_prediction_and_auc_rank_take_the_benchmark_arguments():
     assert metrics.auc_rank(preds) == pytest.approx(0.875)
 
 
-def test_observers_read_real_results(mini_dir):
+def test_observers_read_real_results(mini_dir, tmp_path):
     """The traced pass's observers must fit what the package returns: a
     wrapper whose observer raises marks its counts absent, and a change to
     one of these result shapes has ended the benchmark without a result."""
@@ -92,3 +93,26 @@ def test_observers_read_real_results(mini_dir):
     assert counters["fairness.pairs"] == len(report.results) > 0
     assert counters["metrics.roc_points"] > 0
     json.dumps(counters)
+
+    # the learner and model-file observers, given the arguments as cli passes them
+    gbdt_config = GbdtConfig(n_trees=2, max_depth=2)
+    mt_config = MtConfig(embed_dim=2, hidden_dim=2, epochs=1)
+    mt_model = train_multitask([train], vocab, mt_config)
+    gbdt_path, mt_path = tmp_path / "gbdt.json", tmp_path / "mt.json"
+    saved = [save_model(model, gbdt_path), save_mt_model(mt_model, mt_path)]
+    gbdt_payload, mt_payload = (json.loads(text) for text in saved)
+    for observe, args, result, keys in [
+        (TRACING._trees, (train, vocab, gbdt_config), model, ("gbdt.trees", "gbdt.nodes")),
+        (TRACING._epochs, ([train], vocab, mt_config), mt_model, ("multitask.epochs",)),
+        (TRACING._file_kb("gbdt.model_kb"), (model, gbdt_path), saved[0], ("gbdt.model_kb",)),
+        (TRACING._file_kb("multitask.model_kb"), (mt_model, mt_path), saved[1],
+         ("multitask.model_kb",)),
+        (TRACING._loaded_kb("gbdt.model_kb"), (gbdt_path, gbdt_payload),
+         load_model(gbdt_path, gbdt_payload), ("gbdt.model_kb",)),
+        (TRACING._loaded_kb("multitask.model_kb"), (mt_path, mt_payload),
+         load_mt_model(mt_path, mt_payload), ("multitask.model_kb",)),
+    ]:
+        counters = defaultdict(float)
+        observe(counters, args, {}, result)
+        assert sorted(counters) == sorted(keys)
+        assert all(counters[key] > 0 for key in keys), counters

@@ -23,6 +23,7 @@ from slamaudit.grouping import (
     tag_instance,
 )
 from slamaudit.manifest import read_manifest
+from slamaudit.multitask import load_mt_model
 from slamaudit.metrics import Prediction, auc_rank, f1_at_threshold
 from slamaudit.slam_format import (
     Dataset,
@@ -247,6 +248,20 @@ class TestTrain:
         assert error_lines(argv, capsys) == [f"error: {key} must be finite and >= 0"]
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("config, seed", [(None, "-1"), ('{"seed": -3}', None)],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("model", ["gbdt", "multitask"])
+    def test_negative_seed_rejected(self, tmp_path, mini_dir, capsys, model, config, seed):
+        argv = ["train", "--data", str(mini_dir / "en_es.train.slam"), "--track", "en_es",
+                "--model", model, "--out", str(tmp_path / "x.json")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        if seed is not None:
+            argv += ["--seed", seed]
+        assert error_lines(argv, capsys) == ["error: seed must be >= 0"]
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestPredict:
     def test_scores_csv(self, tmp_path, gbdt_model, mini_dir):
@@ -303,6 +318,21 @@ class TestPredict:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")
         assert "'n_tree'" in err[0]
+
+    @pytest.mark.parametrize("version", [2, "1", None], ids=["2", "'1'", "missing"])
+    @pytest.mark.parametrize("kind", ["gbdt", "multitask"])
+    def test_unsupported_model_format_version(self, tmp_path, gbdt_model, mt_model, kind,
+                                              version):
+        source, load = (gbdt_model, load_model) if kind == "gbdt" else (mt_model, load_mt_model)
+        payload = json.loads(source.read_text())
+        if version is None:
+            del payload["format_version"]
+        else:
+            payload["format_version"] = version
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="^unsupported model format version"):
+            load(model)
 
     def test_model_file_not_an_object(self, tmp_path, mini_dir, capsys):
         model = tmp_path / "model.json"

@@ -301,7 +301,7 @@ class TestSerialization:
             ds, vocab, GbdtConfig(n_trees=12, max_depth=4, min_samples_leaf=3)
         )
         path = tmp_path / "model.json"
-        save_model(model, path)
+        assert save_model(model, path) == path.read_text(encoding="utf-8")
         restored = load_model(path)
         assert restored == model
         scores_a = predict_scores(model, ds)

@@ -309,7 +309,7 @@ class TestSerialization:
         vocab = build_vocab([major, minor])
         model = train_multitask([major, minor], vocab, small_config(epochs=1))
         path = tmp_path / "mt.json"
-        save_mt_model(model, path)
+        assert save_mt_model(model, path) == path.read_text(encoding="utf-8")
         restored = load_mt_model(path)
         assert np.array_equal(restored.embedding, model.embedding)
         assert np.array_equal(restored.hidden_weight, model.hidden_weight)
