@@ -228,7 +228,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     kind, dataset, scores, paths, hashes = _scored(args)
     lines = ["instance_id,score"]
-    lines.extend(f"{i},{s!r}" for i, s in zip(dataset.columns.ids, scores.tolist()))
+    lines.extend(f"{i},{s!r}" for i, s in zip(dataset.ids, scores.tolist()))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = _manifest(args, kind, paths, hashes)
     write_manifest(manifest, _manifest_sidecar(args.out))

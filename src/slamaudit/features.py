@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DataError
 from .manifest import sha256_config
-from .slam_format import Dataset, ExerciseMeta, TokenColumns, TokenInstance, morph_features
+from .slam_format import Dataset, ExerciseMeta, TokenInstance, morph_features
+from .validation import check_format_version
 
 NAMESPACES = ("user", "token", "pos", "morph", "dep", "format", "session", "client")
 NUMERIC_FEATURES = ("days", "time", "time_present")
@@ -97,10 +98,7 @@ class Vocabulary:
     def from_dict(cls, payload: dict) -> "Vocabulary":
         if not isinstance(payload, dict):
             raise DataError("vocabulary must be a JSON object")
-        if payload.get("format_version") != VOCAB_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported vocabulary format version {payload.get('format_version')!r}"
-            )
+        check_format_version(payload, VOCAB_FORMAT_VERSION, "vocabulary")
         namespaces = payload.get("namespaces")
         if not isinstance(namespaces, dict):
             raise DataError("vocabulary lacks a namespaces object")
@@ -162,11 +160,10 @@ def build_vocab(train: Dataset | Sequence[Dataset]) -> Vocabulary:
     key tables, chained and deduplicated, keeps that order.
     """
     datasets = [train] if isinstance(train, Dataset) else list(train)
-    columns = [ds.columns for ds in datasets]
-    if not any(c.ids for c in columns):
+    if not any(ds.ids for ds in datasets):
         raise DataError("cannot build a vocabulary from an empty dataset")
-    metas = [m for c in columns for m in c.metas]
-    keys = dict.fromkeys(chain.from_iterable(c.keys for c in columns))
+    metas = [m for ds in datasets for m in ds.metas]
+    keys = dict.fromkeys(chain.from_iterable(ds.keys for ds in datasets))
     strings = {
         "user": (m.user_id for m in metas),
         "token": (token.lower() for token, _, _, _ in keys),
@@ -265,16 +262,16 @@ def key_rows(keys: Sequence[tuple[str, str, str, str]], vocab: Vocabulary) -> np
     return rows
 
 
-def token_features(columns: TokenColumns, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Every token's features: ``(binary, numeric)``. Row i of ``binary``
-    holds token i's exercise's four ``exercise_features``, then its key's
-    ``key_rows`` row (padding included); row i of ``numeric`` its days, time
-    and time-present values. The binary entries other than ``vocab.n_binary``
-    are, as a set, ``encode(token i).indices``."""
-    ex_idx, ex_num = exercise_features(columns.metas, vocab)
-    exercise = np.asarray(columns.exercise, dtype=np.intp)
-    key = np.asarray(columns.key, dtype=np.intp)
-    binary = np.concatenate([ex_idx[exercise], key_rows(columns.keys, vocab)[key]], axis=1)
+def token_features(dataset: Dataset, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Every token of the dataset's features: ``(binary, numeric)``. Row i of
+    ``binary`` holds token i's exercise's four ``exercise_features``, then
+    its key's ``key_rows`` row (padding included); row i of ``numeric`` its
+    days, time and time-present values. The binary entries other than
+    ``vocab.n_binary`` are, as a set, ``encode(token i).indices``."""
+    ex_idx, ex_num = exercise_features(dataset.metas, vocab)
+    exercise = np.asarray(dataset.exercise, dtype=np.intp)
+    key = np.asarray(dataset.key, dtype=np.intp)
+    binary = np.concatenate([ex_idx[exercise], key_rows(dataset.keys, vocab)[key]], axis=1)
     return binary, ex_num[exercise]
 
 
@@ -292,8 +289,8 @@ def to_dense(fvs: Iterable[FeatureVector], vocab: Vocabulary) -> np.ndarray:
 def labels_array(dataset: Dataset, hint: str = "") -> np.ndarray:
     """Labels as float64; the first unlabeled instance fails, named, and
     ``hint`` ends the message."""
-    labels = dataset.columns.labels
+    labels = dataset.labels
     if None in labels:
-        missing = dataset.columns.ids[labels.index(None)]
+        missing = dataset.ids[labels.index(None)]
         raise DataError(f"unlabeled instance {missing!r} (and possibly more){hint}")
     return np.array(labels, dtype=np.float64)

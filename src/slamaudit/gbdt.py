@@ -381,7 +381,7 @@ def _root(train: Dataset, vocab: Vocabulary) -> _Node:
     """The root node over every training row, its entries read from the rows
     of ``token_features`` without their padding. The padded rows are freed
     on return; the nodes hold all that training reads."""
-    binary, numeric = token_features(train.columns, vocab)
+    binary, numeric = token_features(train, vocab)
     entry_rows, slot = np.nonzero(binary != vocab.n_binary)  # row-major
     return _Node.root(entry_rows, binary[entry_rows, slot], numeric)
 
@@ -575,7 +575,7 @@ class _Sides:
 
     @classmethod
     def of(cls, model: GbdtModel, dataset: Dataset) -> "_Sides":
-        vocab, columns = model.vocab, dataset.columns
+        vocab = model.vocab
         n_binary = vocab.n_binary
         split_on = np.zeros(n_binary, dtype=bool)  # a mark: np.unique loads numpy.ma
         split_on[np.fromiter(
@@ -584,8 +584,8 @@ class _Sides:
         used = np.flatnonzero(split_on)
         column = np.full(n_binary + 1, len(used), dtype=np.intp)
         column[used] = np.arange(len(used))
-        ex_idx, ex_num = exercise_features(columns.metas, vocab)
-        key_col = column[key_rows(columns.keys, vocab)]
+        ex_idx, ex_num = exercise_features(dataset.metas, vocab)
+        key_col = column[key_rows(dataset.keys, vocab)]
         return cls(n_binary, len(used), column, column[ex_idx], ex_num, key_col)
 
 
@@ -602,8 +602,8 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     the scores equal the dense per-token walk bit for bit.
     """
     sides = _Sides.of(model, dataset)
-    exercise = np.asarray(dataset.columns.exercise, dtype=np.intp)
-    key = np.asarray(dataset.columns.key, dtype=np.intp)
+    exercise = np.asarray(dataset.exercise, dtype=np.intp)
+    key = np.asarray(dataset.key, dtype=np.intp)
     raw = np.full(len(exercise), model.base_score, dtype=np.float64)
     for first in range(0, len(model.trees), _SCORE_TREES):
         forest = _Forest.of(model.trees[first : first + _SCORE_TREES])

@@ -134,13 +134,12 @@ def group_codes(
     dataset: Dataset, classification: CountryClassification, dimension: Dimension
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """``code_groups`` of each token's group along one dimension."""
-    columns = dataset.columns
     if dimension is Dimension.CLIENT:
-        values = [meta.client.value for meta in columns.metas]
+        values = [meta.client.value for meta in dataset.metas]
     else:
-        values = [classify_country(m.countries, classification).value for m in columns.metas]
+        values = [classify_country(m.countries, classification).value for m in dataset.metas]
     codes, names = code_groups(values)
-    return codes[np.asarray(columns.exercise, dtype=np.intp)], names
+    return codes[np.asarray(dataset.exercise, dtype=np.intp)], names
 
 
 _P = TypeVar("_P")

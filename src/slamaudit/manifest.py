@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DataError
-from .validation import read_json_object, require_keys
+from .validation import check_format_version, read_json_object, require_keys
 
 MANIFEST_FORMAT_VERSION = 1
 _MANIFEST_KEYS = (
@@ -89,10 +89,7 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunManifest":
-        if payload.get("format_version") != MANIFEST_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported manifest format version {payload.get('format_version')!r}"
-            )
+        check_format_version(payload, MANIFEST_FORMAT_VERSION, "manifest")
         require_keys(payload, _MANIFEST_KEYS, "manifest")
         for key in ("config_hashes", "dataset_hashes", "timestamps"):
             if not isinstance(payload[key], dict):

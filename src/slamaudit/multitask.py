@@ -45,7 +45,7 @@ from .features import (  # noqa: F401 (encode)
     token_features,
 )
 from .numerics import sigmoid
-from .slam_format import Dataset, TokenColumns, Track
+from .slam_format import Dataset, Track
 from .validation import number, read_model_file, require_keys, write_model_file
 
 MT_FORMAT_VERSION = 1
@@ -132,6 +132,18 @@ class MtGradients:
     heads: dict[Track, tuple[np.ndarray, float]]
 
 
+def _uniform(rng: np.random.Generator, bound: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Parameters of ``shape`` drawn uniform in [-bound, bound]; a shape numpy
+    cannot allocate ends in a TrainingError naming it."""
+    try:
+        return rng.uniform(-bound, bound, size=shape)
+    except (MemoryError, ValueError):  # ValueError: more elements than an array holds
+        raise TrainingError(
+            f"cannot allocate multitask parameters of shape {shape}; "
+            "lower embed_dim or hidden_dim"
+        ) from None
+
+
 def init_model(
     vocab: Vocabulary, tracks: Iterable[Track], config: MtConfig
 ) -> MtModel:
@@ -141,13 +153,13 @@ def init_model(
     rng = np.random.default_rng(config.seed)
     d, hdim = config.embed_dim, config.hidden_dim
     bound_e = 1.0 / math.sqrt(d)
-    embedding = rng.uniform(-bound_e, bound_e, size=(vocab.total_dims, d))
-    hidden_weight = rng.uniform(-bound_e, bound_e, size=(d, hdim))
+    embedding = _uniform(rng, bound_e, (vocab.total_dims, d))
+    hidden_weight = _uniform(rng, bound_e, (d, hdim))
     hidden_bias = np.zeros(hdim)
     bound_h = 1.0 / math.sqrt(hdim)
     heads: dict[Track, tuple[np.ndarray, float]] = {}
     for track in sorted(set(tracks), key=lambda t: t.value):
-        heads[track] = (rng.uniform(-bound_h, bound_h, size=hdim), 0.0)
+        heads[track] = (_uniform(rng, bound_h, (hdim,)), 0.0)
     if not heads:
         raise TrainingError("at least one track is required")
     return MtModel(
@@ -266,11 +278,12 @@ class _PackedRows:
         return len(self.cols)
 
 
-def _pack(columns: TokenColumns, vocab: Vocabulary, labels=None) -> _PackedRows:
-    """Pack token rows from their ``token_features``: each row's binary
-    slots, weight 1/k on its k features and 0 on the ``vocab.n_binary``
-    padding, then its numeric dims weighted by their values."""
-    binary, numeric = token_features(columns, vocab)
+def _pack(dataset: Dataset, vocab: Vocabulary, labels=None) -> _PackedRows:
+    """Pack the dataset's token rows from their ``token_features``: each
+    row's binary slots, weight 1/k on its k features and 0 on the
+    ``vocab.n_binary`` padding, then its numeric dims weighted by their
+    values."""
+    binary, numeric = token_features(dataset, vocab)
     active = binary != vocab.n_binary
     k = active.sum(axis=1, keepdims=True)
     numeric_dims = np.broadcast_to(vocab.n_binary + np.arange(len(NUMERIC_FEATURES)),
@@ -325,7 +338,7 @@ def _prepare_tracks(
             raise TrainingError(
                 f"track {ds.track.value!r} contains a single class"
             )
-        by_track[ds.track] = _pack(ds.columns, vocab, labels)
+        by_track[ds.track] = _pack(ds, vocab, labels)
     if not by_track:
         raise TrainingError("no datasets given")
     return by_track
@@ -432,7 +445,7 @@ def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
     track = dataset.track
     if track not in model.heads:
         raise DataError(f"model has no head for track {track.value!r}")
-    packed = _pack(dataset.columns, model.vocab)
+    packed = _pack(dataset, model.vocab)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = _chunked(model, track, packed, lambda rows, mix, u, logits: sigmoid(logits))
     if not np.isfinite(scores).all():

@@ -6,16 +6,16 @@ lines followed by whitespace-separated token lines
 Labeled splits carry the label inline; dev/test labels live in separate
 two-column key files.
 
-A parsed split is the join of two tables (``TokenColumns``): one
-``ExerciseMeta`` per exercise and one (token, POS, morph field, dep) tuple
-per distinct token key, which the parser interns as it reads. Each token
-keeps its id, head and label and two int codes, its exercise index and
-its key index. Within one parse each distinct countries field is split and
-checked once, and client, session and format values map through dicts. A
-``Dataset`` is a track, a split and those columns; the label join fills the
-label column by one key lookup per id, and serialization writes one block
-per exercise from the two tables. ``TokenInstance`` objects are built only
-when asked for (``Dataset.instances``), for tests and single-token use.
+A parsed split is one record, a ``Dataset``: its track, its split and the
+join of two tables, one ``ExerciseMeta`` per exercise and one (token, POS,
+morph field, dep) tuple per distinct token key, which the parser interns as
+it reads. Each token keeps its id, head and label and two int codes, its
+exercise index and its key index. Within one parse each distinct countries
+field is split and checked once, and client, session and format values map
+through dicts. The label join fills the label column by one key lookup per
+id, and serialization writes one block per exercise from the two tables.
+``TokenInstance`` objects are built only when asked for
+(``Dataset.instances``), for tests and single-token use.
 """
 
 from __future__ import annotations
@@ -109,70 +109,6 @@ def _morph_field(features: tuple[str, ...]) -> str:
     return "|".join(features) if features else "_"
 
 
-@dataclass(frozen=True)
-class TokenColumns:
-    """A token sequence held as the join of two tables: one metadata object
-    per exercise and one (token, POS, morph field, dep) tuple per distinct
-    token key.
-
-    Row i is one token: ``ids[i]``, ``heads[i]``, ``labels[i]`` (None when
-    unlabeled), ``exercise[i]``, the index of its metadata in ``metas``, and
-    ``key[i]``, the index of its key in ``keys``. A key's morph field is the
-    raw SLAM field (see ``morph_features``). Exercise indices never decrease
-    along the rows, every entry of ``metas`` has at least one row, and
-    ``keys`` holds each key once, in order of first occurrence.
-    """
-
-    ids: list[str]
-    key: list[int]
-    keys: list[tuple[str, str, str, str]]
-    heads: list[int]
-    labels: list[int | None]
-    exercise: list[int]
-    metas: list[ExerciseMeta]
-
-    @classmethod
-    def from_instances(cls, instances: Sequence[TokenInstance]) -> "TokenColumns":
-        """Columns of instance objects; an exercise starts wherever the
-        metadata object changes. Morph features are joined as
-        ``serialize_dataset`` writes them."""
-        metas: list[ExerciseMeta] = []
-        exercise: list[int] = []
-        key_ids: dict[tuple[str, str, str, str], int] = {}
-        key: list[int] = []
-        for inst in instances:
-            if not metas or inst.meta is not metas[-1]:
-                metas.append(inst.meta)
-            exercise.append(len(metas) - 1)
-            k = (inst.token, inst.part_of_speech, _morph_field(inst.morph_features),
-                 inst.dep_label)
-            key.append(key_ids.setdefault(k, len(key_ids)))
-        return cls(
-            ids=[i.instance_id for i in instances],
-            key=key,
-            keys=list(key_ids),
-            heads=[i.dep_head for i in instances],
-            labels=[i.label for i in instances],
-            exercise=exercise,
-            metas=metas,
-        )
-
-    def instance(self, i: int, track: Track) -> TokenInstance:
-        """Row i as a token instance of ``track``."""
-        token, pos, morph, dep = self.keys[self.key[i]]
-        return TokenInstance(
-            instance_id=self.ids[i],
-            token=token,
-            part_of_speech=pos,
-            morph_features=morph_features(morph),
-            dep_label=dep,
-            dep_head=self.heads[i],
-            label=self.labels[i],
-            meta=self.metas[self.exercise[i]],
-            track=track,
-        )
-
-
 def _check_unique(ids: Sequence[str]) -> None:
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
@@ -184,27 +120,47 @@ def _check_unique(ids: Sequence[str]) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """The tokens of a single track and split, in file order, as columns.
+    """The tokens of a single track and split, in file order, held as the
+    join of two tables: one metadata object per exercise and one (token,
+    POS, morph field, dep) tuple per distinct token key.
 
-    Two datasets are equal when their track, split and columns are, so the
-    exercise boundaries count as well as the tokens.
+    Row i is one token: ``ids[i]``, ``heads[i]``, ``labels[i]`` (None when
+    unlabeled), ``exercise[i]``, the index of its metadata in ``metas``, and
+    ``key[i]``, the index of its key in ``keys``. A key's morph field is the
+    raw SLAM field (see ``morph_features``). Exercise indices never decrease
+    along the rows, every entry of ``metas`` has at least one row, ``keys``
+    holds each key once, in order of first occurrence, and no id repeats.
+
+    Two datasets are equal when all their fields are, so the exercise
+    boundaries count as well as the tokens.
     """
 
     track: Track
     split: Split
-    columns: TokenColumns
+    ids: list[str]
+    key: list[int]
+    keys: list[tuple[str, str, str, str]]
+    heads: list[int]
+    labels: list[int | None]
+    exercise: list[int]
+    metas: list[ExerciseMeta]
 
     def __post_init__(self):
-        _check_unique(self.columns.ids)
+        _check_unique(self.ids)
 
     @classmethod
     def from_instances(
         cls, track: Track, instances: Iterable[TokenInstance], split: Split
     ) -> "Dataset":
         """A dataset of instance objects; an exercise starts wherever the
-        metadata object changes (see ``TokenColumns.from_instances``)."""
+        metadata object changes. Morph features are joined as
+        ``serialize_dataset`` writes them."""
         instances = tuple(instances)
         ids = [inst.instance_id for inst in instances]
+        metas: list[ExerciseMeta] = []
+        exercise: list[int] = []
+        key_ids: dict[tuple[str, str, str, str], int] = {}
+        key: list[int] = []
         for k, inst in enumerate(instances):
             if inst.track is not track:
                 _check_unique(ids[: k + 1])  # an earlier duplicate is reported first
@@ -212,15 +168,37 @@ class Dataset:
                     f"instance {inst.instance_id!r} has track {inst.track.value}, "
                     f"dataset is {track.value}"
                 )
-        return cls(track, split, TokenColumns.from_instances(instances))
+            if not metas or inst.meta is not metas[-1]:
+                metas.append(inst.meta)
+            exercise.append(len(metas) - 1)
+            token_key = (inst.token, inst.part_of_speech, _morph_field(inst.morph_features),
+                         inst.dep_label)
+            key.append(key_ids.setdefault(token_key, len(key_ids)))
+        return cls(track, split, ids, key, list(key_ids),
+                   [i.dep_head for i in instances], [i.label for i in instances],
+                   exercise, metas)
 
     @property
     def instances(self) -> tuple[TokenInstance, ...]:
         """One ``TokenInstance`` per row, built afresh on every access."""
-        return tuple(self.columns.instance(i, self.track) for i in range(len(self)))
+        return tuple(map(self._instance, range(len(self))))
+
+    def _instance(self, i: int) -> TokenInstance:
+        token, pos, morph, dep = self.keys[self.key[i]]
+        return TokenInstance(
+            instance_id=self.ids[i],
+            token=token,
+            part_of_speech=pos,
+            morph_features=morph_features(morph),
+            dep_label=dep,
+            dep_head=self.heads[i],
+            label=self.labels[i],
+            meta=self.metas[self.exercise[i]],
+            track=self.track,
+        )
 
     def __len__(self) -> int:
-        return len(self.columns.ids)
+        return len(self.ids)
 
 
 def _parse_meta_pairs(body: str, lineno: int) -> list[tuple[str, str]]:
@@ -310,8 +288,8 @@ def _dep_head(field: str, lineno: int) -> int:
 _LABELS = {"0": 0, "1": 1}
 
 
-def _parse_columns(lines: Iterable[str]) -> TokenColumns:
-    """Parse SLAM text into the ``TokenColumns`` of its exercises, in file
+def _parse_columns(lines: Iterable[str]) -> tuple:
+    """Parse SLAM text into the ``Dataset`` fields after ``split``, in file
     order, interning each token key as it is read. A block without tokens
     adds no exercise, but its metadata is still checked.
 
@@ -383,12 +361,12 @@ def _parse_columns(lines: Iterable[str]) -> TokenColumns:
         labels.append(label)
         exercise.append(e)
     flush()
-    return TokenColumns(ids, key, list(key_ids), heads, labels, exercise, metas)
+    return ids, key, list(key_ids), heads, labels, exercise, metas
 
 
 def parse_dataset(lines: Iterable[str], track: Track, split: Split) -> Dataset:
     """Parse a whole SLAM stream into a Dataset, preserving file order."""
-    return Dataset(track, split, _parse_columns(lines))
+    return Dataset(track, split, *_parse_columns(lines))
 
 
 def read_dataset(path: str | Path, track: Track, split: Split) -> Dataset:
@@ -426,7 +404,7 @@ def join_labels(dataset: Dataset, key: dict[str, int]) -> Dataset:
     Every instance id must appear in the key; ids in the key that are not in
     the dataset are logged as a warning and ignored.
     """
-    ids = dataset.columns.ids
+    ids = dataset.ids
     try:
         labels = list(map(key.__getitem__, ids))
     except KeyError:
@@ -435,7 +413,7 @@ def join_labels(dataset: Dataset, key: dict[str, int]) -> Dataset:
     extra = len(key) - len(ids)
     if extra > 0:
         log.warning("label key has %d entries not present in the dataset", extra)
-    return replace(dataset, columns=replace(dataset.columns, labels=labels))
+    return replace(dataset, labels=labels)
 
 
 def _format_meta(meta: ExerciseMeta) -> list[str]:
@@ -460,10 +438,10 @@ def _format_meta(meta: ExerciseMeta) -> list[str]:
 def serialize_dataset(dataset: Dataset) -> str:
     """Render a dataset back to SLAM text, one block per exercise, from its
     two tables; re-parsing reproduces it exactly."""
-    c = dataset.columns
-    blocks = [_format_meta(meta) for meta in c.metas]
-    for e, instance_id, k, head, label in zip(c.exercise, c.ids, c.key, c.heads, c.labels):
-        token, pos, morph, dep = c.keys[k]
+    blocks = [_format_meta(meta) for meta in dataset.metas]
+    rows = zip(dataset.exercise, dataset.ids, dataset.key, dataset.heads, dataset.labels)
+    for e, instance_id, k, head, label in rows:
+        token, pos, morph, dep = dataset.keys[k]
         line = f"{instance_id} {token} {pos} {morph} {dep} {head}"
         blocks[e].append(line if label is None else f"{line} {label}")
     if not blocks:

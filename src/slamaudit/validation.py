@@ -67,6 +67,15 @@ def number(value, source: str) -> float:
         raise DataError(f"{source} is out of range") from None
 
 
+def check_format_version(payload: dict, version: int, what: str) -> None:
+    """Raise a DataError unless ``payload``'s ``format_version`` is the int
+    ``version`` (not a bool, float or string equal to it); ``what`` names
+    the format ("model", "vocabulary", "manifest")."""
+    v = payload.get("format_version")
+    if not (type(v) is int and v == version):
+        raise DataError(f"unsupported {what} format version {v!r}")
+
+
 def config_from(cls, payload, source: str):
     """Build a config dataclass from a JSON payload, naming any bad key.
 
@@ -115,8 +124,7 @@ def read_model_file(path: str | Path, payload: dict | None, kind: str, version: 
         payload = read_json_object(path, "model file")
     if payload.get("kind") != kind:
         raise DataError(f"not a {kind} model file: {path}")
-    if payload.get("format_version") != version:
-        raise DataError(f"unsupported model format version {payload.get('format_version')!r}")
+    check_format_version(payload, version, "model")
     where = f"model file {path}"
     require_keys(payload, keys, where)
     return payload, config_from(config_cls, payload["config"], f"the config in {where}")

@@ -262,6 +262,22 @@ class TestTrain:
         assert error_lines(argv, capsys) == ["error: seed must be >= 0"]
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim"])
+    def test_unallocatable_multitask_config(self, tmp_path, mini_dir, capsys, key):
+        """numpy refuses a 2**62-wide parameter array before allocating any of it."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 2**62}))
+        argv = ["train", "--data", str(mini_dir / "en_es.train.slam"), "--track", "en_es",
+                "--model", "multitask", "--config", str(config),
+                "--out", str(tmp_path / "x.json")]
+        shape = (127, 2**62) if key == "embed_dim" else (16, 2**62)
+        assert error_lines(argv, capsys) == [
+            f"error: cannot allocate multitask parameters of shape {shape}; "
+            "lower embed_dim or hidden_dim"
+        ]
+        assert not (tmp_path / "x.json").exists()
+        assert not (tmp_path / "x.json.manifest.json").exists()
+
 
 class TestPredict:
     def test_scores_csv(self, tmp_path, gbdt_model, mini_dir):
@@ -333,6 +349,41 @@ class TestPredict:
         model.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="^unsupported model format version"):
             load(model)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None],
+                             ids=["true", "1.0", "'1'", "2", "missing"])
+    @pytest.mark.parametrize("where", ["gbdt", "multitask", "vocabulary", "manifest"])
+    def test_format_version_must_be_the_int_1(self, tmp_path, gbdt_model, mt_model, mini_dir,
+                                              capsys, where, version):
+        """A model file, its vocabulary and a manifest sidecar each hold
+        ``format_version`` 1, an int: a bool, float or string equal to it is
+        refused like another version or a missing one."""
+
+        def set_version(payload):
+            if version is None:
+                del payload["format_version"]
+            else:
+                payload["format_version"] = version
+
+        source, track = (mt_model, "es_en") if where == "multitask" else (gbdt_model, "en_es")
+        model = tmp_path / "model.json"
+        payload = json.loads(source.read_text())
+        if where in ("gbdt", "multitask"):
+            set_version(payload)
+        elif where == "vocabulary":
+            set_version(payload["vocab"])
+        model.write_text(json.dumps(payload))
+        if where == "manifest":
+            manifest = json.loads(Path(str(source) + ".manifest.json").read_text())
+            set_version(manifest)
+            Path(str(model) + ".manifest.json").write_text(json.dumps(manifest))
+        code, err = predict_error_lines(
+            model, mini_dir / f"{track}.dev.slam", track, tmp_path / "s.csv", capsys
+        )
+        what = where if where in ("vocabulary", "manifest") else "model"
+        assert code == 1
+        assert err == [f"error: unsupported {what} format version {version!r}"]
+        assert not (tmp_path / "s.csv").exists()
 
     def test_model_file_not_an_object(self, tmp_path, mini_dir, capsys):
         model = tmp_path / "model.json"

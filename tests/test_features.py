@@ -26,7 +26,6 @@ from slamaudit.slam_format import (
     ExerciseMeta,
     Session,
     Split,
-    TokenColumns,
     TokenInstance,
     Track,
     read_dataset,
@@ -307,11 +306,12 @@ class TestDense:
             labels_array(ds)
 
 
-def assert_rows_equal_encode(instances, vocab):
+def assert_rows_equal_encode(ds, vocab):
     """token_features must give, row for row, exactly what encode gives: the
     row's binary entries but its padding, sorted, are encode's indices (so
     none repeats), and its numerics are encode's values."""
-    binary, numeric = token_features(TokenColumns.from_instances(instances), vocab)
+    binary, numeric = token_features(ds, vocab)
+    instances = ds.instances
     assert binary.shape[0] == len(instances)
     assert numeric.shape == (len(instances), len(NUMERIC_FEATURES))
     for i, inst in enumerate(instances):
@@ -330,17 +330,17 @@ class TestEncodeRows:
         train = read_dataset(mini_dir / f"{track.value}.train.slam", track, Split.TRAIN)
         dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
         vocab = build_vocab(train)
-        assert_rows_equal_encode(train.instances, vocab)
-        assert_rows_equal_encode(dev.instances, vocab)  # holds unseen strings
+        assert_rows_equal_encode(train, vocab)
+        assert_rows_equal_encode(dev, vocab)  # holds unseen strings
 
     def test_equals_encode_on_random_draws(self):
         rng = random.Random(4801)
         for _ in range(40):
             train = random_dataset(rng, n_exercises=rng.randint(1, 6))
             vocab = build_vocab(train)
-            assert_rows_equal_encode(train.instances, vocab)
+            assert_rows_equal_encode(train, vocab)
             # a second draw: its users, tokens and morph sets are mostly OOV
-            assert_rows_equal_encode(random_dataset(rng, n_exercises=4).instances, vocab)
+            assert_rows_equal_encode(random_dataset(rng, n_exercises=4), vocab)
 
     def test_edge_instances(self):
         base = make_instance()
@@ -362,11 +362,18 @@ class TestEncodeRows:
             dataclasses.replace(base, instance_id=f"e{k}", **change)
             for k, change in enumerate(variants)
         ]
+        # a dataset's ids are distinct, so the reversed copies are renamed
+        mirror = [
+            dataclasses.replace(inst, instance_id=f"r{k}") for k, inst in enumerate(edge[::-1])
+        ]
         # metadata objects alternate, so no run of shared metadata is reused
-        assert_rows_equal_encode(edge + [base] + edge[::-1], vocab)
+        assert_rows_equal_encode(
+            Dataset.from_instances(Track.EN_ES, edge + [base] + mirror, Split.TRAIN), vocab
+        )
 
     def test_empty_input(self):
         vocab = build_vocab(single_instance_dataset())
-        binary, numeric = token_features(TokenColumns.from_instances(()), vocab)
+        empty = Dataset.from_instances(Track.EN_ES, (), Split.TRAIN)
+        binary, numeric = token_features(empty, vocab)
         assert binary.shape[0] == 0 and binary.size == 0
         assert numeric.shape == (0, len(NUMERIC_FEATURES))

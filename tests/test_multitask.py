@@ -60,6 +60,26 @@ class TestConfig:
             MtConfig(learning_rate=rate)
 
 
+class TestInitModel:
+    def test_memory_error_names_the_shape(self, monkeypatch):
+        """An allocation refused with MemoryError ends in one TrainingError;
+        the refusal is stubbed, so nothing large is allocated (a shape numpy
+        refuses before allocating is tested through the command line)."""
+
+        class Refusing:
+            def uniform(self, low, high, size):
+                raise MemoryError(f"Unable to allocate an array with shape {size}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Refusing())
+        vocab = tiny_vocab()
+        with pytest.raises(TrainingError) as info:
+            init_model(vocab, TRACKS, small_config())
+        assert str(info.value) == (
+            f"cannot allocate multitask parameters of shape {(vocab.total_dims, 3)}; "
+            "lower embed_dim or hidden_dim"
+        )
+
+
 class TestForward:
     def test_all_zero_parameters_give_half(self):
         vocab = tiny_vocab()
@@ -413,12 +433,12 @@ class TestPacking:
         vocab = build_vocab(train)
         labels = [i.label for i in train.instances]
         assert_packed_equal(
-            _pack(train.columns, vocab, labels),
+            _pack(train, vocab, labels),
             oracle_pack([encode(i, vocab) for i in train.instances], labels),
             vocab.total_dims,
         )
         assert_packed_equal(
-            _pack(dev.columns, vocab),
+            _pack(dev, vocab),
             oracle_pack([encode(i, vocab) for i in dev.instances]),
             vocab.total_dims,
         )
@@ -430,7 +450,7 @@ class TestPacking:
             vocab = build_vocab(random_dataset(rng, n_exercises=3))
             ds = random_dataset(rng, n_exercises=rng.randint(0, 6))
             fvs = [encode(i, vocab) for i in ds.instances]
-            assert_packed_equal(_pack(ds.columns, vocab), oracle_pack(fvs), vocab.total_dims)
+            assert_packed_equal(_pack(ds, vocab), oracle_pack(fvs), vocab.total_dims)
 
 
 @pytest.fixture(scope="module")

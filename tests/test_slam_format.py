@@ -14,7 +14,6 @@ from slamaudit.slam_format import (
     ExerciseFormat,
     Session,
     Split,
-    TokenColumns,
     Track,
     join_labels,
     morph_features,
@@ -36,8 +35,8 @@ TOKEN = "aaaa0001 Yo PRON Person=1 nsubj 2 0"
 def parse_lines(text, track=Track.EN_ES):
     """(meta, tokens) per exercise of the parsed dataset, in file order."""
     ds = parse_dataset(text.splitlines(), track, Split.TRAIN)
-    exercises = [(meta, []) for meta in ds.columns.metas]
-    for e, inst in zip(ds.columns.exercise, ds.instances):
+    exercises = [(meta, []) for meta in ds.metas]
+    for e, inst in zip(ds.exercise, ds.instances):
         exercises[e][1].append(inst)
     return exercises
 
@@ -225,8 +224,8 @@ class TestJoinLabels:
         assert [r.getMessage() for r in caplog.records] == [
             "label key has 3 entries not present in the dataset"
         ]
-        assert [i.label for i in joined.instances] == [key[i] for i in ds.columns.ids]
-        assert ds.columns.labels == [None] * len(ds)
+        assert [i.label for i in joined.instances] == [key[i] for i in ds.ids]
+        assert ds.labels == [None] * len(ds)
         assert all(i.label is None for i in ds.instances)
 
 
@@ -290,8 +289,8 @@ class TestTokenKeyTable:
     (token, POS, morph field, dep) keys."""
 
     @staticmethod
-    def assert_tables_match(columns, instances):
-        keys, key = columns.keys, list(columns.key)
+    def assert_tables_match(ds, instances):
+        keys, key = ds.keys, list(ds.key)
         assert len(set(keys)) == len(keys)
         assert list(dict.fromkeys(key)) == list(range(len(keys)))  # first-occurrence order
         fields = [(t, p, morph_features(m), d) for t, p, m, d in (keys[k] for k in key)]
@@ -303,9 +302,9 @@ class TestTokenKeyTable:
         lines = (mini_dir / f"{track.value}.{split}.slam").read_text().splitlines()
         ds = parse_dataset(lines, track, Split(split))
         oracle = oracle_parse_dataset(lines, track, Split(split)).instances
-        self.assert_tables_match(ds.columns, oracle)
-        assert len(ds.columns.keys) < 0.85 * len(ds)  # the fixture repeats its keys
-        assert TokenColumns.from_instances(oracle) == ds.columns
+        self.assert_tables_match(ds, oracle)
+        assert len(ds.keys) < 0.85 * len(ds)  # the fixture repeats its keys
+        assert Dataset.from_instances(track, oracle, Split(split)) == ds
 
     def test_random_repeated_keys(self):
         rng = random.Random(1601)
@@ -319,10 +318,10 @@ class TestTokenKeyTable:
                     instances[i] = replace(instances[i], token=t, part_of_speech=p,
                                            morph_features=m, dep_label=d)
                     repeats += 1
-            columns = TokenColumns.from_instances(instances)
-            self.assert_tables_match(columns, instances)
-            lines = serialize_dataset(Dataset(ds.track, ds.split, columns)).splitlines()
-            assert parse_dataset(lines, ds.track, ds.split).columns == columns
+            keyed = Dataset.from_instances(ds.track, instances, ds.split)
+            self.assert_tables_match(keyed, instances)
+            lines = serialize_dataset(keyed).splitlines()
+            assert parse_dataset(lines, ds.track, ds.split) == keyed
         assert repeats > 50
 
 
