@@ -3,10 +3,11 @@
 One command is one process. Every command that writes results also writes a
 manifest (or embeds one) so outputs are traceable to their inputs. All
 output files are byte-deterministic given the same inputs, seed, and
-SOURCE_DATE_EPOCH. ``predict``, ``evaluate`` and
-``audit`` share one scoring step (``_scored``) and one manifest builder. On
-stderr a command prints library warnings as ``warning: ...`` lines and, on
-failure, one last ``error: ...`` line before it exits 1.
+SOURCE_DATE_EPOCH, which ``main`` checks before a command reads or writes
+anything. ``predict``, ``evaluate`` and ``audit`` share one scoring step
+(``_scored``), one manifest builder and one declaration of their common
+options. On stderr a command prints library warnings as ``warning: ...``
+lines and, on failure, one last ``error: ...`` line before it exits 1.
 
 A command imports only the modules it runs: at import this module binds the
 names of ``errors``, ``slam_format``, ``features``, ``manifest`` and
@@ -27,14 +28,14 @@ import importlib
 import logging
 import sys
 from dataclasses import asdict, replace
-from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .errors import SlamAuditError, AuditError, DataError
 from .features import build_vocab, labels_array
-from .manifest import build_manifest, read_manifest, sha256_config, sha256_text, write_manifest
+from .manifest import (build_manifest, read_manifest, run_timestamp, sha256_config, sha256_text,
+                       write_manifest)
 from .slam_format import Split, Track, join_labels, read_dataset, read_label_key
-from .validation import config_from, read_json_object, read_json_text
+from .validation import config_from, read_json_object, read_json_text, write_json
 
 # Loaded on first use by ``_load``, which binds these names as globals of this
 # module. Some are not called here, but stage timers wrap them by name.
@@ -94,9 +95,8 @@ def _check_sidecar(model_path: str, track: str, hashes: dict) -> None:
     if not sidecar.exists():
         return
     manifest = read_manifest(sidecar)
-    recorded = dict(manifest.config_hashes)
     for name in ("vocab", "model"):
-        if recorded.get(name, hashes[name]) != hashes[name]:
+        if manifest.config_hashes.get(name, hashes[name]) != hashes[name]:
             raise AuditError(
                 f"{name} mismatch: model file {model_path} does not match its manifest {sidecar}"
             )
@@ -148,40 +148,6 @@ def _manifest(args: argparse.Namespace, kind: str, paths: dict, hashes: dict):
 def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:  # also false for NaN
         raise DataError(f"--threshold must be a finite number in [0, 1], got {threshold!r}")
-
-
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, with each list of
-    [x, y] float pairs formatted in one join; dict keys must be str."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        return "[]"
-    if all(type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is float for v in value):
-        step = "\n" + inner + "  "
-        text = ",\n".join(f"{inner}[{step}{x!r},{step}{y!r}\n{inner}]" for x, y in value)
-        if "n" not in text:  # else a NaN or infinity, spelled otherwise in JSON
-            return "[\n" + text + f"\n{indent}]"
-    return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{indent}]"
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(_json(payload) + "\n", encoding="utf-8")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -256,7 +222,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "f1": f1.f1,
     }
     if args.out is not None:
-        _write_json(payload, Path(args.out))
+        write_json(payload, args.out)
     print(f"n={len(labels)} auc={auc:.6f} f1={f1.f1:.6f}")
     return 0
 
@@ -304,7 +270,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     manifest = _manifest(args, kind, paths, hashes)
 
-    _write_json(
+    write_json(
         {
             "manifest": manifest.to_dict(),
             "fairness": report_to_dict(report),
@@ -367,34 +333,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.set_defaults(func=cmd_train)
 
-    p_predict = sub.add_parser("predict", help="score a dataset with a trained model")
-    p_predict.add_argument("--model", required=True, help="model file")
-    p_predict.add_argument("--data", required=True)
-    p_predict.add_argument("--track", required=True, choices=TRACK_CHOICES)
-    p_predict.add_argument("--split", default="dev", choices=SPLIT_CHOICES)
+    # the options every scoring command takes, and those of the two that read labels
+    scoring = _Parser(add_help=False)
+    scoring.add_argument("--model", required=True, help="model file")
+    scoring.add_argument("--data", required=True)
+    scoring.add_argument("--track", required=True, choices=TRACK_CHOICES)
+    scoring.add_argument("--split", default="dev", choices=SPLIT_CHOICES)
+    labeled = _Parser(add_help=False)
+    labeled.add_argument("--labels", help="separate label key file")
+    labeled.add_argument("--threshold", type=float, default=0.5)
+
+    p_predict = sub.add_parser("predict", parents=[scoring],
+                               help="score a dataset with a trained model")
     p_predict.add_argument("--out", required=True, help="CSV file to write")
     p_predict.set_defaults(func=cmd_predict)
 
-    p_eval = sub.add_parser("evaluate", help="overall AUC and F1 on labeled data")
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--track", required=True, choices=TRACK_CHOICES)
-    p_eval.add_argument("--labels", help="separate label key file")
-    p_eval.add_argument("--threshold", type=float, default=0.5)
-    p_eval.add_argument("--split", default="dev", choices=SPLIT_CHOICES)
+    p_eval = sub.add_parser("evaluate", parents=[scoring, labeled],
+                            help="overall AUC and F1 on labeled data")
     p_eval.add_argument("--out", help="optional JSON report path")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_audit = sub.add_parser("audit", help="per-group accuracy and ABROCA fairness report")
-    p_audit.add_argument("--model", required=True)
-    p_audit.add_argument("--data", required=True)
-    p_audit.add_argument("--track", required=True, choices=TRACK_CHOICES)
-    p_audit.add_argument("--labels", help="separate label key file")
+    p_audit = sub.add_parser("audit", parents=[scoring, labeled],
+                             help="per-group accuracy and ABROCA fairness report")
     p_audit.add_argument("--dimension", required=True, choices=DIMENSION_CHOICES)
     p_audit.add_argument("--country-mapping", help="mapping file; bundled default otherwise")
-    p_audit.add_argument("--threshold", type=float, default=0.5)
     p_audit.add_argument("--min-group-size", type=int, default=DEFAULT_MIN_GROUP_SIZE)
-    p_audit.add_argument("--split", default="dev", choices=SPLIT_CHOICES)
     p_audit.add_argument("--out", required=True, help="output directory")
     p_audit.set_defaults(func=cmd_audit)
 
@@ -416,6 +379,7 @@ def main(argv=None) -> int:
         _LOG.addHandler(_WarningLines(logging.WARNING))
     try:
         args = build_parser().parse_args(argv)
+        run_timestamp()  # a bad SOURCE_DATE_EPOCH fails before any input is read or written
         return args.func(args)
     except SlamAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,12 +131,13 @@ class Tree:
                         raise TrainingError(f"node {i} has invalid child {child}")
 
     def depth(self) -> int:
-        def walk(i: int) -> int:
-            if self.feature[i] < 0:
-                return 0
-            return 1 + max(walk(self.left[i]), walk(self.right[i]))
-
-        return walk(0)
+        """Internal nodes on the longest path from the root to a leaf, in one
+        sweep from the last node back: a child always follows its parent."""
+        below = [0] * len(self.feature)
+        for i in range(len(below) - 1, -1, -1):
+            if self.feature[i] >= 0:
+                below[i] = 1 + max(below[self.left[i]], below[self.right[i]])
+        return below[0]
 
     def to_dict(self) -> dict:
         return {
@@ -480,16 +481,10 @@ class _Forest:
         word[2 * internal] = rank // 64
         shift = np.zeros(len(child), dtype=np.uint64)
         shift[2 * internal] = rank % 64
-        depth, level = 0, internal[np.isin(internal, first)]  # the internal roots
-        while level.size:  # one level down per pass, from every root at once
-            depth += 1
-            below = np.zeros(len(feature), dtype=bool)  # a mark: np.unique loads numpy.ma
-            below[child[np.concatenate([2 * level, 2 * level + 1])]] = True
-            level = np.flatnonzero(below & (feature >= 0))
         return cls(
             n_trees=len(trees),
             n_words=n_words,
-            depth=depth,
+            depth=max(t.depth() for t in trees),
             roots=2 * first,
             step=2 * child,
             word=word,
@@ -612,7 +607,10 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
         for lo in range(0, len(raw), chunk):
             rows = slice(lo, lo + chunk)
             words = exercise_words[exercise[rows]] | key_words[key[rows]]
-            raw[rows] = forest.raw_scores(words, raw[rows], model.config.learning_rate)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                raw[rows] = forest.raw_scores(words, raw[rows], model.config.learning_rate)
+    if not np.isfinite(raw).all():
+        raise DataError("model gives non-finite scores: its leaf values overflow")
     return sigmoid(raw)
 
 

@@ -3,7 +3,8 @@
 A manifest records what went into a run: the track, the model kind, which
 split was scored, content hashes of every config and dataset file, the tool
 version, and a timestamp. Reports embed their manifest so a results file is
-self-describing.
+self-describing. A manifest file has the one JSON layout of every file the
+tool writes (``validation.write_json``).
 
 Timestamps honor the SOURCE_DATE_EPOCH convention: when that environment
 variable is set, its value is used instead of the wall clock, which makes
@@ -16,12 +17,12 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .errors import DataError
-from .validation import check_format_version, read_json_object, require_keys
+from .validation import check_format_version, read_json_object, require_keys, write_json
 
 MANIFEST_FORMAT_VERSION = 1
 _MANIFEST_KEYS = (
@@ -70,22 +71,13 @@ class RunManifest:
     track: str
     model_kind: str
     split: str
-    config_hashes: tuple[tuple[str, str], ...]
-    dataset_hashes: tuple[tuple[str, str], ...]
-    timestamps: tuple[tuple[str, str], ...]
+    config_hashes: dict[str, str]
+    dataset_hashes: dict[str, str]
+    timestamps: dict[str, str]
     tool_version: str
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": MANIFEST_FORMAT_VERSION,
-            "track": self.track,
-            "model_kind": self.model_kind,
-            "split": self.split,
-            "config_hashes": dict(self.config_hashes),
-            "dataset_hashes": dict(self.dataset_hashes),
-            "timestamps": dict(self.timestamps),
-            "tool_version": self.tool_version,
-        }
+        return {"format_version": MANIFEST_FORMAT_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunManifest":
@@ -94,15 +86,7 @@ class RunManifest:
         for key in ("config_hashes", "dataset_hashes", "timestamps"):
             if not isinstance(payload[key], dict):
                 raise DataError(f"manifest {key} must be a JSON object")
-        return cls(
-            track=payload["track"],
-            model_kind=payload["model_kind"],
-            split=payload["split"],
-            config_hashes=tuple(sorted(payload["config_hashes"].items())),
-            dataset_hashes=tuple(sorted(payload["dataset_hashes"].items())),
-            timestamps=tuple(sorted(payload["timestamps"].items())),
-            tool_version=payload["tool_version"],
-        )
+        return cls(**{key: payload[key] for key in _MANIFEST_KEYS})
 
 
 def build_manifest(
@@ -114,26 +98,19 @@ def build_manifest(
     dataset_paths: dict[str, str | Path],
 ) -> RunManifest:
     """Assemble a manifest, hashing every named dataset file."""
-    dataset_hashes = {
-        name: sha256_file(path) for name, path in sorted(dataset_paths.items())
-    }
     return RunManifest(
         track=track,
         model_kind=model_kind,
         split=split,
-        config_hashes=tuple(sorted(config_hashes.items())),
-        dataset_hashes=tuple(sorted(dataset_hashes.items())),
-        timestamps=(("created", run_timestamp()),),
+        config_hashes=dict(config_hashes),  # a copy: the caller's later edits stay out
+        dataset_hashes={name: sha256_file(path) for name, path in dataset_paths.items()},
+        timestamps={"created": run_timestamp()},
         tool_version=__version__,
     )
 
 
-def manifest_to_json(manifest: RunManifest) -> str:
-    return json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    Path(path).write_text(manifest_to_json(manifest), encoding="utf-8")
+    write_json(manifest.to_dict(), path)
 
 
 def read_manifest(path: str | Path) -> RunManifest:

@@ -2,16 +2,20 @@
 keys, country mappings, and the JSON of configs, models and manifests), so a
 bad file ends in one DataError naming what is wrong.
 
-This module also owns the model-file envelope both learners share: one JSON
-object holding ``kind``, ``format_version``, ``config`` and ``vocab`` next
-to the kind's own parameters, written by ``write_model_file`` and checked by
-``read_model_file``."""
+This module also owns the one JSON layout every file the tool writes has
+(model files, manifests, and the ``evaluate`` and ``audit`` reports): sorted
+keys, two-space indent, ASCII escapes and a final newline, written by
+``write_json``. And it owns the model-file envelope both learners share: one
+JSON object holding ``kind``, ``format_version``, ``config`` and ``vocab``
+next to the kind's own parameters, written by ``write_model_file`` and
+checked by ``read_model_file``."""
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -101,16 +105,52 @@ def config_from(cls, payload, source: str):
     return cls(**payload)
 
 
+def json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, with each list of
+    [x, y] float pairs formatted in one join; dict keys must be str."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{inner}{_json_str(k)}: {json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]"
+    if all(type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is float for v in value):
+        step = "\n" + inner + "  "
+        text = ",\n".join(f"{inner}[{step}{x!r},{step}{y!r}\n{inner}]" for x, y in value)
+        if "n" not in text:  # else a NaN or infinity, spelled otherwise in JSON
+            return "[\n" + text + f"\n{indent}]"
+    return "[\n" + ",\n".join(inner + json_text(v, inner) for v in value) + f"\n{indent}]"
+
+
+def write_json(payload: dict, path: str | Path) -> str:
+    """Write ``payload`` as the one JSON layout of every file the tool
+    writes (``json_text`` and a final newline) and return that text."""
+    text = json_text(payload) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
 def write_model_file(path: str | Path, kind: str, version: int, config, vocab,
                      params: dict) -> str:
     """Write a model file, ``{format_version, kind, config, vocab, **params}``
-    as sorted, indented JSON, and return its text. ``config`` is a config
+    (see ``write_json``), and return its text. ``config`` is a config
     dataclass and ``vocab`` a ``features.Vocabulary``."""
     payload = {"format_version": version, "kind": kind, "config": asdict(config),
                "vocab": vocab.to_dict(), **params}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
-    return text
+    return write_json(payload, path)
 
 
 def read_model_file(path: str | Path, payload: dict | None, kind: str, version: int,

@@ -1,5 +1,6 @@
 """End-to-end command tests against the bundled fixture."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slamaudit.cli import _json, main
+from slamaudit.cli import build_parser, main
 from slamaudit.errors import DataError
 from slamaudit.gbdt import load_model, predict_scores
 from slamaudit.grouping import (
@@ -33,6 +34,7 @@ from slamaudit.slam_format import (
     read_dataset,
     read_label_key,
 )
+from slamaudit.validation import json_text
 
 from conftest import REPO_ROOT
 
@@ -925,11 +927,32 @@ JSON_VALUES = st.recursive(
 def test_json_writer_equals_json_dumps(value):
     """Non-ASCII strings, empty lists and dicts, ints, bools, None, NaN and
     infinities, and point lists at any depth, keys sorted."""
-    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_report_json_is_what_json_dumps_writes(audit_dir):
     text = (audit_dir / "report.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("written", ["gbdt model", "multitask model", "train manifest",
+                                     "predict manifest", "evaluate report"])
+def test_every_json_file_is_what_json_dumps_writes(
+    tmp_path, gbdt_model, mt_model, mini_dir, written
+):
+    """Model files, manifests and reports share the audit report's layout."""
+    paths = {"gbdt model": gbdt_model, "multitask model": mt_model,
+             "train manifest": Path(str(gbdt_model) + ".manifest.json"),
+             "predict manifest": tmp_path / "predict.out.manifest.json",
+             "evaluate report": tmp_path / "evaluate.out"}
+    command = written.split()[0]
+    if command in ("predict", "evaluate"):
+        argv = scoring_argv(command, gbdt_model, mini_dir / "en_es.dev.slam", "en_es",
+                            tmp_path, mini_dir / "en_es.dev.key")
+        if command == "evaluate":
+            argv += ["--out", str(paths[written])]
+        assert run(argv) == 0
+    text = paths[written].read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
@@ -1150,3 +1173,103 @@ def test_scoring_manifests_name_the_model(tmp_path, gbdt_model, mini_dir, comman
         recorded.append(manifest["config_hashes"])
     assert recorded[0]["vocab"] == recorded[1]["vocab"]
     assert recorded[0]["model"] != recorded[1]["model"]
+
+
+EPOCH_ERROR = "error: SOURCE_DATE_EPOCH must be an integer number of seconds, got 'abc'"
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate", "audit"])
+def test_malformed_source_date_epoch_writes_nothing(
+    tmp_path, gbdt_model, mini_dir, capsys, monkeypatch, command
+):
+    """A bad SOURCE_DATE_EPOCH fails before a command reads or writes
+    anything: no model, scores, report or directory without its manifest."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    if command == "train":
+        argv = ["train", "--data", str(mini_dir / "en_es.train.slam"), "--track", "en_es",
+                "--model", "gbdt", "--out", str(tmp_path / "train.out")]
+    else:
+        argv = scoring_argv(command, gbdt_model, mini_dir / "en_es.dev.slam", "en_es",
+                            tmp_path, mini_dir / "en_es.dev.key")
+    if command == "evaluate":
+        argv += ["--out", str(tmp_path / "evaluate.out")]
+    assert error_lines(argv, capsys) == [EPOCH_ERROR]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def overflowing_gbdt_model(tmp_path_factory, gbdt_model):
+    """The fixture GBDT with every leaf at 1.7e308 and learning rate 1.0, no
+    sidecar: its raw scores overflow to infinity."""
+    payload = json.loads(gbdt_model.read_text(encoding="utf-8"))
+    payload["config"]["learning_rate"] = 1.0
+    for tree in payload["trees"]:
+        tree["value"] = [1.7e308 if f == -1 else v
+                         for f, v in zip(tree["feature"], tree["value"])]
+    path = tmp_path_factory.mktemp("overflow") / "gbdt.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "audit"])
+def test_overflowing_gbdt_scores_are_one_error_line(
+    tmp_path, overflowing_gbdt_model, mini_dir, capsys, command
+):
+    argv = scoring_argv(command, overflowing_gbdt_model, mini_dir / "en_es.dev.slam",
+                        "en_es", tmp_path, mini_dir / "en_es.dev.key")
+    if command == "evaluate":
+        argv += ["--out", str(tmp_path / "evaluate.out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lines = error_lines(argv, capsys)
+    assert [str(w.message) for w in caught] == []
+    assert lines == ["error: model gives non-finite scores: its leaf values overflow"]
+    assert list(tmp_path.iterdir()) == []
+
+
+# Every subcommand's options: option -> (required, default, choices).
+TRACKS, SPLITS = ["en_es", "es_en", "fr_en"], ["train", "dev", "test"]
+SCORING = {
+    "--model": (True, None, None),
+    "--data": (True, None, None),
+    "--track": (True, None, TRACKS),
+    "--split": (False, "dev", SPLITS),
+}
+LABELED = {"--labels": (False, None, None), "--threshold": (False, 0.5, None)}
+COMMAND_LINE = {
+    "train": {
+        "--data": (True, None, None),
+        "--track": (True, None, TRACKS),
+        "--model": (True, None, ["gbdt", "multitask"]),
+        "--config": (False, None, None),
+        "--seed": (False, None, None),
+        "--split": (False, "train", SPLITS),
+        "--out": (True, None, None),
+    },
+    "predict": {**SCORING, "--out": (True, None, None)},
+    "evaluate": {**SCORING, **LABELED, "--out": (False, None, None)},
+    "audit": {
+        **SCORING,
+        **LABELED,
+        "--dimension": (True, None, ["client", "development"]),
+        "--country-mapping": (False, None, None),
+        "--min-group-size": (False, 50, None),
+        "--out": (True, None, None),
+    },
+}
+
+
+def test_command_line_surface():
+    """Each subcommand's flags, which are required, their defaults and
+    choices; a new or changed option shows up here."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {
+            ", ".join(a.option_strings): (a.required, a.default, a.choices)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert surface == COMMAND_LINE
+    assert sum(len(options) for options in surface.values()) == 29

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import slamaudit.gbdt as gbdt_mod
+from slamaudit.cli import main
 from slamaudit.errors import DataError, TrainingError
 from slamaudit.features import (
     NAMESPACES,
@@ -269,7 +270,37 @@ class TestTraining:
             )
 
 
+def chain_tree(levels, feature, cut=0.5, leaf=0.1):
+    """A tree of ``levels`` splits on ``feature`` at ``cut``: split node 2k
+    has the leaf 2k+1 on its right and the next split on its left."""
+    n = 2 * levels + 1
+    arrays = {"feature": [-1] * n, "threshold": [0.0] * n, "left": [-1] * n,
+              "right": [-1] * n, "value": [leaf] * n}
+    for k in range(levels):
+        i = 2 * k
+        arrays["feature"][i], arrays["threshold"][i] = feature, cut
+        arrays["left"][i], arrays["right"][i] = i + 2, i + 1
+        arrays["value"][i] = 0.0
+    return Tree(**{k: tuple(v) for k, v in arrays.items()})
+
+
 class TestTreeType:
+    def test_depth_of_a_1500_level_chain(self):
+        assert chain_tree(1500, 126).depth() == 1500
+
+    def test_depth_equals_the_recursive_walk(self):
+        def walk(tree, i):
+            if tree.feature[i] < 0:
+                return 0
+            return 1 + max(walk(tree, tree.left[i]), walk(tree, tree.right[i]))
+
+        rng = random.Random(3103)
+        vocab = build_vocab(random_dataset(rng, n_exercises=4))
+        data_values = {name: [0.0, 0.5, 1.0] for name in NUMERIC_FEATURES}
+        for _ in range(50):
+            tree = random_tree(rng, vocab, rng.randint(0, 8), data_values)
+            assert tree.depth() == walk(tree, 0)
+
     def test_invalid_child_rejected(self):
         with pytest.raises(TrainingError, match="invalid child"):
             Tree(feature=(0,), threshold=(0.5,), left=(0,), right=(1,), value=(0.0,))
@@ -526,6 +557,23 @@ class TestPredictScores:
         assert predict_scores(model, ds).tobytes() == dense_scores(model, ds).tobytes()
         empty = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.DEV)
         assert predict_scores(model, empty).shape == (0,)
+
+    def test_1500_level_tree_scores_from_the_command_line(self, tmp_path, mini_dir):
+        """A model whose first tree is a 1,500-level chain on ``time_present``
+        scores every dev token to a finite probability."""
+        train = read_dataset(mini_dir / "en_es.train.slam", Track.EN_ES, Split.TRAIN)
+        vocab = build_vocab(train)
+        model = train_gbdt(train, vocab, GbdtConfig(n_trees=2))
+        chain = chain_tree(1500, vocab.numeric_index("time_present"))
+        model = dataclasses.replace(model, trees=(chain,) + model.trees[1:])
+        path = tmp_path / "chain.json"
+        save_model(model, path)  # no manifest sidecar
+        out = tmp_path / "scores.csv"
+        argv = ["predict", "--model", str(path), "--data", str(mini_dir / "en_es.dev.slam"),
+                "--track", "en_es", "--out", str(out)]
+        assert main(argv) == 0
+        scores = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert scores and all(0.0 < s < 1.0 for s in scores)
 
     def test_empty_data_under_trees_of_every_kind_of_split(self, mini_dir):
         """No exercise, no key and no token: still one empty score array,
