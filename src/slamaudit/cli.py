@@ -6,8 +6,10 @@ output files are byte-deterministic given the same inputs, seed, and
 SOURCE_DATE_EPOCH, which ``main`` checks before a command reads or writes
 anything. ``predict``, ``evaluate`` and ``audit`` share one scoring step
 (``_scored``), one manifest builder and one declaration of their common
-options. On stderr a command prints library warnings as ``warning: ...``
-lines and, on failure, one last ``error: ...`` line before it exits 1.
+options. Every command writes its files through ``_Outputs``, so a command
+that fails leaves none of them behind. On stderr a command prints library
+warnings as ``warning: ...`` lines and, on failure, one last ``error: ...``
+line before it exits 1.
 
 A command imports only the modules it runs: at import this module binds the
 names of ``errors``, ``slam_format``, ``features``, ``manifest`` and
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import logging
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -81,6 +84,57 @@ _LABELS_HINT = "; give the split's label key with --labels"  # ends the unlabele
 
 def _manifest_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".manifest.json")
+
+
+class _Outputs:
+    """The files one command writes, made whole or not at all. A command
+    writes each file under the temporary name ``path(final)`` gives, beside
+    ``final``, and makes directories with ``mkdir``. Used as a context: when
+    the body returns, each file is renamed to its final name in the order
+    given; when the body or a rename fails, the temporary files, the files
+    already renamed and the directories made are removed, so a failed command
+    leaves no output behind. An OSError naming a temporary file is made to
+    name its final path."""
+
+    def __init__(self):
+        self.files: dict[Path, Path] = {}  # final -> temporary
+        self.dirs: list[Path] = []  # made here, deepest first
+
+    def path(self, final: str | Path) -> Path:
+        final = Path(final)
+        return self.files.setdefault(final, final.parent / f".{final.name}.{os.getpid()}.tmp")
+
+    def mkdir(self, path: Path) -> None:
+        """Make ``path`` and its missing parents (``mkdir -p``)."""
+        missing = [d for d in (path, *path.parents) if not d.exists()]
+        path.mkdir(parents=True, exist_ok=True)
+        self.dirs.extend(missing)
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        renamed = 0
+        if exc is None:
+            try:
+                for final, temporary in self.files.items():
+                    os.replace(temporary, final)
+                    renamed += 1
+                return
+            except OSError as error:
+                exc = error
+        for i, (final, temporary) in enumerate(self.files.items()):
+            (final if i < renamed else temporary).unlink(missing_ok=True)
+        for d in self.dirs:
+            try:
+                d.rmdir()
+            except OSError:
+                pass  # not empty: it holds more than this run wrote
+        if isinstance(exc, OSError):
+            finals = {str(temporary): str(final) for final, temporary in self.files.items()}
+            exc.filename = finals.get(str(exc.filename), exc.filename)
+        if kind is None:
+            raise exc
 
 
 def _check_sidecar(model_path: str, track: str, hashes: dict) -> None:
@@ -171,22 +225,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     ]
     vocab = build_vocab(datasets)
     if gbdt:
-        text = save_model(train_gbdt(datasets[0], vocab, config), args.out)
+        model, save = train_gbdt(datasets[0], vocab, config), save_model
     else:
-        text = save_mt_model(train_multitask(datasets, vocab, config), args.out)
-
-    manifest = build_manifest(
-        track=",".join(t.value for t in tracks),
-        model_kind=args.model,
-        split=split.value,
-        config_hashes={
-            "model": sha256_text(text),
-            "model_config": sha256_config(asdict(config)),
-            "vocab": vocab.sha256(),
-        },
-        dataset_paths={path: path for path in args.data},
-    )
-    write_manifest(manifest, _manifest_sidecar(args.out))
+        model, save = train_multitask(datasets, vocab, config), save_mt_model
+    with _Outputs() as outputs:
+        text = save(model, outputs.path(args.out))
+        manifest = build_manifest(
+            track=",".join(t.value for t in tracks),
+            model_kind=args.model,
+            split=split.value,
+            config_hashes={
+                "model": sha256_text(text),
+                "model_config": sha256_config(asdict(config)),
+                "vocab": vocab.sha256(),
+            },
+            dataset_paths={path: path for path in args.data},
+        )
+        write_manifest(manifest, outputs.path(_manifest_sidecar(args.out)))
     print(f"wrote {args.out}")
     return 0
 
@@ -195,9 +250,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     kind, dataset, scores, paths, hashes = _scored(args)
     lines = ["instance_id,score"]
     lines.extend(f"{i},{s!r}" for i, s in zip(dataset.ids, scores.tolist()))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    manifest = _manifest(args, kind, paths, hashes)
-    write_manifest(manifest, _manifest_sidecar(args.out))
+    with _Outputs() as outputs:
+        outputs.path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_manifest(_manifest(args, kind, paths, hashes),
+                       outputs.path(_manifest_sidecar(args.out)))
     print(f"wrote {args.out}")
     return 0
 
@@ -222,7 +278,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "f1": f1.f1,
     }
     if args.out is not None:
-        write_json(payload, args.out)
+        with _Outputs() as outputs:
+            write_json(payload, outputs.path(args.out))
     print(f"n={len(labels)} auc={auc:.6f} f1={f1.f1:.6f}")
     return 0
 
@@ -243,9 +300,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         scores, labels, codes, names, track=dataset.track, dimension=dimension,
         model=kind, min_group_size=args.min_group_size, config_hashes=hashes,
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # every audited group's size and AUC, as the audit drew them
     sized = {}
@@ -269,33 +323,36 @@ def cmd_audit(args: argparse.Namespace) -> int:
         )
 
     manifest = _manifest(args, kind, paths, hashes)
-
-    write_json(
-        {
-            "manifest": manifest.to_dict(),
-            "fairness": report_to_dict(report),
-            "accuracy": {"threshold": args.threshold, "groups": accuracy_rows},
-        },
-        out_dir / "report.json",
-    )
-
     acc_lines = ["group,track,model,n,auc,f1"]
     acc_lines.extend(
         f"{row['group']},{args.track},{kind},{row['n']},{row['auc']!r},{row['f1']!r}"
         for row in accuracy_rows
     )
-    (out_dir / "accuracy.csv").write_text("\n".join(acc_lines) + "\n", encoding="utf-8")
-    (out_dir / "fairness.csv").write_text(report_to_csv(report), encoding="utf-8")
 
-    for result in report.results:
-        svg = render_roc_plot(
-            result.curve_a,
-            result.curve_b,
-            (result.group_a, result.group_b),
-            result.abroca,
+    out_dir = Path(args.out)
+    with _Outputs() as outputs:
+        outputs.mkdir(out_dir)
+        write_json(
+            {
+                "manifest": manifest.to_dict(),
+                "fairness": report_to_dict(report),
+                "accuracy": {"threshold": args.threshold, "groups": accuracy_rows},
+            },
+            outputs.path(out_dir / "report.json"),
         )
-        name = f"roc_{dimension.value}_{result.group_a}_vs_{result.group_b}.svg"
-        (out_dir / name).write_text(svg, encoding="utf-8")
+        outputs.path(out_dir / "accuracy.csv").write_text("\n".join(acc_lines) + "\n",
+                                                          encoding="utf-8")
+        outputs.path(out_dir / "fairness.csv").write_text(report_to_csv(report),
+                                                          encoding="utf-8")
+        for result in report.results:
+            svg = render_roc_plot(
+                result.curve_a,
+                result.curve_b,
+                (result.group_a, result.group_b),
+                result.abroca,
+            )
+            name = f"roc_{dimension.value}_{result.group_a}_vs_{result.group_b}.svg"
+            outputs.path(out_dir / name).write_text(svg, encoding="utf-8")
 
     for result in report.results:
         print(

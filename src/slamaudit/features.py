@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DataError
 from .manifest import sha256_config
 from .slam_format import Dataset, ExerciseMeta, TokenInstance, morph_features
-from .validation import check_format_version
+from .validation import check_format_version, require_keys
 
 NAMESPACES = ("user", "token", "pos", "morph", "dep", "format", "session", "client")
 NUMERIC_FEATURES = ("days", "time", "time_present")
@@ -99,6 +99,12 @@ class Vocabulary:
         if not isinstance(payload, dict):
             raise DataError("vocabulary must be a JSON object")
         check_format_version(payload, VOCAB_FORMAT_VERSION, "vocabulary")
+        require_keys(payload, ("numeric_features",), "vocabulary")
+        if payload["numeric_features"] != list(NUMERIC_FEATURES):
+            raise DataError(
+                f"vocabulary numeric_features must be {list(NUMERIC_FEATURES)}, "
+                f"got {payload['numeric_features']!r}"
+            )
         namespaces = payload.get("namespaces")
         if not isinstance(namespaces, dict):
             raise DataError("vocabulary lacks a namespaces object")

@@ -23,7 +23,10 @@ Training takes those entries from the padded token rows of
 internal node's test is settled once per exercise or once per key and packed
 into bit words, and each token only ORs its two sides' words and walks the
 trees on them, all trees at once over chunks of tokens. It builds no
-per-token feature matrix, so its memory does not grow with the vocabulary.
+per-token feature matrix, so its memory per token does not grow with the
+vocabulary; each block of trees holds one mask of ``n_binary + 1`` rows of
+bit words, one row per binary feature id and a zero row for the key
+padding.
 """
 
 from __future__ import annotations
@@ -496,38 +499,43 @@ class _Forest:
             onebit=np.uint64(1) << (rank % 64).astype(np.uint64),
         )
 
-    def outcome_words(self, sides: "_Sides") -> tuple[np.ndarray, np.ndarray]:
+    def outcome_words(self, n_binary: int, ex_idx: np.ndarray, ex_num: np.ndarray,
+                      key_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(exercise_words, key_words)``: one row of bit words per exercise
         and per key, holding the outcome of ``value > threshold`` at every
         internal node whose feature is on that row's side, and 0 at the rest.
-        A binary feature's value is 1.0 where a row holds the feature and 0.0
-        elsewhere, so its test is always true (threshold below 0), always
-        false (at or above 1) or "holds the feature", whose bits are ORed in
-        from a per-feature mask. A numeric test passes where its threshold is
-        below the exercise's value, so its bits are a prefix OR over the
-        feature's thresholds in ascending order."""
+        The sides are as ``features.exercise_features`` and
+        ``features.key_rows`` give them: exercise e holds the binary ids
+        ``ex_idx[e]`` and the numeric values ``ex_num[e]``, key j the binary
+        ids ``key_idx[j]``, padded with ``n_binary``. A binary feature's value
+        is 1.0 where a row holds the feature and 0.0 elsewhere, so its test is
+        always true (threshold below 0), always false (at or above 1) or
+        "holds the feature", whose bits are ORed in from a mask with one row
+        per binary id and a zero row ``n_binary`` for the padding. A numeric
+        test passes where its threshold is below the exercise's value, so its
+        bits are a prefix OR over the feature's thresholds in ascending
+        order."""
         width = self.n_trees * self.n_words
         f, t, column, onebit = self.feature, self.threshold, self.column, self.onebit
-        binary = f < sides.n_binary
+        binary = f < n_binary
         holds = binary & (0.0 <= t) & (t < 1.0)
-        mask = np.zeros((sides.n_used + 1, width), dtype=np.uint64)  # the last row: no test
-        np.bitwise_or.at(mask.reshape(-1), sides.column[f[holds]] * width + column[holds],
-                         onebit[holds])
+        mask = np.zeros((n_binary + 1, width), dtype=np.uint64)
+        np.bitwise_or.at(mask.reshape(-1), f[holds] * width + column[holds], onebit[holds])
         true = binary & (t < 0.0)
         always = np.zeros(width, dtype=np.uint64)
         np.bitwise_or.at(always, column[true], onebit[true])
-        exercise_words = np.tile(always, (len(sides.ex_num), 1))
+        exercise_words = np.tile(always, (len(ex_num), 1))
         for j in range(len(NUMERIC_FEATURES)):
-            on = np.flatnonzero(f == sides.n_binary + j)
+            on = np.flatnonzero(f == n_binary + j)
             on = on[np.argsort(t[on])]
             prefix = np.zeros((len(on) + 1, width), dtype=np.uint64)
             prefix[np.arange(1, len(on) + 1), column[on]] = onebit[on]
             prefix = np.bitwise_or.accumulate(prefix, axis=0)
-            exercise_words |= prefix[np.searchsorted(t[on], sides.ex_num[:, j], side="left")]
-        for features in sides.ex_col.T:
+            exercise_words |= prefix[np.searchsorted(t[on], ex_num[:, j], side="left")]
+        for features in ex_idx.T:
             exercise_words |= mask[features]
-        key_words = np.zeros((len(sides.key_col), width), dtype=np.uint64)
-        for features in sides.key_col.T:
+        key_words = np.zeros((len(key_idx), width), dtype=np.uint64)
+        for features in key_idx.T:
             key_words |= mask[features]
         return exercise_words, key_words
 
@@ -552,38 +560,6 @@ class _Forest:
         return np.add.accumulate(terms, axis=1)[:, -1]  # left to right, one tree at a time
 
 
-@dataclass(frozen=True)
-class _Sides:
-    """A split's exercise and key tables as scoring reads them. ``column``
-    numbers the binary features some tree splits on 0..n_used-1 and maps
-    every other, and the key rows' padding n_binary, to n_used. Exercise e
-    holds the binary features ``ex_col[e]`` (four, in that numbering) and
-    the numeric values ``ex_num[e]``; key j holds ``key_col[j]``, padded
-    with n_used."""
-
-    n_binary: int
-    n_used: int
-    column: np.ndarray
-    ex_col: np.ndarray
-    ex_num: np.ndarray
-    key_col: np.ndarray
-
-    @classmethod
-    def of(cls, model: GbdtModel, dataset: Dataset) -> "_Sides":
-        vocab = model.vocab
-        n_binary = vocab.n_binary
-        split_on = np.zeros(n_binary, dtype=bool)  # a mark: np.unique loads numpy.ma
-        split_on[np.fromiter(
-            (f for t in model.trees for f in t.feature if 0 <= f < n_binary), np.intp
-        )] = True
-        used = np.flatnonzero(split_on)
-        column = np.full(n_binary + 1, len(used), dtype=np.intp)
-        column[used] = np.arange(len(used))
-        ex_idx, ex_num = exercise_features(dataset.metas, vocab)
-        key_col = column[key_rows(dataset.keys, vocab)]
-        return cls(n_binary, len(used), column, column[ex_idx], ex_num, key_col)
-
-
 def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     """Probabilities for every token of the dataset, scored over its exercise
     and key tables; no per-token feature matrix is built.
@@ -591,18 +567,23 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     Every feature lives on one side of the split (``EXERCISE_NAMESPACES``
     with the numerics, or ``KEY_NAMESPACES``, in ``features``), so each
     internal node's test is settled once per exercise or once per key and
-    packed into bit words, one set per side (``_Forest.outcome_words``). A
-    token ORs its exercise's words with its key's and walks a block of trees
-    level by level on those bits. Leaf values are added in tree order, so
-    the scores equal the dense per-token walk bit for bit.
+    packed into bit words, one set per side (``_Forest.outcome_words``). The
+    exercise and key tables are read once, as ``exercise_features`` and
+    ``key_rows`` give them, and each block of trees indexes its per-feature
+    mask by vocabulary id. A token ORs its exercise's words with its key's
+    and walks a block of trees level by level on those bits. Leaf values are
+    added in tree order, so the scores equal the dense per-token walk bit for
+    bit.
     """
-    sides = _Sides.of(model, dataset)
+    n_binary = model.vocab.n_binary
+    ex_idx, ex_num = exercise_features(dataset.metas, model.vocab)
+    key_idx = key_rows(dataset.keys, model.vocab)
     exercise = np.asarray(dataset.exercise, dtype=np.intp)
     key = np.asarray(dataset.key, dtype=np.intp)
     raw = np.full(len(exercise), model.base_score, dtype=np.float64)
     for first in range(0, len(model.trees), _SCORE_TREES):
         forest = _Forest.of(model.trees[first : first + _SCORE_TREES])
-        exercise_words, key_words = forest.outcome_words(sides)
+        exercise_words, key_words = forest.outcome_words(n_binary, ex_idx, ex_num, key_idx)
         chunk = max(1, _SCORE_CELLS // exercise_words.shape[1])
         for lo in range(0, len(raw), chunk):
             rows = slice(lo, lo + chunk)

@@ -387,6 +387,31 @@ class TestPredict:
         assert err == [f"error: unsupported {what} format version {version!r}"]
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("numeric", [["x"], ["time_present", "time", "days"], None],
+                             ids=["x", "reordered", "missing"])
+    @pytest.mark.parametrize("kind", ["gbdt", "multitask"])
+    def test_vocabulary_numeric_features_must_be_the_three(
+        self, tmp_path, gbdt_model, mt_model, mini_dir, capsys, kind, numeric
+    ):
+        """A vocabulary's ``numeric_features`` names the numeric columns the
+        model was trained on: any other list, or none, is refused."""
+        source, track = (gbdt_model, "en_es") if kind == "gbdt" else (mt_model, "es_en")
+        payload = json.loads(source.read_text())
+        if numeric is None:
+            del payload["vocab"]["numeric_features"]
+        else:
+            payload["vocab"]["numeric_features"] = numeric
+        model = tmp_path / "model.json"  # no sidecar, so no model hash to check
+        model.write_text(json.dumps(payload))
+        code, err = predict_error_lines(
+            model, mini_dir / f"{track}.dev.slam", track, tmp_path / "s.csv", capsys
+        )
+        assert code == 1
+        assert err == ["error: vocabulary lacks numeric_features" if numeric is None else
+                       "error: vocabulary numeric_features must be "
+                       f"['days', 'time', 'time_present'], got {numeric!r}"]
+        assert not (tmp_path / "s.csv").exists()
+
     def test_model_file_not_an_object(self, tmp_path, mini_dir, capsys):
         model = tmp_path / "model.json"
         model.write_text("[1, 2]")
@@ -1194,6 +1219,46 @@ def test_malformed_source_date_epoch_writes_nothing(
     if command == "evaluate":
         argv += ["--out", str(tmp_path / "evaluate.out")]
     assert error_lines(argv, capsys) == [EPOCH_ERROR]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("train", "train.out.manifest.json"),
+    ("predict", "predict.out.manifest.json"),
+    ("audit", "audit.out/fairness.csv"),
+])
+def test_failed_command_leaves_no_outputs(
+    tmp_path, gbdt_model, mini_dir, capsys, command, blocked
+):
+    """A command whose last output cannot be written (a directory stands at
+    its path) ends in one error line naming that path and leaves nothing it
+    wrote: no output under its final name and no temporary file."""
+    if command == "train":
+        argv = ["train", "--data", str(mini_dir / "en_es.train.slam"), "--track", "en_es",
+                "--model", "gbdt", "--config", str(tmp_path / "config.json"),
+                "--out", str(tmp_path / "train.out")]
+        (tmp_path / "config.json").write_text(json.dumps({"n_trees": 2}))
+    else:
+        argv = scoring_argv(command, gbdt_model, mini_dir / "en_es.dev.slam", "en_es",
+                            tmp_path, mini_dir / "en_es.dev.key")
+    (tmp_path / blocked).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert error_lines(argv, capsys) == [f"error: Is a directory: {tmp_path / blocked}"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_audit_removes_the_directories_it_made(
+    tmp_path, gbdt_model, mini_dir, capsys, monkeypatch
+):
+    """An audit that fails while writing its outputs removes the output
+    directory it made, parents included, with the files written so far."""
+    def fail(*args):
+        raise DataError("no plot")
+
+    monkeypatch.setattr("slamaudit.cli.render_roc_plot", fail, raising=False)
+    argv = scoring_argv("audit", gbdt_model, mini_dir / "en_es.dev.slam", "en_es",
+                        tmp_path / "made" / "here", mini_dir / "en_es.dev.key")
+    assert error_lines(argv, capsys) == ["error: no plot"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -14,6 +14,8 @@ from slamaudit.features import (
     NUMERIC_FEATURES,
     build_vocab,
     encode,
+    exercise_features,
+    key_rows,
     labels_array,
     to_dense,
 )
@@ -464,9 +466,9 @@ def binary_cut(rng):
 
 def random_tree(rng, vocab, max_depth, data_values):
     """A tree over binary ids anywhere in the vocabulary (OOV slots among
-    them) at ``binary_cut`` cuts, and over the numeric dims at cuts inside
-    their ranges or equal to a value of the scored data (``data_values``,
-    by feature name)."""
+    them, the first and last id more often) at ``binary_cut`` cuts, and over
+    the numeric dims at cuts inside their ranges or equal to a value of the
+    scored data (``data_values``, by feature name)."""
     n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
     arrays = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
 
@@ -488,7 +490,8 @@ def random_tree(rng, vocab, max_depth, data_values):
         elif kind < 0.55:
             feature, threshold = vocab.oov_index(rng.choice(NAMESPACES)), binary_cut(rng)
         else:
-            feature, threshold = rng.randrange(n_binary), binary_cut(rng)
+            ids = (0, n_binary - 1) if rng.random() < 0.1 else range(n_binary)
+            feature, threshold = rng.choice(ids), binary_cut(rng)
         arrays["feature"][i], arrays["threshold"][i] = feature, threshold
         arrays["left"][i] = grow(depth + 1)
         arrays["right"][i] = grow(depth + 1)
@@ -511,9 +514,13 @@ class TestPredictScores:
         numeric_splits = oov_splits = wide_trees = 0
         binary_cuts = {"below 0": 0, "in [0, 1) but not 0.5": 0, "at or above 1": 0}
         data_cuts = 0
+        edge_splits = {"id 0, held": 0, "id n_binary - 1, held": 0, "held by no row": 0}
         for draw in range(30):
-            vocab = build_vocab(random_dataset(rng, n_exercises=rng.randint(2, 6)))
+            source = random_dataset(rng, n_exercises=rng.randint(2, 6))
+            vocab = build_vocab(source)
             scored = random_dataset(rng, n_exercises=rng.randint(1, 8))
+            if draw % 3 == 0:  # rows that hold the vocabulary's first ids too
+                scored = source
             numeric = [dict(encode(i, vocab).numeric) for i in scored.instances]
             data_values = {
                 name: [row[vocab.numeric_index(name)] for row in numeric]
@@ -532,6 +539,15 @@ class TestPredictScores:
             used = [f for t in trees for f in t.feature]
             numeric_splits += sum(f >= n_binary for f in used)
             oov_splits += sum(f in oov for f in used)
+            # splits on the per-feature mask's first and last rows where a
+            # scored row holds that id, and on rows no scored row reads
+            held = set(exercise_features(scored.metas, vocab)[0].flat)
+            held |= set(key_rows(scored.keys, vocab).flat)
+            edge_splits["id 0, held"] += used.count(0) * (0 in held)
+            edge_splits["id n_binary - 1, held"] += used.count(n_binary - 1) * (
+                n_binary - 1 in held)
+            edge_splits["held by no row"] += sum(0 <= f < n_binary and f not in held
+                                                 for f in used)
             wide_trees += sum(sum(f >= 0 for f in t.feature) > 63 for t in trees)
             for t in trees:
                 for f, cut in zip(t.feature, t.threshold):
@@ -545,6 +561,7 @@ class TestPredictScores:
         assert numeric_splits > 20 and oov_splits > 20
         assert wide_trees >= 5 and data_cuts > 20
         assert min(binary_cuts.values()) > 20, binary_cuts
+        assert min(edge_splits.values()) > 10, edge_splits
 
     def test_leaf_only_model_and_empty_data(self):
         ds = make_dataset([("aa", 1), ("bb", 0)])
