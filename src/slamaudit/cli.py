@@ -7,7 +7,8 @@ SOURCE_DATE_EPOCH, which ``main`` checks before a command reads or writes
 anything. ``predict``, ``evaluate`` and ``audit`` share one scoring step
 (``_scored``), one manifest builder and one declaration of their common
 options. Every command writes its files through ``_Outputs``, so a command
-that fails leaves none of them behind. On stderr a command prints library
+that fails leaves none of them behind, and ``audit`` then removes the plots
+in its directory that it did not draw. On stderr a command prints library
 warnings as ``warning: ...`` lines and, on failure, one last ``error: ...``
 line before it exits 1.
 
@@ -29,6 +30,7 @@ import argparse
 import importlib
 import logging
 import os
+import stat
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -88,21 +90,33 @@ def _manifest_sidecar(path: str | Path) -> Path:
 
 class _Outputs:
     """The files one command writes, made whole or not at all. A command
-    writes each file under the temporary name ``path(final)`` gives, beside
-    ``final``, and makes directories with ``mkdir``. Used as a context: when
-    the body returns, each file is renamed to its final name in the order
-    given; when the body or a rename fails, the temporary files, the files
-    already renamed and the directories made are removed, so a failed command
-    leaves no output behind. An OSError naming a temporary file is made to
-    name its final path."""
+    writes each file under the name ``path(final)`` gives and makes
+    directories with ``mkdir``. That name is temporary, beside ``final``, or
+    beside the file a link at ``final`` leads to, so that the link stays;
+    but a ``final`` that exists and is not a regular file (a FIFO, a device
+    such as /dev/stdout) is written in place, and neither renamed nor
+    removed; a directory there fails the write, naming ``final``. Used as a context: when the body returns, each
+    temporary file is renamed onto its target in the order given; when the
+    body or a rename fails, the temporary files, the files already renamed
+    and the directories made are removed, so a failed command leaves no
+    output behind. An OSError naming a temporary file is made to name its
+    final path."""
 
     def __init__(self):
-        self.files: dict[Path, Path] = {}  # final -> temporary
+        self.files: dict[Path, tuple[Path, Path]] = {}  # final -> (temporary, target)
         self.dirs: list[Path] = []  # made here, deepest first
 
     def path(self, final: str | Path) -> Path:
         final = Path(final)
-        return self.files.setdefault(final, final.parent / f".{final.name}.{os.getpid()}.tmp")
+        if final not in self.files:
+            try:
+                if not stat.S_ISREG(final.stat().st_mode):  # through links
+                    return final
+            except FileNotFoundError:
+                pass
+            target = Path(os.path.realpath(final))
+            self.files[final] = (target.parent / f".{target.name}.{os.getpid()}.tmp", target)
+        return self.files[final][0]
 
     def mkdir(self, path: Path) -> None:
         """Make ``path`` and its missing parents (``mkdir -p``)."""
@@ -117,21 +131,22 @@ class _Outputs:
         renamed = 0
         if exc is None:
             try:
-                for final, temporary in self.files.items():
-                    os.replace(temporary, final)
+                for temporary, target in self.files.values():
+                    os.replace(temporary, target)
                     renamed += 1
                 return
             except OSError as error:
                 exc = error
-        for i, (final, temporary) in enumerate(self.files.items()):
-            (final if i < renamed else temporary).unlink(missing_ok=True)
+        for i, (temporary, target) in enumerate(self.files.values()):
+            (target if i < renamed else temporary).unlink(missing_ok=True)
         for d in self.dirs:
             try:
                 d.rmdir()
             except OSError:
                 pass  # not empty: it holds more than this run wrote
         if isinstance(exc, OSError):
-            finals = {str(temporary): str(final) for final, temporary in self.files.items()}
+            finals = {str(temporary): str(final)
+                      for final, (temporary, _) in self.files.items()}
             exc.filename = finals.get(str(exc.filename), exc.filename)
         if kind is None:
             raise exc
@@ -180,15 +195,15 @@ def _scored(args: argparse.Namespace, labels_path: str | None = None, *,
     dataset = read_dataset(args.data, Track(args.track), Split(args.split))
     if need_tokens and len(dataset) == 0:
         raise DataError(f"data file {args.data} holds no tokens")
-    paths = {args.data: args.data}
+    paths = [args.data]
     if labels_path is not None:
         dataset = join_labels(dataset, read_label_key(labels_path))
-        paths[labels_path] = labels_path
+        paths.append(labels_path)
     predict = predict_scores if kind == "gbdt" else predict_mt_scores
     return kind, dataset, predict(model, dataset), paths, hashes
 
 
-def _manifest(args: argparse.Namespace, kind: str, paths: dict, hashes: dict):
+def _manifest(args: argparse.Namespace, kind: str, paths: list, hashes: dict):
     """The run manifest of a scoring command over ``args.track``/``args.split``."""
     return build_manifest(
         track=args.track,
@@ -239,7 +254,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "model_config": sha256_config(asdict(config)),
                 "vocab": vocab.sha256(),
             },
-            dataset_paths={path: path for path in args.data},
+            dataset_paths=args.data,
         )
         write_manifest(manifest, outputs.path(_manifest_sidecar(args.out)))
     print(f"wrote {args.out}")
@@ -344,6 +359,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                                                           encoding="utf-8")
         outputs.path(out_dir / "fairness.csv").write_text(report_to_csv(report),
                                                           encoding="utf-8")
+        plots = set()
         for result in report.results:
             svg = render_roc_plot(
                 result.curve_a,
@@ -351,8 +367,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 (result.group_a, result.group_b),
                 result.abroca,
             )
-            name = f"roc_{dimension.value}_{result.group_a}_vs_{result.group_b}.svg"
-            outputs.path(out_dir / name).write_text(svg, encoding="utf-8")
+            plot = out_dir / f"roc_{dimension.value}_{result.group_a}_vs_{result.group_b}.svg"
+            outputs.path(plot).write_text(svg, encoding="utf-8")
+            plots.add(plot)
+    for stale in set(out_dir.glob("roc_*_vs_*.svg")) - plots:  # an earlier run's
+        stale.unlink()
 
     for result in report.results:
         print(

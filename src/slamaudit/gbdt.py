@@ -4,28 +4,27 @@ Second-order (Newton) boosting: each round fits a regression tree to the
 gradients g = p - y and hessians h = p(1 - p) of the logistic loss, with
 L2-regularized leaf values -G/(H + lambda) and the standard split gain
 GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l). Splits are exact greedy: every cut
-of every feature is scored. Training reads the sparse encoding. Every
-feature but the three numeric ones is a one-hot binary, so one bincount per
-node over the node's active (row, feature) entries gives the value-1 side
-of all binary features at once, and the value-0 side is the node total
-minus that (sparsity-aware split finding, Chen & Guestrin 2016, Alg. 3).
-The numeric features are scanned over their sorted values
-(``scan_splits``), which scores only the cuts that can be taken. Only a
-node that may split holds its entries and sorted columns: a child past the
-depth limit or too small to split keeps its row ids alone. Each sum keeps
+of every feature is scored. Training reads the padded token rows of
+``features.token_features``, kept for the run: every feature but the three
+numeric ones is a one-hot binary, and a node is its ascending row ids, so
+three bincounts over the node's padded feature rows (counts, and g and h
+repeated per slot) give the value-1 side of all binary features at once,
+and the value-0 side is the node total minus that (sparsity-aware split
+finding, Chen & Guestrin 2016, Alg. 3). The numeric features are scanned
+over their sorted values (``scan_splits``), which scores only the cuts that
+can be taken; each column is sorted once per run, and a child that may
+split takes its parent's sorted columns filtered to its rows. Each sum keeps
 one order (bincounts over ascending rows, cumsums left to right, pairwise
 sums over a node's ascending rows), so training is fully deterministic and
 two runs with the same data and config produce byte-identical models.
 
-Training takes those entries from the padded token rows of
-``features.token_features``, dropping the padding. Scoring
-(``predict_scores``) reads the split's exercise and key tables instead: each
-internal node's test is settled once per exercise or once per key and packed
-into bit words, and each token only ORs its two sides' words and walks the
-trees on them, all trees at once over chunks of tokens. It builds no
-per-token feature matrix, so its memory per token does not grow with the
-vocabulary; each block of trees holds one mask of ``n_binary + 1`` rows of
-bit words, one row per binary feature id and a zero row for the key
+Scoring (``predict_scores``) reads the split's exercise and key tables
+instead: each internal node's test is settled once per exercise or once per
+key and packed into bit words, and each token only ORs its two sides' words
+and walks the trees on them, all trees at once over chunks of tokens. It
+builds no per-token feature matrix, so its memory per token does not grow
+with the vocabulary; each block of trees holds one mask of ``n_binary + 1``
+rows of bit words, one row per binary feature id and a zero row for the key
 padding.
 """
 
@@ -241,110 +240,67 @@ def _cut_threshold(sorted_vals: np.ndarray, pos: int) -> float:
     return thr
 
 
-@dataclass(frozen=True)
-class _Node:
-    """The training rows that reach one tree node.
-
-    `rows` lists the member row ids in ascending order. A node that may split
-    also holds its active (row, binary feature) pairs in row-major order,
-    `entry_rows` and `entry_feats`, and `counts`, the bincount of
-    `entry_feats`. Row j of `num_rows` lists the member rows sorted by numeric
-    column j (stable, so equal values keep row order) and row j of `num_vals`
-    holds the values in that order. Each numeric column is sorted once per
-    training run: children take filtered copies. A node that will be a leaf
-    holds only `rows`; its other fields are None.
-    """
-
-    rows: np.ndarray
-    entry_rows: np.ndarray | None = None
-    entry_feats: np.ndarray | None = None
-    counts: np.ndarray | None = None
-    num_rows: np.ndarray | None = None
-    num_vals: np.ndarray | None = None
-
-    @classmethod
-    def root(cls, entry_rows, entry_feats, numeric) -> "_Node":
-        num_rows = np.ascontiguousarray(np.argsort(numeric, axis=0, kind="stable").T)
-        num_vals = np.ascontiguousarray(np.take_along_axis(numeric.T, num_rows, axis=1))
-        return cls(np.arange(len(numeric)), entry_rows, entry_feats, np.bincount(entry_feats),
-                   num_rows, num_vals)
-
-    def right_rows(self, split: SplitCandidate, n_binary: int) -> np.ndarray:
-        """Member rows with value > split.threshold on split.feature."""
-        if split.feature < n_binary:
-            return self.entry_rows[self.entry_feats == split.feature]
-        j = split.feature - n_binary
-        return self.num_rows[j][np.searchsorted(self.num_vals[j], split.threshold, "right"):]
-
-    def partition(self, go_right: np.ndarray, may_split) -> tuple["_Node", "_Node"]:
-        """(left, right) children; go_right is a mask over all training rows.
-        A child gets more than its rows only if ``may_split(its size)``. The
-        smaller child's counts are a bincount, the larger's the parent's minus
-        those (integers, so exact)."""
-        in_right = go_right[self.rows]
-        rows = (self.rows[~in_right], self.rows[in_right])
-        full = [may_split(len(r)) for r in rows]
-        if not any(full):
-            return _Node(rows[0]), _Node(rows[1])
-        entry_right = go_right[self.entry_rows]
-        num_right = go_right[self.num_rows]
-        entry_sel, num_sel = (~entry_right, entry_right), (~num_right, num_right)
-        small = int(len(rows[1]) < len(rows[0]))
-        small_counts = np.bincount(self.entry_feats[entry_sel[small]], minlength=len(self.counts))
-        counts = {small: small_counts, 1 - small: self.counts - small_counts}
-        m = len(self.num_rows)
-        return tuple(
-            _Node(rows[s], self.entry_rows[entry_sel[s]], self.entry_feats[entry_sel[s]],
-                  counts[s], self.num_rows[num_sel[s]].reshape(m, len(rows[s])),
-                  self.num_vals[num_sel[s]].reshape(m, len(rows[s])))
-            if full[s] else _Node(rows[s])
-            for s in (0, 1)
-        )
+def _sort_columns(numeric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(num_rows, num_vals)``: row j of ``num_rows`` lists the row ids
+    sorted by column j of ``numeric`` (stable, so equal values keep row
+    order), and row j of ``num_vals`` the values in that order."""
+    num_rows = np.ascontiguousarray(np.argsort(numeric, axis=0, kind="stable").T)
+    return num_rows, np.ascontiguousarray(np.take_along_axis(numeric.T, num_rows, axis=1))
 
 
 def _find_split(
-    node: _Node, g: np.ndarray, h: np.ndarray, n_binary: int, lam: float, min_leaf: int
+    feats: np.ndarray, rows: np.ndarray, num_rows: np.ndarray, num_vals: np.ndarray,
+    g: np.ndarray, h: np.ndarray, n_binary: int, lam: float, min_leaf: int,
 ) -> SplitCandidate | None:
-    """Best split of a node, or None without a positive-gain split.
+    """Best split of the node over ``rows`` (ascending row ids), or None
+    without a positive-gain split.
 
-    Binary features 0..n_binary-1 split at 0.5. The node's counts and one
-    bincount each over its active entries give count, G and H of every
-    feature's value-1 side; the value-0 side is the node total minus that.
-    The numeric features n_binary.. take the exact scan over their sorted
-    values. Ties go to the lowest feature id, then the lowest cut.
+    Row i of ``feats`` holds the binary feature ids of ``rows[i]``, padded
+    with ``n_binary``; ``num_rows`` and ``num_vals`` are the node's numeric
+    columns as ``_sort_columns`` gives them. Binary features 0..n_binary-1
+    split at 0.5: three bincounts over ``feats``, unweighted and weighted by
+    each row's g and h, give count, G and H of every feature's value-1 side
+    (the padding's bin is dropped), and the value-0 side is the node total
+    minus that. The numeric features n_binary.. take the exact scan over
+    their sorted values. Ties go to the lowest feature id, then the lowest
+    cut.
     """
-    k = len(node.rows)
-    big_g = g[node.rows].sum()
-    big_h = h[node.rows].sum()
+    k = len(rows)
+    g_rows, h_rows = g[rows], h[rows]
+    big_g = g_rows.sum()
+    big_h = h_rows.sum()
     best = None
-    count1 = node.counts
+    flat = feats.ravel()  # row-major: each feature's entries in ascending row order
+    count1 = np.bincount(flat, minlength=n_binary + 1)[:n_binary]
     valid = np.flatnonzero((count1 >= min_leaf) & (k - count1 >= min_leaf))
-    if valid.size:  # a valid feature has entries, so the bincounts reach it
-        feats, rows = node.entry_feats, node.entry_rows
-        g1 = np.bincount(feats, weights=g[rows])[valid]
-        h1 = np.bincount(feats, weights=h[rows])[valid]
+    if valid.size:  # a valid feature is held by some row, so the bincounts reach it
+        width = feats.shape[1]
+        g1 = np.bincount(flat, weights=np.repeat(g_rows, width))[valid]
+        h1 = np.bincount(flat, weights=np.repeat(h_rows, width))[valid]
         g0 = big_g - g1
         h0 = big_h - h1
         gain = g0 * g0 / (h0 + lam) + g1 * g1 / (h1 + lam) - big_g * big_g / (big_h + lam)
         i = int(np.argmax(gain))  # first occurrence: lowest feature id
         if gain[i] > 0.0:
             best = SplitCandidate(feature=int(valid[i]), threshold=0.5, gain=float(gain[i]))
-    j, pos, num_gain = scan_splits(
-        node.num_vals, g[node.num_rows], h[node.num_rows], lam, min_leaf
-    )
+    j, pos, num_gain = scan_splits(num_vals, g[num_rows], h[num_rows], lam, min_leaf)
     if j >= 0 and (best is None or num_gain > best.gain):
         best = SplitCandidate(
             feature=n_binary + int(j),
-            threshold=_cut_threshold(node.num_vals[j], pos),
+            threshold=_cut_threshold(num_vals[j], pos),
             gain=num_gain,
         )
     return best
 
 
 class _TreeBuilder:
-    """Grows one tree on fixed gradients/hessians over the sparse rows."""
+    """Grows one tree on fixed gradients/hessians. Row i of ``binary`` holds
+    training row i's binary feature ids as ``features.token_features`` gives
+    them, padded with ``n_binary``; a node is its row ids and, while it may
+    split, its sorted numeric columns."""
 
-    def __init__(self, n_binary, g, h, config):
+    def __init__(self, binary, n_binary, g, h, config):
+        self.binary = binary
         self.n_binary = n_binary
         self.g = g
         self.h = h
@@ -355,39 +311,60 @@ class _TreeBuilder:
     def _may_split(self, size: int, depth: int) -> bool:
         return depth < self.config.max_depth and size >= 2 * self.config.min_samples_leaf
 
-    def build(self, node: _Node, depth: int) -> int:
+    def build(self, rows: np.ndarray, depth: int, num_rows, num_vals) -> int:
+        """Grow the subtree over ``rows`` (ascending row ids) at ``depth`` and
+        return its root's index. ``num_rows`` and ``num_vals`` are the rows'
+        sorted numeric columns, or None where the node may not split."""
         index = len(self.nodes)
         self.nodes.append(())  # set below, once the children are numbered
-        cfg = self.config
-        split = None
-        if self._may_split(len(node.rows), depth):
-            split = _find_split(
-                node, self.g, self.h, self.n_binary, cfg.l2_leaf_reg, cfg.min_samples_leaf
-            )
-        if split is None:
-            value = -self.g[node.rows].sum() / (self.h[node.rows].sum() + cfg.l2_leaf_reg)
+        found = None
+        if self._may_split(len(rows), depth):
+            found = self._split(rows, num_rows, num_vals)
+        if found is None:
+            value = -self.g[rows].sum() / (self.h[rows].sum() + self.config.l2_leaf_reg)
             self.nodes[index] = (-1, 0.0, -1, -1, value)
-            self.contrib[node.rows] = value
+            self.contrib[rows] = value
             return index
-        go_right = np.zeros(len(self.g), dtype=bool)
-        go_right[node.right_rows(split, self.n_binary)] = True
-        left, right = node.partition(go_right, lambda size: self._may_split(size, depth + 1))
-        left_index = self.build(left, depth + 1)
+        split, go_right = found
+        in_right = go_right[rows]
+        left_index = self._child(rows[~in_right], ~go_right, depth + 1, num_rows, num_vals)
         self.nodes[index] = (split.feature, split.threshold, left_index,
-                             self.build(right, depth + 1), 0.0)
+                             self._child(rows[in_right], go_right, depth + 1, num_rows, num_vals),
+                             0.0)
         return index
+
+    def _split(self, rows, num_rows, num_vals) -> tuple[SplitCandidate, np.ndarray] | None:
+        """The best split of the node over ``rows`` and the mask, over all
+        training rows, of those it sends right; None without a positive-gain
+        split. The node's feature rows are freed on return, before its
+        children grow."""
+        feats = self.binary[rows]
+        cfg = self.config
+        split = _find_split(feats, rows, num_rows, num_vals, self.g, self.h, self.n_binary,
+                            cfg.l2_leaf_reg, cfg.min_samples_leaf)
+        if split is None:
+            return None
+        go_right = np.zeros(len(self.g), dtype=bool)
+        if split.feature < self.n_binary:  # the rows holding the feature
+            go_right[rows[np.flatnonzero(feats.ravel() == split.feature) // feats.shape[1]]] = True
+        else:
+            j = split.feature - self.n_binary
+            go_right[num_rows[j][np.searchsorted(num_vals[j], split.threshold, "right"):]] = True
+        return split, go_right
+
+    def _child(self, rows, member, depth: int, num_rows, num_vals) -> int:
+        """``build`` for a child over ``rows``, which ``member`` marks among
+        all training rows. Its sorted columns are its parent's where
+        ``member``, made only if the child may split."""
+        if not self._may_split(len(rows), depth):
+            return self.build(rows, depth, None, None)
+        keep = member[num_rows]
+        shape = (len(num_rows), len(rows))
+        return self.build(rows, depth, num_rows[keep].reshape(shape),
+                          num_vals[keep].reshape(shape))
 
     def tree(self) -> Tree:
         return Tree(*zip(*self.nodes))
-
-
-def _root(train: Dataset, vocab: Vocabulary) -> _Node:
-    """The root node over every training row, its entries read from the rows
-    of ``token_features`` without their padding. The padded rows are freed
-    on return; the nodes hold all that training reads."""
-    binary, numeric = token_features(train, vocab)
-    entry_rows, slot = np.nonzero(binary != vocab.n_binary)  # row-major
-    return _Node.root(entry_rows, binary[entry_rows, slot], numeric)
 
 
 def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtModel:
@@ -403,7 +380,8 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
         raise TrainingError("training data must contain both classes")
     base = math.log(positives / (n - positives))
 
-    root = _root(train, vocab)
+    binary, numeric = token_features(train, vocab)
+    num_rows, num_vals = _sort_columns(numeric)  # once per run: nodes filter it
 
     raw = np.full(n, base, dtype=np.float64)
     losses = [log_loss_from_raw(raw, y)]
@@ -412,8 +390,8 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        builder = _TreeBuilder(vocab.n_binary, g, h, config)
-        builder.build(root, 0)
+        builder = _TreeBuilder(binary, vocab.n_binary, g, h, config)
+        builder.build(np.arange(n), 0, num_rows, num_vals)
         trees.append(builder.tree())
         raw = raw + config.learning_rate * builder.contrib
         loss = log_loss_from_raw(raw, y)

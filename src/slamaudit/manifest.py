@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -95,15 +96,15 @@ def build_manifest(
     model_kind: str,
     split: str,
     config_hashes: dict[str, str],
-    dataset_paths: dict[str, str | Path],
+    dataset_paths: Sequence[str],
 ) -> RunManifest:
-    """Assemble a manifest, hashing every named dataset file."""
+    """Assemble a manifest, hashing every dataset file under its path."""
     return RunManifest(
         track=track,
         model_kind=model_kind,
         split=split,
         config_hashes=dict(config_hashes),  # a copy: the caller's later edits stay out
-        dataset_hashes={name: sha256_file(path) for name, path in dataset_paths.items()},
+        dataset_hashes={path: sha256_file(path) for path in dataset_paths},
         timestamps={"created": run_timestamp()},
         tool_version=__version__,
     )

@@ -3,8 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import stat
+import threading
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -1260,6 +1263,68 @@ def test_failed_audit_removes_the_directories_it_made(
                         tmp_path / "made" / "here", mini_dir / "en_es.dev.key")
     assert error_lines(argv, capsys) == ["error: no plot"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_writes_through_a_symlink(tmp_path, gbdt_model, mini_dir):
+    """A scores path that is a symbolic link stays a link: the scores replace
+    the file it leads to, and no temporary file is left beside either."""
+    argv = scoring_argv("predict", gbdt_model, mini_dir / "en_es.dev.slam", "en_es", tmp_path)
+    assert run(argv) == 0
+    (tmp_path / "target.csv").write_text("old\n")
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    assert run([*argv[:-1], str(tmp_path / "link.csv")]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert os.readlink(tmp_path / "link.csv") == "target.csv"
+    assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "predict.out").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.csv", "link.csv.manifest.json", "predict.out", "predict.out.manifest.json",
+        "target.csv",
+    ]
+
+
+def test_predict_writes_into_a_fifo(tmp_path, gbdt_model, mini_dir):
+    """A scores path that is a FIFO is written in place: its reader gets the
+    scores, and the FIFO stays."""
+    argv = scoring_argv("predict", gbdt_model, mini_dir / "en_es.dev.slam", "en_es", tmp_path)
+    assert run(argv) == 0
+    fifo = tmp_path / "ff"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run([*argv[:-1], str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "predict.out").read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_audit_removes_plots_it_did_not_draw(tmp_path, gbdt_model, mini_dir, monkeypatch):
+    """An audit into a directory an earlier audit wrote leaves it as a fresh
+    directory would be: the plots of pairs this run skipped go. A failed
+    audit removes none of them."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = scoring_argv("audit", gbdt_model, mini_dir / "en_es.dev.slam", "en_es",
+                        tmp_path, mini_dir / "en_es.dev.key")[:-2]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run([*argv, "--out", str(reused)]) == 0
+    first = sorted(p.name for p in reused.iterdir())
+    assert len([name for name in first if name.endswith("_vs_web.svg")]) == 2
+
+    def fail(*args):
+        raise DataError("no plot")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("slamaudit.cli.render_roc_plot", fail, raising=False)
+        assert run([*argv, "--min-group-size", "100", "--out", str(reused)]) == 1
+    assert sorted(p.name for p in reused.iterdir()) == first
+    for out in (reused, fresh):
+        assert run([*argv, "--min-group-size", "100", "--out", str(out)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert not [name for name in names if "web" in name]
+    assert sorted(p.name for p in reused.iterdir()) == names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import random
@@ -42,6 +43,7 @@ from slamaudit.slam_format import (
     read_dataset,
 )
 
+from conftest import REPO_ROOT
 from gen_slam import random_dataset
 from oracles import (
     best_split,
@@ -52,6 +54,10 @@ from oracles import (
     predict_gbdt,
     tree_predict_batch,
 )
+
+_spec = importlib.util.spec_from_file_location("golden", REPO_ROOT / "scripts" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def make_dataset(rows, track=Track.EN_ES):
@@ -639,9 +645,10 @@ class TestSparseSplitFinder:
         rng = random.Random(3008)
         splits = 0
         for X, n_binary, g, h, lam, msl in self.node_problems(rng):
-            entry_rows, entry_feats = np.nonzero(X[:, :n_binary])
-            node = gbdt_mod._Node.root(entry_rows, entry_feats, X[:, n_binary:])
-            found = gbdt_mod._find_split(node, g, h, n_binary, lam, msl)
+            feats = np.where(X[:, :n_binary] != 0, np.arange(n_binary), n_binary)
+            num_rows, num_vals = gbdt_mod._sort_columns(X[:, n_binary:])
+            found = gbdt_mod._find_split(feats, np.arange(len(X)), num_rows, num_vals,
+                                         g, h, n_binary, lam, msl)
             candidates = oracle_split_candidates(X, g, h, lam, msl)
             best = oracle_best_split(candidates)
             if best is None:
@@ -677,11 +684,29 @@ class TestSparseSplitFinder:
         )
         assert np.abs(gbdt_predict_proba(model, X) - sigmoid(raw)).max() <= 1e-12
 
-    @pytest.mark.parametrize("track", [Track.EN_ES, Track.ES_EN, Track.FR_EN])
-    def test_fixture_train_scores_match_oracle_trainer(self, mini_dir, track):
+    # Under ``deep`` (l2 0, one-row leaves) a first-tree cut's gain depends only
+    # on the class counts of its sides, so cuts tie exactly and rounding picks
+    # one; the trainer and the oracle sum in different orders, so they pick
+    # differently. In the first tree: on es_en node 28 ties numeric feature 127
+    # with feature 81 at gain 4.357539351703405; on fr_en node 17 (4 rows, one
+    # class) the oracle splits on a 4.4e-16 gain that the trainer finds 0.
+    # Split choice that does not depend on summation order is ROADMAP item 3;
+    # the marks are strict, so mending it fails them.
+    @pytest.mark.parametrize("track,overrides", [
+        pytest.param(
+            track, overrides, id=track.value + (f"-{name}" if name else ""),
+            marks=[pytest.mark.xfail(strict=True, reason="rounding-noise ties (ROADMAP item 3)")]
+            if name == "deep" else [],
+        )
+        for name, overrides in {"": {}, **golden.GBDT_CONFIGS}.items()
+        for track in (Track.EN_ES, Track.ES_EN, Track.FR_EN)
+    ])
+    def test_fixture_train_scores_match_oracle_trainer(self, mini_dir, track, overrides):
+        """The default config (ids ``<track>``) and every config whose models
+        ``tests/golden.sha256`` pins (ids ``<track>-<name>``)."""
         train = read_dataset(mini_dir / f"{track.value}.train.slam", track, Split.TRAIN)
         vocab = build_vocab(train)
-        cfg = GbdtConfig()
+        cfg = GbdtConfig(**overrides)
         model = train_gbdt(train, vocab, cfg)
         X = to_dense((encode(i, vocab) for i in train.instances), vocab)
         raw = oracle_train_raw(
