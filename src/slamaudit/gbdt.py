@@ -19,13 +19,13 @@ sums over a node's ascending rows), so training is fully deterministic and
 two runs with the same data and config produce byte-identical models.
 
 Scoring (``predict_scores``) reads the split's exercise and key tables
-instead: each internal node's test is settled once per exercise or once per
-key and packed into bit words, and each token only ORs its two sides' words
-and walks the trees on them, all trees at once over chunks of tokens. It
+instead, through exit-leaf masks (QuickScorer, Lucchese et al., SIGIR 2015):
+each internal node's test is settled once per exercise or once per key, and
+a token ANDs its two sides' mask words and exits each tree at the lowest set
+bit, whatever the trees' depth, all trees at once over chunks of tokens. It
 builds no per-token feature matrix, so its memory per token does not grow
-with the vocabulary; each block of trees holds one mask of ``n_binary + 1``
-rows of bit words, one row per binary feature id and a zero row for the key
-padding.
+with the vocabulary; each block of trees holds one table of ``n_binary + 1``
+rows of mask words, one per binary feature id and all ones for the padding.
 """
 
 from __future__ import annotations
@@ -105,6 +105,7 @@ class Tree:
 
     Internal nodes carry (feature, threshold, left, right); leaves carry a
     value and have feature == -1. Decision rule: go right iff value > threshold.
+    Every node but the root is the child of exactly one internal node.
     """
 
     feature: tuple[int, ...]
@@ -119,6 +120,7 @@ class Tree:
             raise TrainingError("tree arrays must have equal length")
         if n < 1:
             raise TrainingError("tree must have at least one node")
+        parents = [0] * n
         for i in range(n):
             if self.feature[i] < -1:
                 raise TrainingError(f"node {i} has invalid feature {self.feature[i]}")
@@ -131,15 +133,10 @@ class Tree:
                 for child in (self.left[i], self.right[i]):
                     if not (i < child < n):
                         raise TrainingError(f"node {i} has invalid child {child}")
-
-    def depth(self) -> int:
-        """Internal nodes on the longest path from the root to a leaf, in one
-        sweep from the last node back: a child always follows its parent."""
-        below = [0] * len(self.feature)
-        for i in range(len(below) - 1, -1, -1):
-            if self.feature[i] >= 0:
-                below[i] = 1 + max(below[self.left[i]], below[self.right[i]])
-        return below[0]
+                    parents[child] += 1
+        for i in range(1, n):
+            if parents[i] != 1:
+                raise TrainingError(f"node {i} is the child of {parents[i]} nodes, not of one")
 
     def to_dict(self) -> dict:
         return {
@@ -411,35 +408,32 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
 
 
 # Scoring takes the trees in blocks and the tokens in chunks, so its tables
-# (per feature, threshold, exercise and key: one word per tree of a block)
-# and its (tokens, trees) walk arrays stay small whatever the model and split.
+# (per feature, threshold, exercise and key: the mask words of a block's
+# trees) and its (tokens, trees) arrays stay small whatever the model and split.
 _SCORE_TREES = 16
 _SCORE_CELLS = 1 << 14
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k low bits set
+_ONES = _LOW_BITS[64]
 
 
 @dataclass(frozen=True)
 class _Forest:
-    """A model's trees as one table of nodes, numbered in tree order. A
-    token's walk state at node g is 2g, and ``step[2g + bit]`` is its next
-    state on the test outcome ``bit`` (a leaf leads to itself). Tree t owns
-    ``n_words`` uint64 words of a token's bit words, from word
-    ``t * n_words``; its internal node of rank r (in node order) owns bit
-    ``r % 64`` of the tree's word ``r // 64``. Per state 2g that is
-    ``word`` and ``shift``; per internal node (with ``feature`` and
-    ``threshold``), ``column`` and ``onebit`` in the words of all trees."""
+    """A block of trees as exit-leaf masks. Each tree's leaves are ranked
+    left to right, and tree t owns ``n_words`` uint64 words of a token's
+    words, from word ``t * n_words``: leaf rank r is bit ``r % 64`` of the
+    tree's word ``r // 64``. An internal node's mask clears its left
+    subtree's leaves. A token exits a tree at the lowest set bit of the AND
+    of the masks of the nodes it goes right at: they clear every leaf left of
+    its exit leaf, and no such node has the exit leaf on its left. ``value``
+    holds each tree's leaf values by rank; per internal node, ``feature``,
+    ``threshold``, and per word of its tree, ``column`` and ``clear``."""
 
-    n_trees: int
     n_words: int
-    depth: int
-    roots: np.ndarray
-    step: np.ndarray
-    word: np.ndarray
-    shift: np.ndarray
-    value: np.ndarray  # the leaf value of each state
+    value: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     column: np.ndarray
-    onebit: np.ndarray
+    clear: np.ndarray
 
     @classmethod
     def of(cls, trees: tuple[Tree, ...]) -> "_Forest":
@@ -452,89 +446,96 @@ class _Forest:
         feature = flat("feature", np.int64)
         tree_of = np.repeat(np.arange(len(trees)), sizes)
         internal = np.flatnonzero(feature >= 0)
-        counts = np.bincount(tree_of[internal], minlength=len(trees))
-        rank = np.arange(len(internal)) - (np.cumsum(counts) - counts)[tree_of[internal]]
-        n_words = max(1, -(-int(counts.max()) // 64))
-        child = np.repeat(np.arange(len(feature)), 2)  # a leaf leads to itself
-        child[2 * internal] = first[tree_of[internal]] + flat("left", np.int64)[internal]
-        child[2 * internal + 1] = first[tree_of[internal]] + flat("right", np.int64)[internal]
-        word = np.zeros(len(child), dtype=np.int64)
-        word[2 * internal] = rank // 64
-        shift = np.zeros(len(child), dtype=np.uint64)
-        shift[2 * internal] = rank % 64
+        left = (first[tree_of] + flat("left", np.int64))[internal]
+        right = (first[tree_of] + flat("right", np.int64))[internal]
+        # One depth-first walk over all trees, left subtree first: a node's
+        # start is the number of leaves, of all trees, ranked before it.
+        children = dict(zip(internal.tolist(), zip(right.tolist(), left.tolist())))
+        start, stack, leaves = [0] * len(feature), first[::-1].tolist(), 0
+        while stack:
+            i = stack.pop()
+            start[i] = leaves
+            if i in children:
+                stack.extend(children[i])  # the left child comes off first
+            else:
+                leaves += 1
+        start = np.array(start)
+        start -= start[first][tree_of]  # rank within the tree
+        is_leaf = feature < 0
+        n_words = max(1, -(-int(np.bincount(tree_of[is_leaf]).max()) // 64))
+        value = np.zeros((len(trees), 64 * n_words))
+        value[tree_of[is_leaf], start[is_leaf]] = flat("value", np.float64)[is_leaf]
+        # the left subtree's leaves are start[internal]..start[right] - 1
+        edge = 64 * np.arange(n_words)
+        lo = np.clip(start[internal, None] - edge, 0, 64)
+        hi = np.clip(start[right, None] - edge, 0, 64)
         return cls(
-            n_trees=len(trees),
             n_words=n_words,
-            depth=max(t.depth() for t in trees),
-            roots=2 * first,
-            step=2 * child,
-            word=word,
-            shift=shift,
-            value=np.repeat(flat("value", np.float64), 2),
+            value=value,
             feature=feature[internal],
             threshold=flat("threshold", np.float64)[internal],
-            column=tree_of[internal] * n_words + rank // 64,
-            onebit=np.uint64(1) << (rank % 64).astype(np.uint64),
+            column=(tree_of[internal] * n_words)[:, None] + np.arange(n_words),
+            clear=~(_LOW_BITS[hi] ^ _LOW_BITS[lo]),
         )
 
     def outcome_words(self, n_binary: int, ex_idx: np.ndarray, ex_num: np.ndarray,
                       key_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(exercise_words, key_words)``: one row of bit words per exercise
-        and per key, holding the outcome of ``value > threshold`` at every
-        internal node whose feature is on that row's side, and 0 at the rest.
+        """``(exercise_words, key_words)``: one row of words per exercise and
+        per key, the AND of the masks of the internal nodes whose feature is
+        on that row's side and whose test ``value > threshold`` passes there.
         The sides are as ``features.exercise_features`` and
         ``features.key_rows`` give them: exercise e holds the binary ids
         ``ex_idx[e]`` and the numeric values ``ex_num[e]``, key j the binary
         ids ``key_idx[j]``, padded with ``n_binary``. A binary feature's value
-        is 1.0 where a row holds the feature and 0.0 elsewhere, so its test is
-        always true (threshold below 0), always false (at or above 1) or
-        "holds the feature", whose bits are ORed in from a mask with one row
-        per binary id and a zero row ``n_binary`` for the padding. A numeric
-        test passes where its threshold is below the exercise's value, so its
-        bits are a prefix OR over the feature's thresholds in ascending
-        order."""
-        width = self.n_trees * self.n_words
-        f, t, column, onebit = self.feature, self.threshold, self.column, self.onebit
+        is 1.0 where a row holds the feature and 0.0 elsewhere, so its test
+        always passes (threshold below 0), never (at or above 1) or where the
+        row holds the feature, whose masks are ANDed in from a table with one
+        row per binary id and an all-ones row ``n_binary`` for the padding. A
+        numeric test passes where its threshold is below the exercise's value,
+        so its masks are a prefix AND over the feature's thresholds in
+        ascending order, one row per node."""
+        width = len(self.value) * self.n_words
+        f, t, column, clear = self.feature, self.threshold, self.column, self.clear
         binary = f < n_binary
         holds = binary & (0.0 <= t) & (t < 1.0)
-        mask = np.zeros((n_binary + 1, width), dtype=np.uint64)
-        np.bitwise_or.at(mask.reshape(-1), f[holds] * width + column[holds], onebit[holds])
+        mask = np.full((n_binary + 1, width), _ONES)
+        np.bitwise_and.at(mask.reshape(-1), f[holds, None] * width + column[holds], clear[holds])
         true = binary & (t < 0.0)
-        always = np.zeros(width, dtype=np.uint64)
-        np.bitwise_or.at(always, column[true], onebit[true])
+        always = np.full(width, _ONES)
+        np.bitwise_and.at(always, column[true], clear[true])
         exercise_words = np.tile(always, (len(ex_num), 1))
         for j in range(len(NUMERIC_FEATURES)):
             on = np.flatnonzero(f == n_binary + j)
             on = on[np.argsort(t[on])]
-            prefix = np.zeros((len(on) + 1, width), dtype=np.uint64)
-            prefix[np.arange(1, len(on) + 1), column[on]] = onebit[on]
-            prefix = np.bitwise_or.accumulate(prefix, axis=0)
-            exercise_words |= prefix[np.searchsorted(t[on], ex_num[:, j], side="left")]
+            prefix = np.full((len(on) + 1, width), _ONES)
+            prefix[np.arange(1, len(on) + 1)[:, None], column[on]] = clear[on]
+            prefix = np.bitwise_and.accumulate(prefix, axis=0)
+            exercise_words &= prefix[np.searchsorted(t[on], ex_num[:, j], side="left")]
         for features in ex_idx.T:
-            exercise_words |= mask[features]
-        key_words = np.zeros((len(key_idx), width), dtype=np.uint64)
+            exercise_words &= mask[features]
+        key_words = np.full((len(key_idx), width), _ONES)
         for features in key_idx.T:
-            key_words |= mask[features]
+            key_words &= mask[features]
         return exercise_words, key_words
 
     def raw_scores(self, words: np.ndarray, base: np.ndarray, learning_rate: float
                    ) -> np.ndarray:
         """Raw scores of token rows from their ``(rows, n_trees * n_words)``
-        bit words: every row walks every tree level by level on its bits,
-        and each tree's leaf value times the learning rate is added to the
-        row's ``base`` in tree order."""
-        rows = len(words)
-        words = words.reshape(rows, self.n_trees, self.n_words)
-        state = np.tile(self.roots, (rows, 1))
-        for _level in range(self.depth):
-            if self.n_words == 1:
-                w = words[:, :, 0]
-            else:
-                w = np.take_along_axis(words, self.word[state][:, :, None], axis=2)[:, :, 0]
-            state = self.step[state + ((w >> self.shift[state]) & 1).view(np.int64)]
-        terms = np.empty((rows, self.n_trees + 1))
+        words: a row exits each tree at the lowest set bit of the tree's
+        first nonzero word, and each tree's leaf value times the learning
+        rate is added to the row's ``base`` in tree order."""
+        rows, n_trees = len(words), len(self.value)
+        words = words.reshape(rows, n_trees, self.n_words)
+        if self.n_words == 1:
+            word, w = 0, words[:, :, 0]
+        else:
+            word = np.argmax(words != 0, axis=2)
+            w = np.take_along_axis(words, word[:, :, None], axis=2)[:, :, 0]
+        _, exponent = np.frexp(w & (~w + np.uint64(1)))  # the lowest set bit, 2**(exponent - 1)
+        terms = np.empty((rows, n_trees + 1))
         terms[:, 0] = base
-        np.multiply(learning_rate, self.value[state], out=terms[:, 1:])
+        leaf = 64 * word + exponent - 1
+        np.multiply(learning_rate, self.value[np.arange(n_trees), leaf], out=terms[:, 1:])
         return np.add.accumulate(terms, axis=1)[:, -1]  # left to right, one tree at a time
 
 
@@ -544,14 +545,13 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
 
     Every feature lives on one side of the split (``EXERCISE_NAMESPACES``
     with the numerics, or ``KEY_NAMESPACES``, in ``features``), so each
-    internal node's test is settled once per exercise or once per key and
-    packed into bit words, one set per side (``_Forest.outcome_words``). The
-    exercise and key tables are read once, as ``exercise_features`` and
-    ``key_rows`` give them, and each block of trees indexes its per-feature
-    mask by vocabulary id. A token ORs its exercise's words with its key's
-    and walks a block of trees level by level on those bits. Leaf values are
-    added in tree order, so the scores equal the dense per-token walk bit for
-    bit.
+    internal node's test is settled once per exercise or once per key
+    (``_Forest.outcome_words``). The exercise and key tables are read once,
+    as ``exercise_features`` and ``key_rows`` give them, and each block of
+    trees indexes its per-feature mask table by vocabulary id. A token ANDs
+    its exercise's words with its key's and exits each tree at the lowest
+    set bit. Leaf values are added in tree order, so the scores equal the
+    dense per-token walk bit for bit.
     """
     n_binary = model.vocab.n_binary
     ex_idx, ex_num = exercise_features(dataset.metas, model.vocab)
@@ -565,7 +565,7 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
         chunk = max(1, _SCORE_CELLS // exercise_words.shape[1])
         for lo in range(0, len(raw), chunk):
             rows = slice(lo, lo + chunk)
-            words = exercise_words[exercise[rows]] | key_words[key[rows]]
+            words = exercise_words[exercise[rows]] & key_words[key[rows]]
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 raw[rows] = forest.raw_scores(words, raw[rows], model.config.learning_rate)
     if not np.isfinite(raw).all():

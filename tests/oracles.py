@@ -246,6 +246,16 @@ def encode_dataset(dataset, vocab):
     return [encode(inst, vocab) for inst in dataset.instances]
 
 
+def tree_depth(tree):
+    """Internal nodes on the longest path from the root to a leaf, in one
+    sweep from the last node back: a child always follows its parent."""
+    below = [0] * len(tree.feature)
+    for i in range(len(below) - 1, -1, -1):
+        if tree.feature[i] >= 0:
+            below[i] = 1 + max(below[tree.left[i]], below[tree.right[i]])
+    return below[0]
+
+
 def tree_predict_batch(tree, X):
     """Leaf value for every row of the dense matrix X (column f holds feature
     f), walking all rows down the tree one level at a time."""

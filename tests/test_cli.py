@@ -424,6 +424,21 @@ class TestPredict:
         assert code == 1
         assert err == [f"error: model file {model} must hold a JSON object"]
 
+    def test_gbdt_tree_with_a_shared_node_rejected(self, tmp_path, gbdt_model, mini_dir,
+                                                   capsys):
+        payload = json.loads(gbdt_model.read_text())
+        tree = payload["trees"][0]
+        tree["right"][0] = child = tree["left"][0]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code, err = predict_error_lines(
+            model, mini_dir / "es_en.dev.slam", "es_en", tmp_path / "s.csv", capsys
+        )
+        assert code == 1
+        assert err == [f"error: model file {model}: tree 0: node {child} is the child of "
+                       "2 nodes, not of one"]
+        assert not (tmp_path / "s.csv").exists()
+
     def test_manifest_sidecar_not_an_object(self, tmp_path, mt_model, mini_dir, capsys):
         model = tmp_path / "model.json"
         model.write_bytes(mt_model.read_bytes())

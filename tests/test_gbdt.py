@@ -52,6 +52,7 @@ from oracles import (
     oracle_split_candidates,
     oracle_train_raw,
     predict_gbdt,
+    tree_depth,
     tree_predict_batch,
 )
 
@@ -175,7 +176,7 @@ class TestNewtonFixture:
     def test_round_one_leaf_values(self):
         _, _, model = self.fixture()
         tree = model.trees[0]
-        assert tree.depth() == 1
+        assert tree_depth(tree) == 1
         leaves = sorted(
             tree.value[i] for i in range(len(tree.feature)) if tree.feature[i] < 0
         )
@@ -259,7 +260,7 @@ class TestTraining:
                 ds, vocab,
                 GbdtConfig(n_trees=5, max_depth=depth, min_samples_leaf=2),
             )
-            assert max(t.depth() for t in model.trees) <= depth
+            assert max(tree_depth(t) for t in model.trees) <= depth
 
     def test_recorded_losses_match_recomputation(self):
         rng = random.Random(3006)
@@ -280,10 +281,11 @@ class TestTraining:
 
 def chain_tree(levels, feature, cut=0.5, leaf=0.1):
     """A tree of ``levels`` splits on ``feature`` at ``cut``: split node 2k
-    has the leaf 2k+1 on its right and the next split on its left."""
+    has the leaf 2k+1 on its right and the next split on its left. The
+    leaves on the right hold ``leaf``, the last one on the left ``-leaf``."""
     n = 2 * levels + 1
     arrays = {"feature": [-1] * n, "threshold": [0.0] * n, "left": [-1] * n,
-              "right": [-1] * n, "value": [leaf] * n}
+              "right": [-1] * n, "value": [leaf] * (n - 1) + [-leaf]}
     for k in range(levels):
         i = 2 * k
         arrays["feature"][i], arrays["threshold"][i] = feature, cut
@@ -294,7 +296,7 @@ def chain_tree(levels, feature, cut=0.5, leaf=0.1):
 
 class TestTreeType:
     def test_depth_of_a_1500_level_chain(self):
-        assert chain_tree(1500, 126).depth() == 1500
+        assert tree_depth(chain_tree(1500, 126)) == 1500
 
     def test_depth_equals_the_recursive_walk(self):
         def walk(tree, i):
@@ -307,7 +309,7 @@ class TestTreeType:
         data_values = {name: [0.0, 0.5, 1.0] for name in NUMERIC_FEATURES}
         for _ in range(50):
             tree = random_tree(rng, vocab, rng.randint(0, 8), data_values)
-            assert tree.depth() == walk(tree, 0)
+            assert tree_depth(tree) == walk(tree, 0)
 
     def test_invalid_child_rejected(self):
         with pytest.raises(TrainingError, match="invalid child"):
@@ -422,6 +424,12 @@ class TestSerialization:
             (lambda t: t.update(feature=[3, -1, -10**6]), "invalid feature -1000000"),
             (lambda t: t.update(left=[0, -1, -1]), "invalid child 0"),
             (lambda t: t.update(right=[3, -1, -1]), "invalid child 3"),
+            (lambda t: t.update(left=[1, -1, -1], right=[1, -1, -1]),
+             "node 1 is the child of 2 nodes, not of one"),
+            (lambda t: t.update(feature=t["feature"] + [-1], threshold=t["threshold"] + [0.0],
+                                left=[2, -1, -1, -1], right=[3, -1, -1, -1],
+                                value=t["value"] + [0.0]),
+             "node 1 is the child of 0 nodes, not of one"),
             (lambda t: t.update(threshold=[float("inf"), 0.0, 0.0]), "non-finite threshold"),
             (lambda t: t.update(value=[0.0, float("nan"), 0.0]), "non-finite value"),
         ],
@@ -474,7 +482,8 @@ def random_tree(rng, vocab, max_depth, data_values):
     """A tree over binary ids anywhere in the vocabulary (OOV slots among
     them, the first and last id more often) at ``binary_cut`` cuts, and over
     the numeric dims at cuts inside their ranges or equal to a value of the
-    scored data (``data_values``, by feature name)."""
+    scored data (``data_values``, by feature name). Nodes are numbered
+    depth first, at some nodes the right subtree before the left."""
     n_binary = vocab.total_dims - len(NUMERIC_FEATURES)
     arrays = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
 
@@ -499,8 +508,9 @@ def random_tree(rng, vocab, max_depth, data_values):
             ids = (0, n_binary - 1) if rng.random() < 0.1 else range(n_binary)
             feature, threshold = rng.choice(ids), binary_cut(rng)
         arrays["feature"][i], arrays["threshold"][i] = feature, threshold
-        arrays["left"][i] = grow(depth + 1)
-        arrays["right"][i] = grow(depth + 1)
+        sides = ["left", "right"] if rng.random() < 0.7 else ["right", "left"]
+        for side in sides:  # node order is leaf order only where left comes first
+            arrays[side][i] = grow(depth + 1)
         return i
 
     grow(0)
@@ -517,7 +527,7 @@ class TestPredictScores:
 
     def test_bitwise_equal_to_dense_on_random_models(self):
         rng = random.Random(3101)
-        numeric_splits = oov_splits = wide_trees = 0
+        numeric_splits = oov_splits = wide_trees = right_first_trees = 0
         binary_cuts = {"below 0": 0, "in [0, 1) but not 0.5": 0, "at or above 1": 0}
         data_cuts = 0
         edge_splits = {"id 0, held": 0, "id n_binary - 1, held": 0, "held by no row": 0}
@@ -554,7 +564,8 @@ class TestPredictScores:
                 n_binary - 1 in held)
             edge_splits["held by no row"] += sum(0 <= f < n_binary and f not in held
                                                  for f in used)
-            wide_trees += sum(sum(f >= 0 for f in t.feature) > 63 for t in trees)
+            wide_trees += sum(sum(f < 0 for f in t.feature) > 64 for t in trees)
+            right_first_trees += sum(any(r < l for l, r in zip(t.left, t.right)) for t in trees)
             for t in trees:
                 for f, cut in zip(t.feature, t.threshold):
                     if 0 <= f < n_binary and cut != 0.5:
@@ -565,7 +576,7 @@ class TestPredictScores:
                         data_cuts += cut in data_values[name]
             assert predict_scores(model, scored).tobytes() == dense_scores(model, scored).tobytes()
         assert numeric_splits > 20 and oov_splits > 20
-        assert wide_trees >= 5 and data_cuts > 20
+        assert wide_trees >= 5 and data_cuts > 20 and right_first_trees > 20
         assert min(binary_cuts.values()) > 20, binary_cuts
         assert min(edge_splits.values()) > 10, edge_splits
 
@@ -583,12 +594,16 @@ class TestPredictScores:
 
     def test_1500_level_tree_scores_from_the_command_line(self, tmp_path, mini_dir):
         """A model whose first tree is a 1,500-level chain on ``time_present``
-        scores every dev token to a finite probability."""
+        (its right child numbered first) scores every dev token as the dense
+        walk does, in process and from the command line."""
         train = read_dataset(mini_dir / "en_es.train.slam", Track.EN_ES, Split.TRAIN)
+        dev = read_dataset(mini_dir / "en_es.dev.slam", Track.EN_ES, Split.DEV)
         vocab = build_vocab(train)
         model = train_gbdt(train, vocab, GbdtConfig(n_trees=2))
         chain = chain_tree(1500, vocab.numeric_index("time_present"))
         model = dataclasses.replace(model, trees=(chain,) + model.trees[1:])
+        expected = dense_scores(model, dev).tobytes()
+        assert predict_scores(model, dev).tobytes() == expected
         path = tmp_path / "chain.json"
         save_model(model, path)  # no manifest sidecar
         out = tmp_path / "scores.csv"
@@ -596,7 +611,7 @@ class TestPredictScores:
                 "--track", "en_es", "--out", str(out)]
         assert main(argv) == 0
         scores = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
-        assert scores and all(0.0 < s < 1.0 for s in scores)
+        assert len(scores) == len(dev) and np.array(scores).tobytes() == expected
 
     def test_empty_data_under_trees_of_every_kind_of_split(self, mini_dir):
         """No exercise, no key and no token: still one empty score array,
@@ -605,9 +620,10 @@ class TestPredictScores:
         train = read_dataset(mini_dir / "en_es.train.slam", Track.EN_ES, Split.TRAIN)
         vocab = build_vocab(train)
         data_values = {name: [0.0, 0.5, 1.0] for name in NUMERIC_FEATURES}
-        trees = (train_gbdt(train, vocab, GbdtConfig(n_trees=3)).trees
-                 + tuple(random_tree(rng, vocab, 8, data_values) for _ in range(3)))
-        assert max(sum(f >= 0 for f in t.feature) for t in trees) > 63
+        drawn = []
+        while len(drawn) < 3 or max(sum(f < 0 for f in t.feature) for t in drawn) <= 64:
+            drawn.append(random_tree(rng, vocab, 8, data_values))
+        trees = train_gbdt(train, vocab, GbdtConfig(n_trees=3)).trees + tuple(drawn)
         model = GbdtModel(config=GbdtConfig(n_trees=len(trees)), base_score=0.0,
                           trees=trees, vocab=vocab, train_losses=())
         empty = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.DEV)
