@@ -11,8 +11,8 @@ Every feature lives on one side of a split's join (``EXERCISE_NAMESPACES``
 plus the numerics, or ``KEY_NAMESPACES``). ``build_vocab`` interns from a
 dataset's two tables, the exercise metadata and the distinct (token, POS,
 morph field, dep) keys. ``exercise_features`` and ``key_rows`` look each
-side up once per exercise and once per key, so a raw morph field is split
-once per distinct key; a key's row is padded to a fixed width with
+side up once per exercise and once per key, and split each distinct raw
+morph field once; a key's row is padded to a fixed width with
 ``n_binary``, which is no binary feature. GBDT scoring reads the two sides
 as they are. ``token_features`` joins them into one padded row of binary
 features and one row of numerics per token, which both learners train from
@@ -174,7 +174,10 @@ def build_vocab(train: Dataset | Sequence[Dataset]) -> Vocabulary:
         "user": (m.user_id for m in metas),
         "token": (token.lower() for token, _, _, _ in keys),
         "pos": (pos for _, pos, _, _ in keys),
-        "morph": chain.from_iterable(morph_features(morph) for _, _, morph, _ in keys),
+        # a raw morph field that repeats adds nothing new, so each is split once
+        "morph": chain.from_iterable(
+            map(morph_features, dict.fromkeys(morph for _, _, morph, _ in keys))
+        ),
         "dep": (dep for _, _, _, dep in keys),
         "format": (m.format.value for m in metas),
         "session": (m.session.value for m in metas),
@@ -251,13 +254,12 @@ def key_rows(keys: Sequence[tuple[str, str, str, str]], vocab: Vocabulary) -> np
     ``KEY_NAMESPACES`` order, padded to the longest key with
     ``vocab.n_binary``."""
     index = _indexer(vocab)
+    morph_ids = {
+        field: sorted({index("morph", m) for m in morph_features(field)})
+        for field in {morph for _, _, morph, _ in keys}
+    }
     parts = [
-        (
-            index("token", token.lower()),
-            index("pos", pos),
-            *sorted({index("morph", m) for m in morph_features(morph)}),
-            index("dep", dep),
-        )
+        (index("token", token.lower()), index("pos", pos), *morph_ids[morph], index("dep", dep))
         for token, pos, morph, dep in keys
     ]
     lengths = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))

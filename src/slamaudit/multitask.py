@@ -15,21 +15,27 @@ get exactly zero gradient.
 Training packs each track once, from the padded token rows of
 ``features.token_features``, into fixed-width rows of (dimension, mixing
 weight) pairs: 1/k on each of an instance's k active binary dimensions, the
-value on each numeric one, and weight 0 on the padding. A mini-batch gathers
-the nonzero pairs of its rows into a small dense matrix M over the u
-distinct dimensions it touches, so the batch embeds as
-``M @ embedding[u]``; one vectorized forward and backward pass gives the
-batch's summed gradient, and only the rows u of the embedding are updated.
-The final loss pass and ``predict_mt_scores`` run the same forward pass over
-bounded row chunks. The per-instance ``forward``, ``instance_loss`` and
-``grad`` are the reference: the finite-difference checks test ``grad``, and
-the batched step is tested against the sum of ``grad`` over a batch.
+value on each numeric one, and weight 0 on the padding. ``_batches`` serves
+the batches of a row order a few at a time: for each block of consecutive
+batches it counts the nonzero pairs over (batch, dimension) slots, which
+gives every batch's sorted touched dimensions u, its touch counts (the L2
+pull on those rows) and each pair's place in a small dense matrix M over u,
+so the batch embeds as ``M @ embedding[u]``. Each batch's M is a view into
+one buffer of its block, and no batch needs a sort. ``_batch_grad`` is the
+whole step's arithmetic: one vectorized forward and backward pass over one
+read of ``embedding[u]`` gives the batch's summed gradient, and only the rows
+u of the embedding are written back. The final loss pass and
+``predict_mt_scores`` run the same forward pass over bounded row chunks. The
+per-instance ``forward``, ``instance_loss`` and ``grad`` are the reference:
+the finite-difference checks test ``grad``, and the batched step is tested
+against the sum of ``grad`` over a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,9 +64,14 @@ _MT_MODEL_KEYS = (
     "heads",
     "train_losses",
 )
-# rows per forward chunk when scoring a whole track; bounds the dense
-# (rows x distinct dims) mixing matrix to a few MB
+# rows per forward chunk when scoring a whole track, and at most per block
+# of batches; bounds a block's dense (rows x distinct dims) mixing matrices
+# to a few MB
 _CHUNK_ROWS = 256
+# (batch, dimension) slots a block of batches counts over: a block holds at
+# most this many // total_dims batches (at least one), so the counting pass
+# stays small however wide the vocabulary is
+_BLOCK_SLOTS = 4096
 
 __all__ = [
     "MtConfig",
@@ -295,34 +306,74 @@ def _pack(dataset: Dataset, vocab: Vocabulary, labels=None) -> _PackedRows:
     )
 
 
-def _gather(packed: _PackedRows, rows: np.ndarray):
-    """Dense (len(rows), u) mixing matrix of the given rows over the sorted
-    distinct dims ``u`` they touch, and each entry's position in ``u``."""
-    vals = packed.vals[rows]
-    owner, slot = np.nonzero(vals)
-    u, inv = np.unique(packed.cols[rows[owner], slot], return_inverse=True)
-    mix = np.zeros((len(rows), len(u)))
-    mix[owner, inv] = vals[owner, slot]
-    return mix, u, inv
+def _batches(packed: _PackedRows, order: np.ndarray, size: int, dims: int,
+             l2: float = 0.0):
+    """The rows of ``order`` in consecutive batches of ``size`` (the last may
+    be short), each as ``(rows, mix, u, pull, labels)``: the dense
+    ``(len(rows), len(u))`` mixing matrix of those rows over the sorted
+    distinct dimensions ``u`` they touch, ``l2`` times the number of rows
+    that touch each of ``u``, and the rows' labels (None for an unlabeled
+    pack). ``dims`` bounds the dimension ids. Batches are built a block at a
+    time: one count over (batch, dimension) slots gives every batch's ``u``
+    in ascending order and each entry's place in it, and the mixing matrices
+    are views into one buffer."""
+    per_block = max(1, min(_CHUNK_ROWS // size, _BLOCK_SLOTS // dims))
+    # each row's first (batch, dimension) slot: its batch's offset in the count
+    slot_base = np.repeat(np.arange(per_block) * dims, size)[:, None]
+    for lo in range(0, len(order), per_block * size):
+        rows = order[lo : lo + per_block * size]
+        n_batches = -(-len(rows) // size)
+        vals = packed.vals.take(rows, axis=0)
+        entry = vals != 0.0
+        slots = packed.cols.take(rows, axis=0)
+        slots += slot_base[: len(rows)]
+        counts = np.bincount(slots[entry], minlength=n_batches * dims)
+        present = np.flatnonzero(counts > 0)
+        starts = np.searchsorted(present, np.arange(n_batches + 1) * dims)
+        n_u = np.diff(starts)
+        place = np.empty(len(counts), dtype=np.intp)  # a slot's place in its batch's u
+        place[present] = np.arange(len(present)) - np.repeat(starts[:-1], n_u)
+        row_cells = np.repeat(n_u, size)[: len(rows)]
+        row_start = np.cumsum(row_cells) - row_cells  # each row's first cell in the buffer
+        buffer = np.zeros(row_start[-1] + row_cells[-1])
+        cell = place.take(slots)
+        cell += row_start[:, None]
+        buffer[cell[entry]] = vals[entry]
+        u = present % dims
+        pull = l2 * counts[present]
+        labels = None if packed.labels is None else packed.labels.take(rows)
+        cells = np.append(row_start[::size], len(buffer)).tolist()
+        starts, n_u = starts.tolist(), n_u.tolist()
+        for b in range(n_batches):
+            r = slice(b * size, (b + 1) * size)
+            batch_rows = rows[r]
+            yield (
+                batch_rows,
+                buffer[cells[b] : cells[b + 1]].reshape(len(batch_rows), n_u[b]),
+                u[starts[b] : starts[b + 1]],
+                pull[starts[b] : starts[b + 1]],
+                None if labels is None else labels[r],
+            )
 
 
-def _batch_forward(model: MtModel, track: Track, mix: np.ndarray, u: np.ndarray):
-    """Embeddings, hidden activations and logits of a gathered batch."""
-    e = mix @ model.embedding[u]
+def _batch_forward(model: MtModel, track: Track, mix: np.ndarray, emb_u: np.ndarray):
+    """Embeddings, hidden activations and logits of a gathered batch whose
+    touched embedding rows are ``emb_u``."""
+    e = mix @ emb_u
     a = np.tanh(e @ model.hidden_weight + model.hidden_bias)
     w, b = model.heads[track]
     return e, a, a @ w + b
 
 
 def _chunked(model: MtModel, track: Track, packed: _PackedRows, per_chunk) -> np.ndarray:
-    """One value per row from ``per_chunk(rows, mix, u, logits)``, run over
-    bounded row chunks so the dense mixing matrix stays small."""
+    """One value per row from ``per_chunk(mix, emb_u, labels, logits)``, run
+    over bounded row chunks so the dense mixing matrix stays small."""
     out = np.empty(packed.n)
-    for lo in range(0, packed.n, _CHUNK_ROWS):
-        rows = np.arange(lo, min(lo + _CHUNK_ROWS, packed.n))
-        mix, u, _inv = _gather(packed, rows)
-        *_, logits = _batch_forward(model, track, mix, u)
-        out[rows] = per_chunk(rows, mix, u, logits)
+    chunks = _batches(packed, np.arange(packed.n), _CHUNK_ROWS, model.vocab.total_dims)
+    for rows, mix, u, _pull, labels in chunks:
+        emb_u = model.embedding[u]
+        *_, logits = _batch_forward(model, track, mix, emb_u)
+        out[rows] = per_chunk(mix, emb_u, labels, logits)
     return out
 
 
@@ -358,25 +409,30 @@ def train_multitask(
     model = init_model(vocab, by_track.keys(), config)
     rng = np.random.default_rng(config.seed + 1)  # separate stream from init
     tracks = sorted(by_track, key=lambda t: t.value)
-    lr = config.learning_rate
+    size, lr, dims = config.batch_size, config.learning_rate, vocab.total_dims
 
     # a run that overflows ends in non-finite parameters, which
     # validate_finite reports as one error, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _epoch in range(config.epochs):
-            batches: dict[Track, list[np.ndarray]] = {}
-            for t in tracks:
-                perm = rng.permutation(by_track[t].n)
-                batches[t] = [
-                    perm[i : i + config.batch_size]
-                    for i in range(0, len(perm), config.batch_size)
-                ]
-            rounds = max(len(b) for b in batches.values())
-            for r in range(rounds):
-                for t in tracks:
-                    if r >= len(batches[t]):
+            streams = [
+                _batches(by_track[t], rng.permutation(by_track[t].n), size, dims, config.l2)
+                for t in tracks
+            ]
+            for batches in zip_longest(*streams):
+                for t, batch in zip(tracks, batches):
+                    if batch is None:  # this track ran out of batches first
                         continue
-                    _apply_batch(model, t, by_track[t], batches[t][r], lr)
+                    rows, mix, u, pull, labels = batch
+                    emb_u, d_emb_u, d_hidden_w, d_hidden_b, d_head_w, d_head_b = _batch_grad(
+                        model, t, mix, u, pull, labels
+                    )
+                    scale = lr / len(rows)
+                    model.embedding[u] = emb_u - scale * d_emb_u
+                    model.hidden_weight -= scale * d_hidden_w
+                    model.hidden_bias -= scale * d_hidden_b
+                    w, b = model.heads[t]
+                    model.heads[t] = (w - scale * d_head_w, b - scale * d_head_b)
 
         for t in tracks:
             model.train_losses[t] = float(np.mean(_track_losses(model, t, by_track[t])))
@@ -384,40 +440,29 @@ def train_multitask(
     return model
 
 
-def _batch_grad(model: MtModel, track: Track, packed: _PackedRows, rows: np.ndarray):
-    """Gradient of the summed ``instance_loss`` over a batch, equal up to
-    summation order to the sum of per-instance ``grad`` results. The
-    embedding part covers only the touched rows ``u``; every other row's
-    gradient is exactly zero. Returns (u, d_emb_u, d_hidden_w, d_hidden_b,
-    d_head_w, d_head_b)."""
-    mix, u, inv = _gather(packed, rows)
-    m, l2 = len(rows), model.config.l2
+def _batch_grad(model: MtModel, track: Track, mix: np.ndarray, u: np.ndarray,
+                pull: np.ndarray, labels: np.ndarray):
+    """Gradient of the summed ``instance_loss`` over one batch of
+    ``_batches``, equal up to summation order to the sum of per-instance
+    ``grad`` results. The embedding part covers only the touched rows ``u``;
+    every other row's gradient is exactly zero. Returns (emb_u, d_emb_u,
+    d_hidden_w, d_hidden_b, d_head_w, d_head_b), where ``emb_u`` is
+    ``embedding[u]`` as the step read it."""
+    m, l2 = len(mix), model.config.l2
     emb_u = model.embedding[u]
-    e, a, logits = _batch_forward(model, track, mix, u)
-    dlogit = sigmoid(logits) - packed.labels[rows]
+    e, a, logits = _batch_forward(model, track, mix, emb_u)
+    dlogit = sigmoid(logits) - labels
     w, _b = model.heads[track]
     d_head_w = a.T @ dlogit + m * l2 * w
     d_head_b = float(dlogit.sum())
-    dz = np.outer(dlogit, w) * (1.0 - a * a)
+    dz = dlogit[:, None] * w * (1.0 - a * a)
     d_hidden_w = e.T @ dz + m * l2 * model.hidden_weight
     d_hidden_b = dz.sum(axis=0)
     # each touched row takes its mixing-weighted share of dL/de, plus the L2
     # pull once per instance that touched it
     d_emb_u = mix.T @ (dz @ model.hidden_weight.T)
-    d_emb_u += l2 * np.bincount(inv)[:, None] * emb_u
-    return u, d_emb_u, d_hidden_w, d_hidden_b, d_head_w, d_head_b
-
-
-def _apply_batch(model: MtModel, track: Track, packed: _PackedRows, rows, lr: float):
-    u, d_emb_u, d_hidden_w, d_hidden_b, d_head_w, d_head_b = _batch_grad(
-        model, track, packed, rows
-    )
-    scale = lr / len(rows)
-    model.embedding[u] -= scale * d_emb_u
-    model.hidden_weight -= scale * d_hidden_w
-    model.hidden_bias -= scale * d_hidden_b
-    w, b = model.heads[track]
-    model.heads[track] = (w - scale * d_head_w, b - scale * d_head_b)
+    d_emb_u += pull[:, None] * emb_u
+    return emb_u, d_emb_u, d_hidden_w, d_hidden_b, d_head_w, d_head_b
 
 
 def _track_losses(model: MtModel, track: Track, packed: _PackedRows) -> np.ndarray:
@@ -427,11 +472,10 @@ def _track_losses(model: MtModel, track: Track, packed: _PackedRows) -> np.ndarr
     shared = 0.5 * l2 * float((model.hidden_weight**2).sum())
     head = 0.5 * l2 * float((w**2).sum())
 
-    def losses(rows, mix, u, logits):
-        y = packed.labels[rows]
+    def losses(mix, emb_u, y, logits):
         loss = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - y * logits
         if l2 > 0.0:
-            touched = (mix != 0.0) @ (model.embedding[u] ** 2).sum(axis=1)
+            touched = (mix != 0.0) @ (emb_u**2).sum(axis=1)
             loss += 0.5 * l2 * touched
             loss += shared
             loss += head
@@ -447,7 +491,7 @@ def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
         raise DataError(f"model has no head for track {track.value!r}")
     packed = _pack(dataset, model.vocab)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = _chunked(model, track, packed, lambda rows, mix, u, logits: sigmoid(logits))
+        scores = _chunked(model, track, packed, lambda mix, emb_u, y, logits: sigmoid(logits))
     if not np.isfinite(scores).all():
         raise DataError("model gives non-finite scores: its parameters overflow")
     return scores

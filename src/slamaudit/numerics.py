@@ -7,13 +7,13 @@ import numpy as np
 
 def sigmoid(z):
     """Numerically stable logistic function; never returns exactly 0 or 1
-    for finite input of reasonable magnitude."""
+    for finite input of reasonable magnitude. ``1 / (1 + exp(-z))`` for
+    ``z >= 0`` and ``exp(z) / (1 + exp(z))`` below, both from one
+    ``exp(-|z|)``; a 0-d input gives a 0-d array."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

@@ -106,8 +106,9 @@ def config_from(cls, payload, source: str):
 
 
 def json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, with each list of
-    [x, y] float pairs formatted in one join; dict keys must be str."""
+    """``json.dumps(value, sort_keys=True, indent=2)``, with each flat list
+    of only floats or only ints (not bools), and each list of [x, y] float
+    pairs, formatted in one join; dict keys must be str."""
     if isinstance(value, str):
         return _json_str(value)
     if value is None or value is True or value is False:
@@ -127,6 +128,11 @@ def json_text(value, indent: str = "") -> str:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
         return "[]"
+    kind = type(value[0])
+    if (kind is float or kind is int) and all(type(v) is kind for v in value):
+        text = f",\n{inner}".join(map(kind.__repr__, value))
+        if kind is int or "n" not in text:  # else a NaN or infinity, spelled otherwise in JSON
+            return f"[\n{inner}{text}\n{indent}]"
     if all(type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is float for v in value):
         step = "\n" + inner + "  "
         text = ",\n".join(f"{inner}[{step}{x!r},{step}{y!r}\n{inner}]" for x, y in value)

@@ -471,6 +471,19 @@ def _oracle_node_cut(X, g, h, lam, min_leaf):
     return int(live[j]), threshold
 
 
+def oracle_sigmoid(z):
+    """The two-branch logistic function: ``1 / (1 + exp(-z))`` where
+    ``z >= 0``, ``exp(z) / (1 + exp(z))`` elsewhere, each branch on its own
+    elements."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def oracle_train_multitask(datasets, vocab, config):
     """Per-instance reference for ``train_multitask``: the same seeded
     initialization, shuffles and round-robin batch order, with each batch's
@@ -530,6 +543,22 @@ def oracle_mt_step(model, track, data, batch, lr):
     model.hidden_bias -= scale * acc_hb
     w, b = model.heads[track]
     model.heads[track] = (w - scale * acc_w, b - scale * acc_b)
+
+
+def oracle_gather(packed, rows, l2):
+    """One batch of ``multitask._batches`` built on its own, as
+    ``(rows, mix, u, pull, labels)``: ``np.unique`` over the dimensions of
+    the batch's nonzero (row, slot) pairs gives the sorted ``u`` and each
+    pair's column in the dense mixing matrix, and ``pull`` is ``l2`` times
+    each column's pair count."""
+    vals = packed.vals[rows]
+    owner, slot = np.nonzero(vals)
+    u, inv = np.unique(packed.cols[rows[owner], slot], return_inverse=True)
+    mix = np.zeros((len(rows), len(u)))
+    mix[owner, inv] = vals[owner, slot]
+    pull = l2 * np.bincount(inv, minlength=len(u))
+    labels = None if packed.labels is None else packed.labels[rows]
+    return rows, mix, u, pull, labels
 
 
 def oracle_pack(fvs, labels=None):

@@ -957,8 +957,14 @@ class TestReadManifest:
 POINTS = st.lists(
     st.lists(st.floats(0.0, 1.0) | st.floats(), min_size=2, max_size=2), max_size=5
 )
+# flat number lists longer than the recursive lists below, all floats, all
+# ints, or ints mixed with bools (which json writes as true and false)
+NUMBERS = st.one_of(
+    [st.lists(numbers, min_size=5, max_size=40)
+     for numbers in (st.floats(), st.integers(), st.integers() | st.booleans())]
+)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | POINTS,
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | POINTS | NUMBERS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=25,
@@ -969,7 +975,8 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_equals_json_dumps(value):
     """Non-ASCII strings, empty lists and dicts, ints, bools, None, NaN and
-    infinities, and point lists at any depth, keys sorted."""
+    infinities, point lists and flat number lists at any depth, keys
+    sorted."""
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 

@@ -371,6 +371,23 @@ class TestEncodeRows:
             Dataset.from_instances(Track.EN_ES, edge + [base] + mirror, Split.TRAIN), vocab
         )
 
+    def test_morph_fields_split_once_per_distinct_field(self):
+        """One morph set in two raw orders, and fields repeated under other
+        tokens: the vocabulary still interns in first-occurrence order (not
+        the raw fields' sorted order) and every row equals encode's."""
+        morphs = [("Person=1",), ("Number=Sing", "Case=Nom"), ("Case=Nom", "Number=Sing"),
+                  ("Number=Sing", "Case=Nom"), ("Person=1",)]
+        tokens = ["yo", "yo", "tu", "el", "ella"]
+        ds = Dataset.from_instances(Track.EN_ES, [
+            make_instance(instance_id=f"m{k}", token=token, morph=morph)
+            for k, (token, morph) in enumerate(zip(tokens, morphs))
+        ], Split.TRAIN)
+        assert len({morph for _, _, morph, _ in ds.keys}) == 3 < len(ds.keys)
+        vocab = build_vocab(ds)
+        assert vocab.to_dict() == oracle_build_vocab([ds])
+        assert list(vocab.maps["morph"]) == ["Person=1", "Number=Sing", "Case=Nom"]
+        assert_rows_equal_encode(ds, vocab)
+
     def test_empty_input(self):
         vocab = build_vocab(single_instance_dataset())
         empty = Dataset.from_instances(Track.EN_ES, (), Split.TRAIN)

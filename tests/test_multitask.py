@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slamaudit.errors import DataError, TrainingError
 from slamaudit.features import FeatureVector, build_vocab, encode
@@ -19,12 +20,17 @@ from slamaudit.multitask import (
     save_mt_model,
     train_multitask,
 )
-from slamaudit.multitask import _batch_grad, _pack
+from slamaudit.multitask import _batch_grad, _batches, _pack
 from slamaudit.numerics import sigmoid
 from slamaudit.slam_format import Split, Track, read_dataset
 
 from gen_slam import random_dataset
-from oracles import oracle_mt_summed_grad, oracle_pack, oracle_train_multitask
+from oracles import (
+    oracle_gather,
+    oracle_mt_summed_grad,
+    oracle_pack,
+    oracle_train_multitask,
+)
 from test_gbdt import make_dataset, separable_dataset
 
 TRACKS = (Track.EN_ES, Track.FR_EN)
@@ -392,9 +398,11 @@ class TestBatchedStep:
             m = 1 if draw % 4 < 2 else rng.randint(1, n)
             rows = np.array(rng.sample(range(n), m))
             seen_m.add(min(m, 2))
-            u, d_emb_u, d_hw, d_hb, d_w, d_b = _batch_grad(
-                model, track, oracle_pack(fvs, labels), rows
+            packed = oracle_pack(fvs, labels)
+            _rows, mix, u, pull, y = next(
+                _batches(packed, rows, len(rows), vocab.total_dims, cfg.l2)
             )
+            _emb_u, d_emb_u, d_hw, d_hb, d_w, d_b = _batch_grad(model, track, mix, u, pull, y)
             want = oracle_mt_summed_grad(
                 model, track, [fvs[i] for i in rows], [labels[i] for i in rows]
             )
@@ -403,6 +411,76 @@ class TestBatchedStep:
             for got, ref in zip((d_emb, d_hw, d_hb, d_w, d_b), want):
                 assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-12
         assert seen_m == {1, 2}
+
+
+def random_pack(rng, n, dims, labelled):
+    """``n`` packed rows over ``dims`` dimensions, the last three numeric:
+    1 to 8 binary dims per row, and each numeric weight 0 a third of the
+    time."""
+    fvs = []
+    for _ in range(n):
+        k = int(rng.integers(1, min(8, dims - 3) + 1))
+        idx = tuple(sorted(int(i) for i in rng.choice(dims - 3, k, replace=False)))
+        numeric = tuple(
+            (dims - 3 + j, 0.0 if rng.random() < 1 / 3 else float(rng.random()))
+            for j in range(3)
+        )
+        fvs.append(FeatureVector(indices=idx, numeric=numeric))
+    labels = rng.integers(0, 2, n).tolist() if labelled else None
+    return oracle_pack(fvs, labels)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestGatherer:
+    """Every batch ``_batches`` yields equals the batch built alone, bit for
+    bit. The dimension counts make blocks of one batch up to one block for
+    the whole order."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from([5, 40, 700, 5000]),
+        n=st.integers(1, 90),
+        size=st.sampled_from([1, 3, 7, 32, 100]),
+        l2=st.sampled_from([0.0, 1e-3]),
+        labelled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_batch_reference(self, dims, n, size, l2, labelled, seed):
+        rng = np.random.default_rng(seed)
+        packed = random_pack(rng, n, dims, labelled)
+        order = rng.permutation(n)
+        got = list(_batches(packed, order, size, dims, l2))
+        assert len(got) == -(-n // size)
+        for b, batch in enumerate(got):
+            want = oracle_gather(packed, order[b * size : (b + 1) * size], l2)
+            for got_part, want_part in zip(batch, want):
+                if want_part is None:
+                    assert got_part is None
+                else:
+                    assert_same_array(got_part, want_part)
+
+    def test_joint_training_with_a_round_robin_tail(self):
+        """Three tracks of 61, 40 and 23 rows in batches of 7: no track
+        fills its last batch, and the shorter tracks run out of batches
+        before the longest."""
+        rng = random.Random(4015)
+        major, minor = two_track_datasets(rng, n_major=61, n_minor=40)
+        third = make_dataset(
+            [(rng.choice(["alpha", "gamma", "omega"]), rng.randint(0, 1)) for _ in range(23)],
+            track=Track.ES_EN,
+        )
+        datasets = [major, minor, third]
+        vocab = build_vocab(datasets)
+        cfg = small_config(batch_size=7, epochs=3)
+        got = train_multitask(datasets, vocab, cfg)
+        want = oracle_train_multitask(datasets, vocab, cfg)
+        assert_params_close(got, want, 1e-12)
+        for t, loss in want.train_losses.items():
+            assert abs(got.train_losses[t] - loss) <= 1e-12
 
 
 def mixing_matrix(packed, total_dims):
