@@ -9,6 +9,9 @@ runs ``slamaudit.cli.main`` in process:
 - one joint multitask model over all three tracks (``--seed 0``);
 - for each of the six (model, track) pairs: ``predict``, ``evaluate --out``
   and ``audit`` on both dimensions;
+- on en_es, a GBDT ``audit`` of the client dimension with
+  ``--threshold 0.3 --min-group-size 100``, which skips the web group, so the
+  accuracy rows of an audit that drops a group are pinned too;
 - on en_es, a GBDT under each non-default config of ``GBDT_CONFIGS`` (read
   from ``config/<name>.json``) and its ``predict``, so the trees are pinned
   beyond the defaults too.
@@ -94,6 +97,10 @@ def commands() -> list[list[str]]:
                 ["audit", *scoring, *labels, "--dimension", d, "--out", f"{stem}.audit_{d}"]
                 for d in DIMENSIONS
             )
+    argvs.append(["audit", "--model", "out/gbdt_en_es.json", "--data", f"{data['en_es']}.dev.slam",
+                  "--track", "en_es", "--labels", f"{data['en_es']}.dev.key",
+                  "--dimension", "client", "--threshold", "0.3", "--min-group-size", "100",
+                  "--out", "out/gbdt_en_es.audit_client_min100"])
     for name in GBDT_CONFIGS:
         model = f"out/gbdt_{name}_en_es.json"
         argvs.append(["train", "--data", f"{data['en_es']}.train.slam", "--track", "en_es",

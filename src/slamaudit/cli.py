@@ -312,30 +312,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     hashes["country_mapping"] = classification.sha256
     report = audit_groups(
-        scores, labels, codes, names, track=dataset.track, dimension=dimension,
-        model=kind, min_group_size=args.min_group_size, config_hashes=hashes,
+        scores, labels, codes, names, track=dataset.track, dimension=dimension, model=kind,
+        min_group_size=args.min_group_size, threshold=args.threshold, config_hashes=hashes,
     )
-
-    # every audited group's size and AUC, as the audit drew them
-    sized = {}
-    for r in report.results:
-        sized.setdefault(r.group_a, (r.n_a, r.auc_a))
-        sized.setdefault(r.group_b, (r.n_b, r.auc_b))
-    accuracy_rows = []
-    for group in sorted(sized):
-        n, auc = sized[group]
-        member = codes == names.index(group)
-        f1 = f1_from_arrays(scores[member], labels[member], args.threshold)
-        accuracy_rows.append(
-            {
-                "group": group,
-                "n": n,
-                "auc": auc,
-                "precision": f1.precision,
-                "recall": f1.recall,
-                "f1": f1.f1,
-            }
-        )
+    accuracy_rows = [
+        {"group": g.name, "n": g.n, "auc": g.auc, "precision": g.f1.precision,
+         "recall": g.f1.recall, "f1": g.f1.f1}
+        for g in report.groups
+    ]
 
     manifest = _manifest(args, kind, paths, hashes)
     acc_lines = ["group,track,model,n,auc,f1"]
@@ -361,12 +345,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                                                           encoding="utf-8")
         plots = set()
         for result in report.results:
-            svg = render_roc_plot(
-                result.curve_a,
-                result.curve_b,
-                (result.group_a, result.group_b),
-                result.abroca,
-            )
+            svg = render_roc_plot(result)
             plot = out_dir / f"roc_{dimension.value}_{result.group_a}_vs_{result.group_b}.svg"
             outputs.path(plot).write_text(svg, encoding="utf-8")
             plots.add(plot)

@@ -9,7 +9,9 @@ the two segments cross, and each piece contributes a trapezoid of
 identity exact. The intervals are cut for the whole axis at once on arrays.
 
 ``audit_groups`` audits score, label and group-code arrays; ``group_audit``
-takes ``Prediction`` objects that carry group tags.
+takes ``Prediction`` objects that carry group tags. Each audited group is
+computed once, as a ``GroupResult``; a pair's ``AbrocaResult`` takes its two
+groups' sizes, AUCs and curves from them.
 """
 
 from __future__ import annotations
@@ -23,14 +25,25 @@ import numpy as np
 from .errors import AuditError
 from .grouping import Dimension, code_groups, group_value
 from .grouping import slice_predictions  # noqa: F401  (a name stage timers wrap)
-from .metrics import Prediction, RocCurve, auc_trapezoid, prediction_arrays, roc_from_arrays
-from .metrics import running_sum
+from .metrics import F1Result, Prediction, RocCurve, auc_trapezoid, f1_from_arrays
+from .metrics import prediction_arrays, roc_from_arrays, running_sum
 from .metrics import roc_curve  # noqa: F401  (a name stage timers wrap)
 from .slam_format import Track
 
 REPORT_SCHEMA_VERSION = 1
 
 DEFAULT_MIN_GROUP_SIZE = 50
+
+
+@dataclass(frozen=True)
+class GroupResult:
+    """One audited group: its size, ROC curve, AUC, and F1 at a threshold."""
+
+    name: str
+    n: int
+    curve: RocCurve
+    auc: float
+    f1: F1Result
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,7 @@ class AbrocaReport:
     track: Track
     dimension: Dimension
     model: str
+    groups: tuple[GroupResult, ...]  # the audited groups, in name order
     results: tuple[AbrocaResult, ...]
     skipped: tuple[tuple[str, str], ...]  # (group name, reason)
     config_hashes: tuple[tuple[str, str], ...]
@@ -120,6 +134,7 @@ def audit_groups(
     model: str,
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
     config_hashes: Mapping[str, str] | None = None,
+    threshold: float = 0.5,
 ) -> AbrocaReport:
     """Pairwise ABROCA across all valid groups along one dimension.
 
@@ -127,50 +142,44 @@ def audit_groups(
     group ``names[codes[i]]``, or to none when its code is -1. Groups smaller
     than ``min_group_size`` or containing a single class are skipped with a
     reason rather than audited; fewer than two surviving groups is an error.
-    Pairs are ordered by group name so reports are deterministic.
+    Each audited group's size, curve, AUC and F1 at ``threshold`` are
+    computed once. Groups and pairs are ordered by group name so reports are
+    deterministic.
     """
     if len(scores) == 0:
         raise AuditError("no predictions to audit")
-    curves: dict[str, RocCurve] = {}
+    groups: list[GroupResult] = []
     skipped: list[tuple[str, str]] = []
     for code, name in sorted(enumerate(names), key=lambda item: item[1]):
         member = codes == code
-        n = int(np.count_nonzero(member))
-        positives = int(np.count_nonzero(labels[member]))
+        s, y = scores[member], labels[member]
+        n, positives = len(y), int(np.count_nonzero(y))
         if n < min_group_size:
             skipped.append((name, f"{n} predictions, below the minimum of {min_group_size}"))
         elif positives in (0, n):
             skipped.append((name, "single class, ROC undefined"))
         else:
-            curves[name] = roc_from_arrays(scores[member], labels[member])
+            curve = roc_from_arrays(s, y)
+            f1 = f1_from_arrays(s, y, threshold)
+            groups.append(GroupResult(name, n, curve, auc_trapezoid(curve), f1))
 
-    if len(curves) < 2:
+    if len(groups) < 2:
         raise AuditError(
             f"fewer than two valid groups along {dimension.value} "
-            f"(valid: {sorted(curves) or 'none'})"
+            f"(valid: {[g.name for g in groups] or 'none'})"
         )
 
-    results = []
-    for a, b in combinations(sorted(curves), 2):
-        ca, cb = curves[a], curves[b]
-        results.append(
-            AbrocaResult(
-                group_a=a,
-                group_b=b,
-                abroca=abroca(ca, cb),
-                auc_a=auc_trapezoid(ca),
-                auc_b=auc_trapezoid(cb),
-                n_a=ca.positives + ca.negatives,
-                n_b=cb.positives + cb.negatives,
-                curve_a=ca,
-                curve_b=cb,
-            )
-        )
+    results = tuple(
+        AbrocaResult(a.name, b.name, abroca(a.curve, b.curve), a.auc, b.auc, a.n, b.n,
+                     a.curve, b.curve)
+        for a, b in combinations(groups, 2)
+    )
     return AbrocaReport(
         track=track,
         dimension=dimension,
         model=model,
-        results=tuple(results),
+        groups=tuple(groups),
+        results=results,
         skipped=tuple(skipped),
         config_hashes=tuple(sorted((config_hashes or {}).items())),
     )

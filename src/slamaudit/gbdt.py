@@ -539,6 +539,22 @@ class _Forest:
         return np.add.accumulate(terms, axis=1)[:, -1]  # left to right, one tree at a time
 
 
+def _blocks(trees: tuple[Tree, ...]):
+    """``trees`` in order, in blocks of at most ``_SCORE_TREES`` trees. A
+    block pads each tree to its widest tree's words, so it also ends before a
+    tree that would make it wider than ``2 * _SCORE_TREES`` words."""
+    block, widest = (), 0
+    for tree in trees:
+        words = max(1, -(-tree.feature.count(-1) // 64))
+        widest = max(widest, words)
+        if block and (len(block) == _SCORE_TREES or (len(block) + 1) * widest > 2 * _SCORE_TREES):
+            yield block
+            block, widest = (), words
+        block += (tree,)
+    if block:
+        yield block
+
+
 def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     """Probabilities for every token of the dataset, scored over its exercise
     and key tables; no per-token feature matrix is built.
@@ -559,8 +575,8 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     exercise = np.asarray(dataset.exercise, dtype=np.intp)
     key = np.asarray(dataset.key, dtype=np.intp)
     raw = np.full(len(exercise), model.base_score, dtype=np.float64)
-    for first in range(0, len(model.trees), _SCORE_TREES):
-        forest = _Forest.of(model.trees[first : first + _SCORE_TREES])
+    for block in _blocks(model.trees):
+        forest = _Forest.of(block)
         exercise_words, key_words = forest.outcome_words(n_binary, ex_idx, ex_num, key_idx)
         chunk = max(1, _SCORE_CELLS // exercise_words.shape[1])
         for lo in range(0, len(raw), chunk):

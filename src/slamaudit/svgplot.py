@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import RocCurve, auc_trapezoid
+from .fairness import AbrocaResult
 
 # plot geometry (pixels)
 _MARGIN_LEFT = 64.0
@@ -58,16 +58,11 @@ def _polyline(fpr, tpr, color: str, dasharray: str | None = None) -> str:
     )
 
 
-def render_roc_plot(
-    curve_a: RocCurve,
-    curve_b: RocCurve,
-    labels: tuple[str, str],
-    abroca_value: float,
-) -> str:
-    """SVG document: both ROC polylines, shaded between-curve region, legend."""
-    label_a, label_b = (_escape(str(s)) for s in labels)
-    auc_a = auc_trapezoid(curve_a)
-    auc_b = auc_trapezoid(curve_b)
+def render_roc_plot(result: AbrocaResult) -> str:
+    """SVG document of an audited pair: both ROC polylines, shaded
+    between-curve region, legend with the pair's names, AUCs and ABROCA."""
+    curve_a, curve_b = result.curve_a, result.curve_b
+    label_a, label_b = _escape(result.group_a), _escape(result.group_b)
     width = _MARGIN_LEFT + _PLOT + _MARGIN_RIGHT
     height = _MARGIN_TOP + _PLOT + _MARGIN_BOTTOM
 
@@ -137,8 +132,8 @@ def render_roc_plot(
     lx = _MARGIN_LEFT + 14.0
     ly = _MARGIN_TOP + 18.0
     legend = [
-        (_COLOR_A, f"{label_a} (AUC = {auc_a:.4f})"),
-        (_COLOR_B, f"{label_b} (AUC = {auc_b:.4f})"),
+        (_COLOR_A, f"{label_a} (AUC = {result.auc_a:.4f})"),
+        (_COLOR_B, f"{label_b} (AUC = {result.auc_b:.4f})"),
     ]
     for i, (color, text) in enumerate(legend):
         y = ly + i * 18.0
@@ -153,7 +148,7 @@ def render_roc_plot(
     parts.append(
         f'<text x="{lx:.2f}" y="{ly + 40:.2f}" font-size="12" '
         f'fill="{_COLOR_TEXT}" font-family="sans-serif" font-weight="bold">'
-        f"ABROCA = {abroca_value:.4f}</text>"
+        f"ABROCA = {result.abroca:.4f}</text>"
     )
 
     parts.append("</svg>")

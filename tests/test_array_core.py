@@ -7,10 +7,13 @@ drawn from a small set, so ties (and so diagonal steps, vertical jumps and
 shared breakpoints between two groups' curves) are common.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slamaudit.fairness as fairness
 from slamaudit.errors import AuditError, MetricError
 from slamaudit.fairness import abroca, audit_groups, difference_intervals, group_audit
 from slamaudit.grouping import Development, Dimension, GroupTag
@@ -216,3 +219,66 @@ class TestGroupAudit:
         with pytest.raises(AuditError, match=none_valid):
             audit_groups(np.array([0.5]), np.array([1]), np.array([-1]), (), track=Track.EN_ES,
                          dimension=Dimension.DEVELOPMENT, model="m")
+
+
+class TestGroupRecords:
+    @EXACT
+    @given(
+        st.lists(st.tuples(SCORES, st.integers(0, 1), st.integers(-1, 3)), min_size=24,
+                 max_size=120),
+        st.integers(1, 10),
+        st.floats(0.0, 1.0),
+        st.permutations(["web", "android", "ios", "unknown"]),
+    )
+    def test_each_audited_group_is_computed_once_as_the_loops_do(
+        self, rows, min_group_size, threshold, names
+    ):
+        """``report.groups`` holds one record per audited group, in name
+        order: its size, ROC curve, AUC and F1 equal the loops over its rows,
+        each group's AUC is computed once, and every pair takes its sizes,
+        AUCs and curves from the records."""
+        scores, labels, codes = (np.array(column) for column in zip(*rows))
+        members = {name: [(s, y) for s, y, c in rows if c == code]
+                   for code, name in enumerate(names)}
+        valid = sorted(name for name, m in members.items()
+                       if len(m) >= min_group_size and len({y for _, y in m}) == 2)
+        aucs = []
+
+        def counted(curve):
+            aucs.append(curve)
+            return auc_trapezoid(curve)
+
+        def audit():
+            return audit_groups(scores, labels, codes, names, track=Track.EN_ES,
+                                dimension=Dimension.CLIENT, model="m",
+                                min_group_size=min_group_size, threshold=threshold)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fairness, "auc_trapezoid", counted)
+            if len(valid) < 2:
+                with pytest.raises(AuditError, match="fewer than two valid groups"):
+                    audit()
+                return
+            report = audit()
+        assert [g.name for g in report.groups] == valid
+        assert len(aucs) == len(valid)
+        assert [name for name, _ in report.skipped] == sorted(set(names) - set(valid))
+        for g in report.groups:
+            s, y = zip(*members[g.name])
+            points = loop_roc_points(s, y)
+            assert g.n == len(s)
+            assert g.curve.points == tuple(points)
+            assert g.auc == loop_auc_trapezoid(points)
+            tp, fp, tn, fn = loop_confusion(s, y, threshold)
+            counts = g.f1.counts
+            assert (counts.tp, counts.fp, counts.tn, counts.fn) == (tp, fp, tn, fn)
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+            assert (g.f1.precision, g.f1.recall, g.f1.f1) == (precision, recall, f1)
+        assert [(r.group_a, r.group_b) for r in report.results] == list(combinations(valid, 2))
+        by_name = {g.name: g for g in report.groups}
+        for r in report.results:
+            a, b = by_name[r.group_a], by_name[r.group_b]
+            assert (r.n_a, r.auc_a, r.curve_a) == (a.n, a.auc, a.curve)
+            assert (r.n_b, r.auc_b, r.curve_b) == (b.n, b.auc, b.curve)

@@ -773,9 +773,18 @@ class TestAudit:
         assert acc_lines[0] == "group,track,model,n,auc,f1"
         assert len(acc_lines) == 4
 
-    def test_accuracy_rows_match_per_group_recomputation(self, audit_dir, gbdt_model, mini_dir):
-        # n, AUC (by the rank route) and F1 of each client group, recomputed
-        # from the model's scores without going through the audit
+    def test_accuracy_rows_match_per_group_recomputation(
+        self, audit_dir, gbdt_model, mini_dir, tmp_path
+    ):
+        # n, AUC (by the rank route) and F1 of each audited client group,
+        # recomputed from the model's scores without going through the audit:
+        # at the defaults, and at threshold 0.3 with a minimum group size of
+        # 100, which skips web (73 tokens)
+        dropped = tmp_path / "min100"
+        assert run(["audit", "--model", str(gbdt_model),
+                    "--data", str(mini_dir / "en_es.dev.slam"), "--track", "en_es",
+                    "--labels", str(mini_dir / "en_es.dev.key"), "--dimension", "client",
+                    "--threshold", "0.3", "--min-group-size", "100", "--out", str(dropped)]) == 0
         dev = join_labels(
             read_dataset(mini_dir / "en_es.dev.slam", Track.EN_ES, Split.DEV),
             read_label_key(mini_dir / "en_es.dev.key"),
@@ -786,12 +795,18 @@ class TestAudit:
             groups.setdefault(inst.meta.client.value, []).append(
                 Prediction(inst.instance_id, score, inst.label)
             )
-        payload = json.loads((audit_dir / "report.json").read_text())
-        for row in payload["accuracy"]["groups"]:
-            preds = groups[row["group"]]
-            assert row["n"] == len(preds)
-            assert row["auc"] == pytest.approx(auc_rank(preds), abs=1e-12)
-            assert row["f1"] == f1_at_threshold(preds, 0.5).f1
+        assert len(groups["web"]) == 73
+        for out, threshold, audited in ((audit_dir, 0.5, ["android", "ios", "web"]),
+                                        (dropped, 0.3, ["android", "ios"])):
+            payload = json.loads((out / "report.json").read_text())
+            assert payload["accuracy"]["threshold"] == threshold
+            rows = payload["accuracy"]["groups"]
+            assert [row["group"] for row in rows] == audited
+            for row in rows:
+                preds = groups[row["group"]]
+                assert row["n"] == len(preds)
+                assert row["auc"] == pytest.approx(auc_rank(preds), abs=1e-12)
+                assert row["f1"] == f1_at_threshold(preds, threshold).f1
 
     def test_web_skew_ordering(self, audit_dir):
         payload = json.loads((audit_dir / "report.json").read_text())

@@ -613,6 +613,35 @@ class TestPredictScores:
         scores = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert len(scores) == len(dev) and np.array(scores).tobytes() == expected
 
+    def test_a_wide_tree_scores_in_a_block_of_its_own(self, mini_dir, monkeypatch):
+        """A scoring block ends before a tree that would make it wider than
+        ``2 * _SCORE_TREES`` words: a 1,500-level chain (24 words) first of
+        20 trees is alone in its block, and a default 100-tree model is cut
+        every 16 trees. Tree order is kept, and the scores equal the dense
+        walk's bit for bit."""
+        train = read_dataset(mini_dir / "en_es.train.slam", Track.EN_ES, Split.TRAIN)
+        dev = read_dataset(mini_dir / "en_es.dev.slam", Track.EN_ES, Split.DEV)
+        vocab = build_vocab(train)
+        trained = train_gbdt(train, vocab, GbdtConfig())
+        chain = chain_tree(1500, vocab.numeric_index("time_present"))
+        chained = dataclasses.replace(trained, config=GbdtConfig(n_trees=20),
+                                      trees=(chain,) + trained.trees[1:20])
+        blocks = []
+        of = gbdt_mod._Forest.of.__func__
+
+        def spy(cls, trees):
+            blocks.append(trees)
+            return of(cls, trees)
+
+        monkeypatch.setattr(gbdt_mod._Forest, "of", classmethod(spy))
+        for model, sizes in ((chained, [1, 16, 3]), (trained, [16] * 6 + [4])):
+            blocks.clear()
+            scores = predict_scores(model, dev)
+            assert [len(block) for block in blocks] == sizes
+            assert sum(blocks, ()) == model.trees
+            assert scores.tobytes() == dense_scores(model, dev).tobytes()
+        assert trained.config.n_trees == 100
+
     def test_empty_data_under_trees_of_every_kind_of_split(self, mini_dir):
         """No exercise, no key and no token: still one empty score array,
         for trees over both sides and wider than one word."""

@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape
 
 import pytest
 
-from slamaudit.fairness import abroca
+from slamaudit.fairness import AbrocaResult, abroca
 from slamaudit.metrics import RocCurve, auc_trapezoid
 from slamaudit.svgplot import _escape, _px, _py, render_roc_plot
 
@@ -16,7 +16,12 @@ from test_fairness import DIAGONAL, PERFECT, random_curve
 
 
 def render(a, b, labels=("ios", "web")):
-    return render_roc_plot(a, b, labels, abroca(a, b))
+    """The plot of curves ``a`` and ``b`` as an audit pair of groups named
+    ``labels``."""
+    return render_roc_plot(AbrocaResult(
+        *labels, abroca(a, b), auc_trapezoid(a), auc_trapezoid(b),
+        a.positives + a.negatives, b.positives + b.negatives, a, b,
+    ))
 
 
 class TestWellFormedness:
