@@ -13,7 +13,9 @@ and the value-0 side is the node total minus that (sparsity-aware split
 finding, Chen & Guestrin 2016, Alg. 3). The numeric features are scanned
 over their sorted values (``scan_splits``), which scores only the cuts that
 can be taken; each column is sorted once per run, and a child that may
-split takes its parent's sorted columns filtered to its rows. Each sum keeps
+split takes its parent's sorted columns filtered to its rows. A tree grows
+from a stack of nodes (``_grow_tree``), not by recursion, so its depth is
+bounded by ``max_depth`` and the data alone. Each sum keeps
 one order (bincounts over ascending rows, cumsums left to right, pairwise
 sums over a node's ascending rows), so training is fully deterministic and
 two runs with the same data and config produce byte-identical models.
@@ -290,78 +292,57 @@ def _find_split(
     return best
 
 
-class _TreeBuilder:
-    """Grows one tree on fixed gradients/hessians. Row i of ``binary`` holds
-    training row i's binary feature ids as ``features.token_features`` gives
-    them, padded with ``n_binary``; a node is its row ids and, while it may
-    split, its sorted numeric columns."""
+def _grow_tree(binary, n_binary, g, h, num_rows, num_vals, config) -> tuple[Tree, np.ndarray]:
+    """One tree grown on fixed gradients/hessians, and each training row's
+    leaf value. Row i of ``binary`` holds training row i's binary feature ids
+    as ``features.token_features`` gives them, padded with ``n_binary``, and
+    ``num_rows``/``num_vals`` are every row's sorted numeric columns.
 
-    def __init__(self, binary, n_binary, g, h, config):
-        self.binary = binary
-        self.n_binary = n_binary
-        self.g = g
-        self.h = h
-        self.config = config
-        self.nodes: list[tuple] = []  # (feature, threshold, left, right, value) per node
-        self.contrib = np.zeros(len(g), dtype=np.float64)
-
-    def _may_split(self, size: int, depth: int) -> bool:
-        return depth < self.config.max_depth and size >= 2 * self.config.min_samples_leaf
-
-    def build(self, rows: np.ndarray, depth: int, num_rows, num_vals) -> int:
-        """Grow the subtree over ``rows`` (ascending row ids) at ``depth`` and
-        return its root's index. ``num_rows`` and ``num_vals`` are the rows'
-        sorted numeric columns, or None where the node may not split."""
-        index = len(self.nodes)
-        self.nodes.append(())  # set below, once the children are numbered
-        found = None
-        if self._may_split(len(rows), depth):
-            found = self._split(rows, num_rows, num_vals)
-        if found is None:
-            value = -self.g[rows].sum() / (self.h[rows].sum() + self.config.l2_leaf_reg)
-            self.nodes[index] = (-1, 0.0, -1, -1, value)
-            self.contrib[rows] = value
-            return index
-        split, go_right = found
-        in_right = go_right[rows]
-        left_index = self._child(rows[~in_right], ~go_right, depth + 1, num_rows, num_vals)
-        self.nodes[index] = (split.feature, split.threshold, left_index,
-                             self._child(rows[in_right], go_right, depth + 1, num_rows, num_vals),
-                             0.0)
-        return index
-
-    def _split(self, rows, num_rows, num_vals) -> tuple[SplitCandidate, np.ndarray] | None:
-        """The best split of the node over ``rows`` and the mask, over all
-        training rows, of those it sends right; None without a positive-gain
-        split. The node's feature rows are freed on return, before its
-        children grow."""
-        feats = self.binary[rows]
-        cfg = self.config
-        split = _find_split(feats, rows, num_rows, num_vals, self.g, self.h, self.n_binary,
-                            cfg.l2_leaf_reg, cfg.min_samples_leaf)
+    A node is its ascending row ids and, while it may split, its sorted
+    numeric columns (None where it may not). Nodes come off a stack, the left
+    child above the right, so they are numbered depth first, left subtree
+    first, whatever the depth: a popped node takes the next index, writes it
+    into its parent's ``left`` or ``right`` slot, and becomes a leaf or
+    splits. A split frees the node's feature rows before its children are
+    pushed, and each child gets its parent's sorted columns filtered to its
+    rows only if it may split."""
+    nodes: list[list] = []  # [feature, threshold, left, right, value] per node
+    contrib = np.zeros(len(g), dtype=np.float64)
+    # the root always takes the columns: in fewer than 2 * min_samples_leaf
+    # rows, _find_split finds no split and the root becomes a leaf
+    stack = [(None, np.arange(len(g)), 0, num_rows, num_vals)]
+    while stack:
+        link, rows, depth, num_rows, num_vals = stack.pop()
+        if link is not None:  # (parent node, slot)
+            link[0][link[1]] = len(nodes)
+        split = None
+        if num_rows is not None:
+            feats = binary[rows]
+            split = _find_split(feats, rows, num_rows, num_vals, g, h, n_binary,
+                                config.l2_leaf_reg, config.min_samples_leaf)
         if split is None:
-            return None
-        go_right = np.zeros(len(self.g), dtype=bool)
-        if split.feature < self.n_binary:  # the rows holding the feature
+            value = -g[rows].sum() / (h[rows].sum() + config.l2_leaf_reg)
+            nodes.append([-1, 0.0, -1, -1, value])
+            contrib[rows] = value
+            continue
+        node = [split.feature, split.threshold, -1, -1, 0.0]
+        nodes.append(node)
+        go_right = np.zeros(len(g), dtype=bool)  # over all training rows
+        if split.feature < n_binary:  # the rows holding the feature
             go_right[rows[np.flatnonzero(feats.ravel() == split.feature) // feats.shape[1]]] = True
         else:
-            j = split.feature - self.n_binary
+            j = split.feature - n_binary
             go_right[num_rows[j][np.searchsorted(num_vals[j], split.threshold, "right"):]] = True
-        return split, go_right
-
-    def _child(self, rows, member, depth: int, num_rows, num_vals) -> int:
-        """``build`` for a child over ``rows``, which ``member`` marks among
-        all training rows. Its sorted columns are its parent's where
-        ``member``, made only if the child may split."""
-        if not self._may_split(len(rows), depth):
-            return self.build(rows, depth, None, None)
-        keep = member[num_rows]
-        shape = (len(num_rows), len(rows))
-        return self.build(rows, depth, num_rows[keep].reshape(shape),
-                          num_vals[keep].reshape(shape))
-
-    def tree(self) -> Tree:
-        return Tree(*zip(*self.nodes))
+        del feats
+        for slot, member in ((3, go_right), (2, ~go_right)):  # the left child comes off first
+            child = rows[member[rows]]
+            cols = (None, None)
+            if depth + 1 < config.max_depth and len(child) >= 2 * config.min_samples_leaf:
+                keep = member[num_rows]
+                shape = (len(num_rows), len(child))
+                cols = num_rows[keep].reshape(shape), num_vals[keep].reshape(shape)
+            stack.append(((node, slot), child, depth + 1, *cols))
+    return Tree(*zip(*nodes)), contrib
 
 
 def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtModel:
@@ -387,10 +368,9 @@ def train_gbdt(train: Dataset, vocab: Vocabulary, config: GbdtConfig) -> GbdtMod
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        builder = _TreeBuilder(binary, vocab.n_binary, g, h, config)
-        builder.build(np.arange(n), 0, num_rows, num_vals)
-        trees.append(builder.tree())
-        raw = raw + config.learning_rate * builder.contrib
+        tree, contrib = _grow_tree(binary, vocab.n_binary, g, h, num_rows, num_vals, config)
+        trees.append(tree)
+        raw = raw + config.learning_rate * contrib
         loss = log_loss_from_raw(raw, y)
         if loss > losses[-1] + 1e-12:
             raise TrainingError(

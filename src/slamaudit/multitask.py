@@ -316,7 +316,9 @@ def _batches(packed: _PackedRows, order: np.ndarray, size: int, dims: int,
     pack). ``dims`` bounds the dimension ids. Batches are built a block at a
     time: one count over (batch, dimension) slots gives every batch's ``u``
     in ascending order and each entry's place in it, and the mixing matrices
-    are views into one buffer."""
+    are views into one buffer. A ``size`` beyond the rows gives one batch
+    of them all."""
+    size = max(1, min(size, len(order)))
     per_block = max(1, min(_CHUNK_ROWS // size, _BLOCK_SLOTS // dims))
     # each row's first (batch, dimension) slot: its batch's offset in the count
     slot_base = np.repeat(np.arange(per_block) * dims, size)[:, None]

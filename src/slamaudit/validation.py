@@ -37,11 +37,12 @@ def open_text(path: str | Path, what: str) -> Iterator[TextIO]:
 def read_json_text(path: str | Path, what: str) -> tuple[str, dict]:
     """The text of a JSON file that must hold an object, and that object;
     ``what`` names the file's role ("model file", "manifest file", ...) in
-    error messages."""
+    error messages. JSON nested deeper than the parser's recursion limit is
+    an error like any other unreadable file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         payload = json.loads(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{what} {path} must hold a JSON object")

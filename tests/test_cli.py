@@ -571,6 +571,33 @@ def test_bad_utf8_is_one_error_line_naming_the_file(
     assert not any(p.name.startswith("never") for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("role, what", [
+    ("model", "model file"), ("config", "config file"), ("sidecar", "manifest file"),
+])
+def test_deeply_nested_json_is_one_error_line_naming_the_file(
+    tmp_path, gbdt_model, mini_dir, capsys, role, what
+):
+    """A model file, a config file or a manifest sidecar nested deeper than
+    the JSON parser's recursion limit fails the command that reads it with
+    one error line naming the file, and the command writes nothing."""
+    nested = "[" * 100_000 + "]" * 100_000
+    model = tmp_path / "model.json"
+    model.write_bytes(gbdt_model.read_bytes())
+    bad = {"model": model, "config": tmp_path / "config.json",
+           "sidecar": tmp_path / "model.json.manifest.json"}[role]
+    bad.write_text(nested)
+    if role == "config":
+        argv = ["train", "--data", str(mini_dir / "en_es.train.slam"), "--track", "en_es",
+                "--model", "gbdt", "--config", str(bad), "--out", str(tmp_path / "never.json")]
+    else:
+        argv = ["predict", "--model", str(model), "--data", str(mini_dir / "en_es.dev.slam"),
+                "--track", "en_es", "--out", str(tmp_path / "never.csv")]
+    before = sorted(tmp_path.iterdir())
+    [line] = error_lines(argv, capsys)
+    assert line.startswith(f"error: cannot read {what} {bad}: maximum recursion depth exceeded")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestOptionChecks:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "1.5"])
     @pytest.mark.parametrize("command", ["evaluate", "audit"])
@@ -1037,6 +1064,19 @@ def test_overflowing_multitask_training_is_one_error_line(
         lines = error_lines(argv, capsys)
     assert [str(w.message) for w in caught] == []
     assert lines == ["error: model contains non-finite parameters"]
+
+
+def test_a_multitask_batch_beyond_the_data_trains(tmp_path, mini_dir, capsys):
+    """A ``batch_size`` of 10**12, far beyond either track, trains each
+    track as one batch of all its rows."""
+    config = tmp_path / "mt.json"
+    config.write_text(json.dumps({"batch_size": 10**12, "epochs": 1}))
+    out = tmp_path / "mt_model.json"
+    argv = ["train", "--data", str(mini_dir / "es_en.train.slam"),
+            str(mini_dir / "fr_en.train.slam"), "--track", "es_en", "fr_en",
+            "--model", "multitask", "--config", str(config), "--out", str(out)]
+    assert run(argv) == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["config"]["batch_size"] == 10**12
 
 
 def scoring_argv(command, model, data, track, tmp_path, labels=None):

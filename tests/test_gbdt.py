@@ -279,6 +279,44 @@ class TestTraining:
             )
 
 
+    def test_trees_deeper_than_the_recursion_limit(self, tmp_path):
+        """3,000 one-token exercises at ``days`` i, labelled 0 in the first
+        half and i mod 2 in the second: under one-row leaves and l2 0 each
+        tree cuts the second half one exercise at a time, a chain of 1,499
+        levels, deeper than Python's default limit of 1,000 frames. The command line
+        trains it, the trees match the dense oracle trainer, and ``predict``
+        scores the file as the dense walk does."""
+        n = 3000
+        blocks = [
+            f"# user:u1 countries:US days:{i} client:web session:lesson "
+            f"format:reverse_translate time:5\n"
+            f"{i:08x}01 tok NOUN Number=Sing nsubj 0 {0 if i < n // 2 else i % 2}\n"
+            for i in range(n)
+        ]
+        data = tmp_path / "chain.slam"
+        data.write_text("\n".join(blocks))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_depth": 100000, "min_samples_leaf": 1,
+                                      "l2_leaf_reg": 0.0, "n_trees": 2}))
+        path, out = tmp_path / "model.json", tmp_path / "scores.csv"
+        assert main(["train", "--data", str(data), "--track", "en_es", "--model", "gbdt",
+                     "--config", str(config), "--out", str(path)]) == 0
+        model = load_model(path)
+        assert [tree_depth(t) for t in model.trees] == [1499, 1499]
+        train = read_dataset(data, Track.EN_ES, Split.TRAIN)
+        X = to_dense((encode(i, model.vocab) for i in train.instances), model.vocab)
+        cfg = model.config
+        raw = oracle_train_raw(
+            X, labels_array(train), n_trees=cfg.n_trees, max_depth=cfg.max_depth,
+            learning_rate=cfg.learning_rate, min_samples_leaf=cfg.min_samples_leaf,
+            l2_leaf_reg=cfg.l2_leaf_reg,
+        )
+        assert np.abs(gbdt_predict_proba(model, X) - sigmoid(raw)).max() <= 1e-12
+        assert main(["predict", "--model", str(path), "--data", str(data), "--track", "en_es",
+                     "--split", "train", "--out", str(out)]) == 0
+        scores = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert np.array(scores).tobytes() == dense_scores(model, train).tobytes()
+
 def chain_tree(levels, feature, cut=0.5, leaf=0.1):
     """A tree of ``levels`` splits on ``feature`` at ``cut``: split node 2k
     has the leaf 2k+1 on its right and the next split on its left. The

@@ -587,6 +587,24 @@ class TestBatchedTraining:
             predict_mt_scores(joint_model, dev)
 
 
+    def test_a_batch_beyond_every_track_is_the_whole_track(self, joint_tracks):
+        """A ``batch_size`` larger than every track trains each track as one
+        batch: the parameters and losses of a batch of the larger track's
+        rows. 10**12 is a size numpy would refuse at once; no size that it
+        might try to allocate is used."""
+        vocab = build_vocab(joint_tracks)
+        whole = max(len(ds) for ds in joint_tracks)
+        huge, exact = (train_multitask(joint_tracks, vocab, MtConfig(epochs=1, batch_size=b))
+                       for b in (10**12, whole))
+        for name in ("embedding", "hidden_weight", "hidden_bias"):
+            assert_same_array(getattr(huge, name), getattr(exact, name))
+        assert huge.heads.keys() == exact.heads.keys()
+        for t, (w, b) in exact.heads.items():
+            assert_same_array(huge.heads[t][0], w)
+            assert huge.heads[t][1] == b
+        assert huge.train_losses == exact.train_losses
+
+
 class TestLoadValidation:
     @staticmethod
     def saved(tmp_path):
