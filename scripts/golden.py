@@ -29,6 +29,9 @@ name rather than as a hash mismatch.
 Regenerate (only when an output is meant to change):
 
     PYTHONPATH=src python scripts/golden.py
+
+It prints to stderr every header field that changed and every path whose
+hash changed, appeared or disappeared against the file it replaces.
 """
 
 from __future__ import annotations
@@ -183,12 +186,34 @@ def parse(text: str) -> tuple[dict[str, str], dict[str, str]]:
     return env, hashes
 
 
+def changes(old: tuple[dict[str, str], dict[str, str]],
+            new: tuple[dict[str, str], dict[str, str]]) -> list[str]:
+    """What moved from the ``(environment, hashes)`` pins ``old`` to
+    ``new``: one line per header field whose value differs, then one per
+    path whose hash changed, appeared or disappeared, in path order."""
+    (old_env, old_hashes), (new_env, new_hashes) = old, new
+    lines = [f"{name}: {old_env.get(name)} -> {new_env.get(name)}"
+             for name in FIELDS if old_env.get(name) != new_env.get(name)]
+    for path in sorted(old_hashes.keys() | new_hashes.keys()):
+        if path not in new_hashes:
+            lines.append(f"disappeared: {path}")
+        elif path not in old_hashes:
+            lines.append(f"appeared: {path}")
+        elif old_hashes[path] != new_hashes[path]:
+            lines.append(f"changed: {path}")
+    return lines
+
+
 def main() -> int:
     os.environ["SOURCE_DATE_EPOCH"] = EPOCH
     with tempfile.TemporaryDirectory() as tmp:
         hashes = run_all(Path(tmp) / "commands")
         hashes.update(corpus_hashes(Path(tmp) / "corpora"))
-    GOLDEN.write_text(render(environment(), hashes), encoding="utf-8")
+    env = environment()
+    old = parse(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else ({}, {})
+    for line in changes(old, (env, hashes)):
+        print(line, file=sys.stderr)
+    GOLDEN.write_text(render(env, hashes), encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)
     return 0
 

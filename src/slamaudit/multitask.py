@@ -25,9 +25,11 @@ one buffer of its block, and no batch needs a sort. ``_batch_grad`` is the
 whole step's arithmetic: one vectorized forward and backward pass over one
 read of ``embedding[u]`` gives the batch's summed gradient, and only the rows
 u of the embedding are written back. The final loss pass and
-``predict_mt_scores`` run the same forward pass over bounded row chunks. The
-per-instance ``forward``, ``instance_loss`` and ``grad`` are the reference:
-the finite-difference checks test ``grad``, and the batched step is tested
+``predict_mt_scores`` do not batch: ``_row_logits`` computes each row's
+embedding, hidden layer and logit from that row's own slots, so a row's
+score does not depend on the rows scored alongside it. The per-instance
+``forward``, ``instance_loss`` and ``grad`` are the reference: the
+finite-difference checks test ``grad``, and the batched step is tested
 against the sum of ``grad`` over a batch.
 """
 
@@ -64,9 +66,9 @@ _MT_MODEL_KEYS = (
     "heads",
     "train_losses",
 )
-# rows per forward chunk when scoring a whole track, and at most per block
-# of batches; bounds a block's dense (rows x distinct dims) mixing matrices
-# to a few MB
+# rows per chunk of ``_row_logits``, which bounds its gathered embedding
+# rows, and at most per block of training batches, which bounds a block's
+# dense (rows x distinct dims) mixing matrices to a few MB
 _CHUNK_ROWS = 256
 # (batch, dimension) slots a block of batches counts over: a block holds at
 # most this many // total_dims batches (at least one), so the counting pass
@@ -306,18 +308,17 @@ def _pack(dataset: Dataset, vocab: Vocabulary, labels=None) -> _PackedRows:
     )
 
 
-def _batches(packed: _PackedRows, order: np.ndarray, size: int, dims: int,
-             l2: float = 0.0):
-    """The rows of ``order`` in consecutive batches of ``size`` (the last may
-    be short), each as ``(rows, mix, u, pull, labels)``: the dense
-    ``(len(rows), len(u))`` mixing matrix of those rows over the sorted
-    distinct dimensions ``u`` they touch, ``l2`` times the number of rows
-    that touch each of ``u``, and the rows' labels (None for an unlabeled
-    pack). ``dims`` bounds the dimension ids. Batches are built a block at a
-    time: one count over (batch, dimension) slots gives every batch's ``u``
-    in ascending order and each entry's place in it, and the mixing matrices
-    are views into one buffer. A ``size`` beyond the rows gives one batch
-    of them all."""
+def _batches(packed: _PackedRows, order: np.ndarray, size: int, dims: int, l2: float):
+    """The SGD batches of a labeled pack: the rows of ``order`` in
+    consecutive batches of ``size`` (the last may be short), each as
+    ``(rows, mix, u, pull, labels)``: the dense ``(len(rows), len(u))``
+    mixing matrix of those rows over the sorted distinct dimensions ``u``
+    they touch, ``l2`` times the number of rows that touch each of ``u``,
+    and the rows' labels. ``dims`` bounds the dimension ids. Batches are
+    built a block at a time: one count over (batch, dimension) slots gives
+    every batch's ``u`` in ascending order and each entry's place in it, and
+    the mixing matrices are views into one buffer. A ``size`` beyond the
+    rows gives one batch of them all."""
     size = max(1, min(size, len(order)))
     per_block = max(1, min(_CHUNK_ROWS // size, _BLOCK_SLOTS // dims))
     # each row's first (batch, dimension) slot: its batch's offset in the count
@@ -343,7 +344,7 @@ def _batches(packed: _PackedRows, order: np.ndarray, size: int, dims: int,
         buffer[cell[entry]] = vals[entry]
         u = present % dims
         pull = l2 * counts[present]
-        labels = None if packed.labels is None else packed.labels.take(rows)
+        labels = packed.labels.take(rows)
         cells = np.append(row_start[::size], len(buffer)).tolist()
         starts, n_u = starts.tolist(), n_u.tolist()
         for b in range(n_batches):
@@ -354,28 +355,23 @@ def _batches(packed: _PackedRows, order: np.ndarray, size: int, dims: int,
                 buffer[cells[b] : cells[b + 1]].reshape(len(batch_rows), n_u[b]),
                 u[starts[b] : starts[b + 1]],
                 pull[starts[b] : starts[b + 1]],
-                None if labels is None else labels[r],
+                labels[r],
             )
 
 
-def _batch_forward(model: MtModel, track: Track, mix: np.ndarray, emb_u: np.ndarray):
-    """Embeddings, hidden activations and logits of a gathered batch whose
-    touched embedding rows are ``emb_u``."""
-    e = mix @ emb_u
-    a = np.tanh(e @ model.hidden_weight + model.hidden_bias)
+def _row_logits(model: MtModel, track: Track, packed: _PackedRows) -> np.ndarray:
+    """Every row's logit from that row's own slots alone: its embedding,
+    hidden layer and logit are each a per-row sum, so no product mixes rows
+    and a row rounds alike whatever rows are scored with it. Runs over
+    chunks of ``_CHUNK_ROWS`` rows, which bounds the gathered embedding
+    rows."""
     w, b = model.heads[track]
-    return e, a, a @ w + b
-
-
-def _chunked(model: MtModel, track: Track, packed: _PackedRows, per_chunk) -> np.ndarray:
-    """One value per row from ``per_chunk(mix, emb_u, labels, logits)``, run
-    over bounded row chunks so the dense mixing matrix stays small."""
     out = np.empty(packed.n)
-    chunks = _batches(packed, np.arange(packed.n), _CHUNK_ROWS, model.vocab.total_dims)
-    for rows, mix, u, _pull, labels in chunks:
-        emb_u = model.embedding[u]
-        *_, logits = _batch_forward(model, track, mix, emb_u)
-        out[rows] = per_chunk(mix, emb_u, labels, logits)
+    for lo in range(0, packed.n, _CHUNK_ROWS):
+        r = slice(lo, lo + _CHUNK_ROWS)
+        e = np.einsum("rs,rsd->rd", packed.vals[r], model.embedding[packed.cols[r]])
+        a = np.tanh(np.einsum("rd,dh->rh", e, model.hidden_weight) + model.hidden_bias)
+        out[r] = np.einsum("rh,h->r", a, w) + b
     return out
 
 
@@ -452,9 +448,10 @@ def _batch_grad(model: MtModel, track: Track, mix: np.ndarray, u: np.ndarray,
     ``embedding[u]`` as the step read it."""
     m, l2 = len(mix), model.config.l2
     emb_u = model.embedding[u]
-    e, a, logits = _batch_forward(model, track, mix, emb_u)
-    dlogit = sigmoid(logits) - labels
-    w, _b = model.heads[track]
+    e = mix @ emb_u
+    a = np.tanh(e @ model.hidden_weight + model.hidden_bias)
+    w, b = model.heads[track]
+    dlogit = sigmoid(a @ w + b) - labels
     d_head_w = a.T @ dlogit + m * l2 * w
     d_head_b = float(dlogit.sum())
     dz = dlogit[:, None] * w * (1.0 - a * a)
@@ -468,22 +465,18 @@ def _batch_grad(model: MtModel, track: Track, mix: np.ndarray, u: np.ndarray,
 
 
 def _track_losses(model: MtModel, track: Track, packed: _PackedRows) -> np.ndarray:
-    """``instance_loss`` of every row, computed batch-wise."""
+    """``instance_loss`` of every row of a labeled pack, row by row."""
+    logits = _row_logits(model, track, packed)
+    loss = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - packed.labels * logits
     l2 = model.config.l2
-    w, _b = model.heads[track]
-    shared = 0.5 * l2 * float((model.hidden_weight**2).sum())
-    head = 0.5 * l2 * float((w**2).sum())
-
-    def losses(mix, emb_u, y, logits):
-        loss = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - y * logits
-        if l2 > 0.0:
-            touched = (mix != 0.0) @ (emb_u**2).sum(axis=1)
-            loss += 0.5 * l2 * touched
-            loss += shared
-            loss += head
-        return loss
-
-    return _chunked(model, track, packed, losses)
+    if l2 > 0.0:
+        # each row's touched embedding rows are its slots of nonzero weight
+        norms = (model.embedding**2).sum(axis=1)
+        loss += 0.5 * l2 * np.where(packed.vals != 0.0, norms[packed.cols], 0.0).sum(axis=1)
+        loss += 0.5 * l2 * float((model.hidden_weight**2).sum())
+        w, _b = model.heads[track]
+        loss += 0.5 * l2 * float((w**2).sum())
+    return loss
 
 
 def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
@@ -493,7 +486,7 @@ def predict_mt_scores(model: MtModel, dataset: Dataset) -> np.ndarray:
         raise DataError(f"model has no head for track {track.value!r}")
     packed = _pack(dataset, model.vocab)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = _chunked(model, track, packed, lambda mix, emb_u, y, logits: sigmoid(logits))
+        scores = sigmoid(_row_logits(model, track, packed))
     if not np.isfinite(scores).all():
         raise DataError("model gives non-finite scores: its parameters overflow")
     return scores

@@ -1,11 +1,12 @@
-"""A split's file order moves no score and no audit (ROADMAP item 4).
+"""A split's file order, and the rows scored alongside a row, move no score
+and no audit (ROADMAP item 4).
 
 The dev exercise blocks and the label key's lines of each ``data/mini``
 track are shuffled with a fixed seed. Every per-id score of a default GBDT
-stays byte-equal, and so do the ``fairness.csv`` and ``accuracy.csv`` of
-both audit dimensions for a default GBDT and for the default joint
-multitask model. The multitask model's per-id scores are byte-equal on
-es_en only; see ``_CHUNK_ROUNDING``.
+and of the default joint multitask model stays byte-equal, and so do the
+``fairness.csv`` and ``accuracy.csv`` of both audit dimensions. A dev split
+scored whole, one exercise at a time, or as a 257-row prefix gives each row
+the same score bytes too.
 """
 
 import random
@@ -17,10 +18,12 @@ from slamaudit.cli import main
 from slamaudit.features import build_vocab
 from slamaudit.gbdt import GbdtConfig, predict_scores, save_model, train_gbdt
 from slamaudit.multitask import MtConfig, predict_mt_scores, save_mt_model, train_multitask
-from slamaudit.slam_format import Split, Track, read_dataset
+from slamaudit.slam_format import Dataset, Split, Track, read_dataset
 
 TRACKS = (Track.EN_ES, Track.ES_EN, Track.FR_EN)
 SEED = 11
+MODELS = [pytest.param(kind, track, id=f"{kind}-{track.value}")
+          for kind in ("gbdt", "multitask") for track in TRACKS]
 
 
 @pytest.fixture(scope="module")
@@ -60,17 +63,7 @@ def both_orders(mini_dir, track, tmp_path):
     return [("file", dev, key), ("shuffled", *shuffled_split(mini_dir, track, tmp_path))]
 
 
-# The multitask logit ``a @ w`` is one matrix-vector product per 256-row
-# scoring chunk, and a row's rounding depends on the chunk it falls in: with
-# this shuffle one en_es and one fr_en dev row move by one ulp (5.6e-17).
-_CHUNK_ROUNDING = pytest.mark.xfail(strict=True, reason="multitask logits round by chunk")
-
-
-@pytest.mark.parametrize("kind, track", [
-    pytest.param(kind, track, id=f"{kind}-{track.value}",
-                 marks=[_CHUNK_ROUNDING] if kind == "multitask" and track != Track.ES_EN else [])
-    for kind in ("gbdt", "multitask") for track in TRACKS
-])
+@pytest.mark.parametrize("kind, track", MODELS)
 def test_dev_file_order_moves_no_score(tmp_path, mini_dir, models, kind, track):
     model, _path = models[kind, track]
     predict = predict_scores if kind == "gbdt" else predict_mt_scores
@@ -80,6 +73,35 @@ def test_dev_file_order_moves_no_score(tmp_path, mini_dir, models, kind, track):
         order = np.argsort(dev.ids)
         by_id.append((np.array(dev.ids)[order].tolist(), predict(model, dev)[order].tobytes()))
     assert by_id[0] == by_id[1]
+
+
+def scores_by_id(predict, model, datasets):
+    """``id -> score bytes`` over the rows of ``datasets``, each dataset
+    scored in one call."""
+    return {
+        id_: score.tobytes()
+        for ds in datasets for id_, score in zip(ds.ids, predict(model, ds))
+    }
+
+
+@pytest.mark.parametrize("kind, track", MODELS)
+def test_score_depends_only_on_its_row(mini_dir, models, kind, track):
+    """Scored whole, one exercise at a time, and as a 257-row prefix (whose
+    last multitask chunk is one row), every row keeps its score bytes."""
+    model, _path = models[kind, track]
+    predict = predict_scores if kind == "gbdt" else predict_mt_scores
+    dev = read_dataset(mini_dir / f"{track.value}.dev.slam", track, Split.DEV)
+    instances = dev.instances
+    assert len(instances) > 257
+    by_exercise = {}
+    for e, inst in zip(dev.exercise, instances):
+        by_exercise.setdefault(e, []).append(inst)
+    exercises = [Dataset.from_instances(track, insts, Split.DEV)
+                 for insts in by_exercise.values()]
+    prefix = Dataset.from_instances(track, instances[:257], Split.DEV)
+    whole = scores_by_id(predict, model, [dev])
+    assert scores_by_id(predict, model, exercises) == whole
+    assert scores_by_id(predict, model, [prefix]) == {id_: whole[id_] for id_ in prefix.ids}
 
 
 @pytest.mark.parametrize("kind", ["gbdt", "multitask"])

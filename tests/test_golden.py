@@ -42,3 +42,18 @@ def test_every_benchmark_corpus_matches_its_pinned_hash(tmp_path):
     assert sorted(got) == sorted(want)
     changed = [path for path in sorted(want) if got[path] != want[path]]
     assert not changed, f"benchmark corpora differ from their pinned hashes: {changed}"
+
+
+def test_changes_names_every_moved_field_and_path():
+    old = ({"python": "3.11.2", "numpy": "1.26.4", "blas": "openblas 0.3", "machine": "x86_64"},
+           {"out/a.csv": "aa", "out/b.csv": "bb", "out/gone.csv": "cc"})
+    new = ({"python": "3.11.2", "numpy": "2.0.0", "blas": "openblas 0.3", "machine": "x86_64"},
+           {"out/a.csv": "aa", "out/b.csv": "b2", "out/new.csv": "dd"})
+    assert golden.changes(old, new) == [
+        "numpy: 1.26.4 -> 2.0.0",
+        "changed: out/b.csv",
+        "disappeared: out/gone.csv",
+        "appeared: out/new.csv",
+    ]
+    assert golden.changes(new, new) == []
+    assert golden.changes(({}, {}), new)[-1] == "appeared: out/new.csv"

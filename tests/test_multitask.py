@@ -413,10 +413,10 @@ class TestBatchedStep:
         assert seen_m == {1, 2}
 
 
-def random_pack(rng, n, dims, labelled):
-    """``n`` packed rows over ``dims`` dimensions, the last three numeric:
-    1 to 8 binary dims per row, and each numeric weight 0 a third of the
-    time."""
+def random_pack(rng, n, dims):
+    """``n`` labelled packed rows over ``dims`` dimensions, the last three
+    numeric: 1 to 8 binary dims per row, and each numeric weight 0 a third
+    of the time."""
     fvs = []
     for _ in range(n):
         k = int(rng.integers(1, min(8, dims - 3) + 1))
@@ -426,8 +426,7 @@ def random_pack(rng, n, dims, labelled):
             for j in range(3)
         )
         fvs.append(FeatureVector(indices=idx, numeric=numeric))
-    labels = rng.integers(0, 2, n).tolist() if labelled else None
-    return oracle_pack(fvs, labels)
+    return oracle_pack(fvs, rng.integers(0, 2, n).tolist())
 
 
 def assert_same_array(got, want):
@@ -446,12 +445,11 @@ class TestGatherer:
         n=st.integers(1, 90),
         size=st.sampled_from([1, 3, 7, 32, 100]),
         l2=st.sampled_from([0.0, 1e-3]),
-        labelled=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_per_batch_reference(self, dims, n, size, l2, labelled, seed):
+    def test_equals_per_batch_reference(self, dims, n, size, l2, seed):
         rng = np.random.default_rng(seed)
-        packed = random_pack(rng, n, dims, labelled)
+        packed = random_pack(rng, n, dims)
         order = rng.permutation(n)
         got = list(_batches(packed, order, size, dims, l2))
         assert len(got) == -(-n // size)
