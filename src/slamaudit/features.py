@@ -24,6 +24,7 @@ remain for tests and single-instance use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -166,7 +167,7 @@ def build_vocab(train: Dataset | Sequence[Dataset]) -> Vocabulary:
     key tables, chained and deduplicated, keeps that order.
     """
     datasets = [train] if isinstance(train, Dataset) else list(train)
-    if not any(ds.ids for ds in datasets):
+    if not any(len(ds) for ds in datasets):
         raise DataError("cannot build a vocabulary from an empty dataset")
     metas = [m for ds in datasets for m in ds.metas]
     keys = dict.fromkeys(chain.from_iterable(ds.keys for ds in datasets))
@@ -208,14 +209,6 @@ def encode(inst: TokenInstance, vocab: Vocabulary) -> FeatureVector:
     return FeatureVector(indices=tuple(sorted(indices)), numeric=numeric)
 
 
-def _numeric_values(meta) -> tuple[float, float, float]:
-    """days, time and time-present values of one exercise's metadata."""
-    days_value = meta.days / _DAYS_SCALE
-    if meta.time is None:
-        return days_value, 0.0, 0.0
-    return days_value, min(max(float(meta.time), 0.0), _TIME_CLAMP) / _TIME_CLAMP, 1.0
-
-
 def _indexer(vocab: Vocabulary):
     """``vocab.global_index`` as a closure over the vocabulary's maps."""
     maps, offsets, sizes = vocab.maps, vocab.offsets, vocab.sizes
@@ -226,26 +219,36 @@ def _indexer(vocab: Vocabulary):
     return index
 
 
+def _index_once(index, ns: str, values: list) -> np.ndarray:
+    """``index(ns, value)`` of each of ``values``, looked up once per distinct
+    value; an enum member is looked up by its ``value``."""
+    codes = {v: index(ns, v.value if isinstance(v, Enum) else v) for v in dict.fromkeys(values)}
+    return np.fromiter(map(codes.__getitem__, values), dtype=np.intp, count=len(values))
+
+
 def exercise_features(metas: Sequence[ExerciseMeta], vocab: Vocabulary
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The exercise side of a split: an ``(E, 4)`` array of each exercise's
-    indices in ``EXERCISE_NAMESPACES`` order, and an ``(E, 3)`` array of its
-    numeric values."""
+    indices in ``EXERCISE_NAMESPACES`` order, each distinct value looked up
+    once, and an ``(E, 3)`` array of its numeric values: days/100, time
+    clamped to [0, 60] and divided by 60 (0 without a time), and 1 where a
+    time is present."""
     index = _indexer(vocab)
-    rows = [
-        (
-            index("user", m.user_id),
-            index("format", m.format.value),
-            index("session", m.session.value),
-            index("client", m.client.value),
-        )
-        for m in metas
-    ]
-    numeric = [_numeric_values(m) for m in metas]
-    return (
-        np.array(rows, dtype=np.intp).reshape(-1, len(EXERCISE_NAMESPACES)),
-        np.array(numeric, dtype=np.float64).reshape(-1, len(NUMERIC_FEATURES)),
+    indices = np.column_stack([
+        _index_once(index, "user", [m.user_id for m in metas]),
+        _index_once(index, "format", [m.format for m in metas]),
+        _index_once(index, "session", [m.session for m in metas]),
+        _index_once(index, "client", [m.client for m in metas]),
+    ])
+    n = len(metas)
+    times = [m.time for m in metas]
+    days = np.fromiter((m.days for m in metas), dtype=np.float64, count=n)
+    time = np.fromiter((0 if t is None else t for t in times), dtype=np.float64, count=n)
+    present = np.fromiter((t is not None for t in times), dtype=np.float64, count=n)
+    numeric = np.column_stack(
+        [days / _DAYS_SCALE, np.clip(time, 0.0, _TIME_CLAMP) / _TIME_CLAMP, present]
     )
+    return indices, numeric
 
 
 def key_rows(keys: Sequence[tuple[str, str, str, str]], vocab: Vocabulary) -> np.ndarray:
@@ -277,9 +280,9 @@ def token_features(dataset: Dataset, vocab: Vocabulary) -> tuple[np.ndarray, np.
     days, time and time-present values. The binary entries other than
     ``vocab.n_binary`` are, as a set, ``encode(token i).indices``."""
     ex_idx, ex_num = exercise_features(dataset.metas, vocab)
-    exercise = np.asarray(dataset.exercise, dtype=np.intp)
-    key = np.asarray(dataset.key, dtype=np.intp)
-    binary = np.concatenate([ex_idx[exercise], key_rows(dataset.keys, vocab)[key]], axis=1)
+    exercise = dataset.exercise
+    binary = np.concatenate([ex_idx[exercise], key_rows(dataset.keys, vocab)[dataset.key]],
+                            axis=1)
     return binary, ex_num[exercise]
 
 
@@ -298,7 +301,7 @@ def labels_array(dataset: Dataset, hint: str = "") -> np.ndarray:
     """Labels as float64; the first unlabeled instance fails, named, and
     ``hint`` ends the message."""
     labels = dataset.labels
-    if None in labels:
-        missing = dataset.ids[labels.index(None)]
+    if len(labels) and labels.min() < 0:
+        missing = dataset.ids[int(labels.argmin())]  # the first -1
         raise DataError(f"unlabeled instance {missing!r} (and possibly more){hint}")
-    return np.array(labels, dtype=np.float64)
+    return labels.astype(np.float64)

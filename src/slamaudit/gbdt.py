@@ -552,8 +552,7 @@ def predict_scores(model: GbdtModel, dataset: Dataset) -> np.ndarray:
     n_binary = model.vocab.n_binary
     ex_idx, ex_num = exercise_features(dataset.metas, model.vocab)
     key_idx = key_rows(dataset.keys, model.vocab)
-    exercise = np.asarray(dataset.exercise, dtype=np.intp)
-    key = np.asarray(dataset.key, dtype=np.intp)
+    exercise, key = dataset.exercise, dataset.key
     raw = np.full(len(exercise), model.base_score, dtype=np.float64)
     for block in _blocks(model.trees):
         forest = _Forest.of(block)

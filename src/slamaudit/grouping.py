@@ -133,13 +133,21 @@ def code_groups(values: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
 def group_codes(
     dataset: Dataset, classification: CountryClassification, dimension: Dimension
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``code_groups`` of each token's group along one dimension."""
+    """``code_groups`` of each token's group along one dimension; each
+    distinct client or countries value is classified once."""
     if dimension is Dimension.CLIENT:
-        values = [meta.client.value for meta in dataset.metas]
+        fields = [meta.client for meta in dataset.metas]
     else:
-        values = [classify_country(m.countries, classification).value for m in dataset.metas]
-    codes, names = code_groups(values)
-    return codes[np.asarray(dataset.exercise, dtype=np.intp)], names
+        fields = [meta.countries for meta in dataset.metas]
+    distinct = {field: k for k, field in enumerate(dict.fromkeys(fields))}
+    codes, names = code_groups([
+        field.value if dimension is Dimension.CLIENT
+        else classify_country(field, classification).value
+        for field in distinct
+    ])
+    per_exercise = np.fromiter(map(distinct.__getitem__, fields), dtype=np.intp,
+                               count=len(fields))
+    return codes[per_exercise][dataset.exercise], names
 
 
 _P = TypeVar("_P")

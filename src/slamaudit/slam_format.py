@@ -9,12 +9,15 @@ two-column key files.
 A parsed split is one record, a ``Dataset``: its track, its split and the
 join of two tables, one ``ExerciseMeta`` per exercise and one (token, POS,
 morph field, dep) tuple per distinct token key, which the parser interns as
-it reads. Each token keeps its id, head and label and two int codes, its
-exercise index and its key index. Within one parse each distinct countries
-field is split and checked once, and client, session and format values map
-through dicts. The label join fills the label column by one key lookup per
-id, and serialization writes one block per exercise from the two tables.
-``TokenInstance`` objects are built only when asked for
+it reads. The token rows are columns: read-only int32 arrays of each token's
+exercise index, key index and dependency head, a read-only int8 array of
+its label (-1 for none), and ``Ids``, every id in one string with int32 end
+offsets. No Python object is held per token, and within one parse each
+distinct key field and metadata string is one ``str`` object. Each distinct
+countries field is split and checked once, and client, session and format
+values map through dicts. The label join fills the label column by one key
+lookup per id, and serialization writes one block per exercise from the two
+tables. ``TokenInstance`` objects are built only when asked for
 (``Dataset.instances``), for tests and single-token use.
 """
 
@@ -22,11 +25,15 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import re
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError, ParseError
 from .validation import open_text
@@ -38,6 +45,10 @@ _COUNTRIES_RE = re.compile(r"[A-Z]{2}(?:\|[A-Z]{2})*")
 
 # Metadata keys handled explicitly; anything else is preserved as an extra.
 _KNOWN_META_KEYS = ("user", "countries", "days", "client", "session", "format", "time")
+_KNOWN_META_SET = frozenset(_KNOWN_META_KEYS)
+
+_INT32_MAX = 2**31 - 1
+_ITER_ROWS = 4096  # id offsets read per step when iterating ``Ids``
 
 
 class Track(str, Enum):
@@ -70,7 +81,7 @@ class Split(str, Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExerciseMeta:
     """Per-exercise metadata shared by all token instances of the exercise."""
 
@@ -118,18 +129,73 @@ def _check_unique(ids: Sequence[str]) -> None:
             seen.add(instance_id)
 
 
-@dataclass(frozen=True)
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array; an ``array.array`` of the same item
+    size is used in place, not copied."""
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class Ids(Sequence[str]):
+    """A column of instance ids held as one string: id i is
+    ``text[ends[i - 1]:ends[i]]`` (from 0 for the first), and ``ends`` is a
+    read-only int32 array. It reads as a sequence of ``str``; an id is sliced
+    out when it is read, so no object is kept per id."""
+
+    text: str
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, ids: Sequence[str]) -> "Ids":
+        ends = np.cumsum(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)))
+        if len(ends) and ends[-1] > _INT32_MAX:
+            raise DataError(f"the instance ids of one split exceed {_INT32_MAX} characters")
+        return cls("".join(ids), _column(ends, np.int32))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i) -> str:
+        i = operator.index(i)
+        end = int(self.ends[i])  # raises IndexError out of range
+        if i < 0:
+            i += len(self.ends)
+        return self.text[int(self.ends[i - 1]) if i else 0:end]
+
+    def __iter__(self):
+        text, start = self.text, 0
+        for lo in range(0, len(self.ends), _ITER_ROWS):
+            for end in self.ends[lo:lo + _ITER_ROWS].tolist():
+                yield text[start:end]
+                start = end
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ids):
+            return NotImplemented
+        return self.text == other.text and np.array_equal(self.ends, other.ends)
+
+
+# a label as the label column stores it
+_LABEL_CODES = {None: -1, 0: 0, 1: 1}
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """The tokens of a single track and split, in file order, held as the
     join of two tables: one metadata object per exercise and one (token,
     POS, morph field, dep) tuple per distinct token key.
 
-    Row i is one token: ``ids[i]``, ``heads[i]``, ``labels[i]`` (None when
-    unlabeled), ``exercise[i]``, the index of its metadata in ``metas``, and
-    ``key[i]``, the index of its key in ``keys``. A key's morph field is the
-    raw SLAM field (see ``morph_features``). Exercise indices never decrease
-    along the rows, every entry of ``metas`` has at least one row, ``keys``
-    holds each key once, in order of first occurrence, and no id repeats.
+    Row i is one token: ``ids[i]``, ``heads[i]``, ``labels[i]`` (0 or 1, -1
+    when unlabeled), ``exercise[i]``, the index of its metadata in ``metas``,
+    and ``key[i]``, the index of its key in ``keys``. ``ids`` is an ``Ids``;
+    ``key``, ``heads`` and ``exercise`` are read-only int32 arrays and
+    ``labels`` a read-only int8 array. A key's morph field is the raw SLAM
+    field (see ``morph_features``). Exercise indices never decrease along the
+    rows, every entry of ``metas`` has at least one row, ``keys`` holds each
+    key once, in order of first occurrence, and no id repeats: the parser and
+    ``from_instances`` check that as they read the ids.
 
     Two datasets are equal when all their fields are, so the exercise
     boundaries count as well as the tokens.
@@ -137,16 +203,23 @@ class Dataset:
 
     track: Track
     split: Split
-    ids: list[str]
-    key: list[int]
+    ids: Ids
+    key: np.ndarray
     keys: list[tuple[str, str, str, str]]
-    heads: list[int]
-    labels: list[int | None]
-    exercise: list[int]
+    heads: np.ndarray
+    labels: np.ndarray
+    exercise: np.ndarray
     metas: list[ExerciseMeta]
 
-    def __post_init__(self):
-        _check_unique(self.ids)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray)
+                    else mine == theirs):
+                return False
+        return True
 
     @classmethod
     def from_instances(
@@ -154,13 +227,12 @@ class Dataset:
     ) -> "Dataset":
         """A dataset of instance objects; an exercise starts wherever the
         metadata object changes. Morph features are joined as
-        ``serialize_dataset`` writes them."""
+        ``serialize_dataset`` writes them. A label must be 0, 1 or None, and
+        a dependency head must fit in int32."""
         instances = tuple(instances)
         ids = [inst.instance_id for inst in instances]
         metas: list[ExerciseMeta] = []
-        exercise: list[int] = []
-        key_ids: dict[tuple[str, str, str, str], int] = {}
-        key: list[int] = []
+        exercise = array("i")
         for k, inst in enumerate(instances):
             if inst.track is not track:
                 _check_unique(ids[: k + 1])  # an earlier duplicate is reported first
@@ -171,30 +243,46 @@ class Dataset:
             if not metas or inst.meta is not metas[-1]:
                 metas.append(inst.meta)
             exercise.append(len(metas) - 1)
-            token_key = (inst.token, inst.part_of_speech, _morph_field(inst.morph_features),
-                         inst.dep_label)
-            key.append(key_ids.setdefault(token_key, len(key_ids)))
-        return cls(track, split, ids, key, list(key_ids),
-                   [i.dep_head for i in instances], [i.label for i in instances],
-                   exercise, metas)
+        _check_unique(ids)
+        labels = [_LABEL_CODES.get(inst.label) for inst in instances]
+        if None in labels:
+            inst = instances[labels.index(None)]
+            raise DataError(f"instance {inst.instance_id!r} has label {inst.label!r}, "
+                            "expected 0, 1 or None")
+        try:
+            heads = _column(array("i", [inst.dep_head for inst in instances]), np.int32)
+        except OverflowError:
+            inst = next(i for i in instances if not -_INT32_MAX - 1 <= i.dep_head <= _INT32_MAX)
+            raise DataError(f"instance {inst.instance_id!r} has dependency head "
+                            f"{inst.dep_head}, outside int32") from None
+        key_ids: dict[tuple[str, str, str, str], int] = {}
+        key = [
+            key_ids.setdefault((inst.token, inst.part_of_speech,
+                                _morph_field(inst.morph_features), inst.dep_label), len(key_ids))
+            for inst in instances
+        ]
+        return cls(track, split, Ids.of(ids), _column(key, np.int32), list(key_ids), heads,
+                   _column(labels, np.int8), _column(exercise, np.int32), metas)
 
     @property
     def instances(self) -> tuple[TokenInstance, ...]:
         """One ``TokenInstance`` per row, built afresh on every access."""
-        return tuple(map(self._instance, range(len(self))))
-
-    def _instance(self, i: int) -> TokenInstance:
-        token, pos, morph, dep = self.keys[self.key[i]]
-        return TokenInstance(
-            instance_id=self.ids[i],
-            token=token,
-            part_of_speech=pos,
-            morph_features=morph_features(morph),
-            dep_label=dep,
-            dep_head=self.heads[i],
-            label=self.labels[i],
-            meta=self.metas[self.exercise[i]],
-            track=self.track,
+        keys, metas, track = self.keys, self.metas, self.track
+        rows = zip(self.ids, self.key.tolist(), self.heads.tolist(), self.labels.tolist(),
+                   self.exercise.tolist())
+        return tuple(
+            TokenInstance(
+                instance_id=instance_id,
+                token=keys[k][0],
+                part_of_speech=keys[k][1],
+                morph_features=morph_features(keys[k][2]),
+                dep_label=keys[k][3],
+                dep_head=head,
+                label=None if label < 0 else label,
+                meta=metas[e],
+                track=track,
+            )
+            for instance_id, k, head, label, e in rows
         )
 
     def __len__(self) -> int:
@@ -218,61 +306,62 @@ def _members(enum_cls) -> dict[str, Enum]:
 _CLIENTS, _SESSIONS, _FORMATS = _members(Client), _members(Session), _members(ExerciseFormat)
 
 
-def _enum_value(members: dict[str, Enum], key: str, value: str, lineno: int):
-    member = members.get(value)
-    if member is None:
-        raise ParseError(f"unknown {key} value {value!r}", lineno)
-    return member
-
-
 def _build_meta(meta: dict[str, str], prompt: str | None,
                 extras: Iterable[tuple[str, str]], lineno: int,
-                countries_of: dict[str, tuple[str, ...]] | None = None) -> ExerciseMeta:
+                countries_of: dict[str, tuple[str, ...]] | None = None,
+                strings: dict[str, str] | None = None) -> ExerciseMeta:
     """The metadata of one exercise block. ``countries_of`` maps each
     countries field already checked in this parse to its tuple, so a repeated
-    field is split and checked once."""
-    missing = [k for k in _KNOWN_META_KEYS[:-1] if k not in meta]  # time optional
-    if missing:
-        raise ParseError(f"exercise metadata missing {', '.join(missing)}", lineno)
+    field is split and checked once, and ``strings`` maps each string already
+    kept in this parse to the one object that is kept."""
+    try:
+        user, field, days_field = meta["user"], meta["countries"], meta["days"]
+        client, session, fmt = meta["client"], meta["session"], meta["format"]
+    except KeyError:
+        missing = [k for k in _KNOWN_META_KEYS[:-1] if k not in meta]  # time optional
+        raise ParseError(f"exercise metadata missing {', '.join(missing)}", lineno) from None
 
-    field = meta["countries"]
     countries = None if countries_of is None else countries_of.get(field)
     if countries is None:
         if not _COUNTRIES_RE.fullmatch(field):
             raise ParseError(f"bad countries value {field!r}", lineno)
         countries = tuple(field.split("|"))
+        if strings is not None:
+            countries = tuple([strings.setdefault(c, c) for c in countries])
         if countries_of is not None:
             countries_of[field] = countries
 
     try:
-        days = float(meta["days"])
+        days = float(days_field)
     except ValueError:
-        raise ParseError(f"bad days value {meta['days']!r}", lineno) from None
-    if not math.isfinite(days):
-        raise ParseError(f"non-finite days value {meta['days']!r}", lineno)
-    if days < 0:
-        raise ParseError(f"negative days value {meta['days']!r}", lineno)
+        raise ParseError(f"bad days value {days_field!r}", lineno) from None
+    if not 0.0 <= days < math.inf:
+        kind = "negative" if math.isfinite(days) else "non-finite"
+        raise ParseError(f"{kind} days value {days_field!r}", lineno)
 
     time: int | None = None
-    if "time" in meta and meta["time"] != "null":
+    time_field = meta.get("time", "null")
+    if time_field != "null":
         try:
-            time = int(meta["time"])
+            time = int(time_field)
         except ValueError:
-            raise ParseError(f"bad time value {meta['time']!r}", lineno) from None
+            raise ParseError(f"bad time value {time_field!r}", lineno) from None
         if time < 0:
-            raise ParseError(f"negative time value {meta['time']!r}", lineno)
+            raise ParseError(f"negative time value {time_field!r}", lineno)
 
-    return ExerciseMeta(
-        user_id=meta["user"],
-        countries=countries,
-        days=days,
-        client=_enum_value(_CLIENTS, "client", meta["client"], lineno),
-        session=_enum_value(_SESSIONS, "session", meta["session"], lineno),
-        format=_enum_value(_FORMATS, "format", meta["format"], lineno),
-        time=time,
-        prompt=prompt,
-        extras=tuple(extras),
-    )
+    client, session, fmt = _CLIENTS.get(client), _SESSIONS.get(session), _FORMATS.get(fmt)
+    if client is None or session is None or fmt is None:
+        for name, members in (("client", _CLIENTS), ("session", _SESSIONS), ("format", _FORMATS)):
+            if meta[name] not in members:
+                raise ParseError(f"unknown {name} value {meta[name]!r}", lineno)
+    if strings is not None:
+        user = strings.setdefault(user, user)
+        if prompt is not None:
+            prompt = strings.setdefault(prompt, prompt)
+        if extras:
+            extras = [(strings.setdefault(k, k), strings.setdefault(v, v)) for k, v in extras]
+    return ExerciseMeta(user, countries, days, client, session, fmt, time, prompt,
+                        tuple(extras) if extras else ())
 
 
 def _dep_head(field: str, lineno: int) -> int:
@@ -282,22 +371,41 @@ def _dep_head(field: str, lineno: int) -> int:
         raise ParseError(f"bad dependency head {field!r}", lineno) from None
     if head < 0:
         raise ParseError(f"negative dependency head {field!r}", lineno)
+    if head > _INT32_MAX:
+        raise ParseError(f"dependency head {field!r} above {_INT32_MAX}", lineno)
     return head
 
 
 _LABELS = {"0": 0, "1": 1}
 
 
+def _meta_fields(chunks: list[str]) -> dict[str, str] | None:
+    """One metadata line's ``key:value`` chunks as a dict, built in one
+    pass, or None when the line needs the checked route: a chunk without a
+    ``:``, or a key that repeats or is not one of ``_KNOWN_META_KEYS``."""
+    try:
+        pairs = dict(chunk.split(":", 1) for chunk in chunks)
+    except ValueError:
+        return None
+    if len(pairs) != len(chunks) or not pairs.keys() <= _KNOWN_META_SET:
+        return None
+    return pairs
+
+
 def _parse_columns(lines: Iterable[str]) -> tuple:
     """Parse SLAM text into the ``Dataset`` fields after ``split``, in file
-    order, interning each token key as it is read. A block without tokens
-    adds no exercise, but its metadata is still checked.
+    order, interning each token key, key field and metadata string as it is
+    read. A block without tokens adds no exercise, but its metadata is still
+    checked. Duplicate ids are checked once the whole stream is read.
 
     Every non-blank line is consumed exactly once; malformed input raises
     :class:`ParseError` with the line number.
     """
-    ids, key, heads, labels, exercise = [], [], [], [], []
+    ids: list[str] = []
+    key, heads, labels = array("i"), array("i"), array("b")
+    starts: list[int] = []  # each exercise's first row
     key_ids: dict[tuple[str, str, str, str], int] = {}
+    strings: dict[str, str] = {}  # one object per distinct key field and metadata string
     heads_of: dict[str, int] = {}  # int() runs once per distinct head field
     countries_of: dict[str, tuple[str, ...]] = {}
     metas: list[ExerciseMeta] = []
@@ -310,7 +418,7 @@ def _parse_columns(lines: Iterable[str]) -> tuple:
     def flush():
         nonlocal meta_fields, extras, prompt, meta
         if meta is None and meta_fields:  # no tokens: check the metadata, add no exercise
-            _build_meta(meta_fields, prompt, extras.items(), meta_line, countries_of)
+            _build_meta(meta_fields, prompt, extras.items(), meta_line, countries_of, strings)
         meta_fields, extras, prompt, meta = {}, {}, None, None
 
     for lineno, raw in enumerate(lines, 1):
@@ -319,49 +427,62 @@ def _parse_columns(lines: Iterable[str]) -> tuple:
             flush()
             continue
         if raw[0] == "#":
-            line = raw.rstrip("\n").rstrip("\r")
             if meta is not None:
                 raise ParseError("metadata line after token lines in the same block", lineno)
-            body = line[1:].strip()
-            if body.startswith("prompt:"):
+            chunks = cols[1:] if cols[0] == "#" else [cols[0][1:], *cols[1:]]  # after the "#"
+            if chunks and chunks[0].startswith("prompt:"):
                 if prompt is not None:
                     raise ParseError("duplicate prompt line", lineno)
+                line = raw.rstrip("\n").rstrip("\r")
                 prompt = line[line.index("prompt:") + len("prompt:"):]
                 continue
-            for name, value in _parse_meta_pairs(body, lineno):
-                if name in meta_fields or name in extras:
-                    raise ParseError(f"duplicate metadata key {name!r}", lineno)
-                if name in _KNOWN_META_KEYS:
-                    meta_fields[name] = value
-                else:
-                    extras[name] = value
+            line_fields = None if meta_fields or extras else _meta_fields(chunks)
+            if line_fields is not None:
+                meta_fields = line_fields
+            else:
+                for name, value in _parse_meta_pairs(raw[1:], lineno):
+                    if name in meta_fields or name in extras:
+                        raise ParseError(f"duplicate metadata key {name!r}", lineno)
+                    if name in _KNOWN_META_SET:
+                        meta_fields[name] = value
+                    else:
+                        extras[name] = value
             meta_line = lineno
             continue
         if meta is None:
             if not meta_fields:
                 raise ParseError("token line outside an exercise block", lineno)
-            meta = _build_meta(meta_fields, prompt, extras.items(), meta_line, countries_of)
+            meta = _build_meta(meta_fields, prompt, extras.items(), meta_line, countries_of,
+                               strings)
             metas.append(meta)
-            e = len(metas) - 1
+            starts.append(len(ids))
         n = len(cols)
         if n == 7:
             label = _LABELS.get(cols[6])
             if label is None:
                 raise ParseError(f"bad label value {cols[6]!r}", lineno)
         elif n == 6:
-            label = None
+            label = -1
         else:
             raise ParseError(f"token line has {n} columns, expected 6 or 7", lineno)
         head = heads_of.get(cols[5])
         if head is None:
             head = heads_of[cols[5]] = _dep_head(cols[5], lineno)
+        token_key = (cols[1], cols[2], cols[3], cols[4])
+        k = key_ids.get(token_key)
+        if k is None:
+            k = key_ids[tuple([strings.setdefault(f, f) for f in token_key])] = len(key_ids)
         ids.append(cols[0])
-        key.append(key_ids.setdefault((cols[1], cols[2], cols[3], cols[4]), len(key_ids)))
+        key.append(k)
         heads.append(head)
         labels.append(label)
-        exercise.append(e)
     flush()
-    return ids, key, list(key_ids), heads, labels, exercise, metas
+    _check_unique(ids)
+    starts.append(len(ids))
+    exercise = np.repeat(np.arange(len(metas), dtype=np.int32),
+                         np.diff(np.array(starts, dtype=np.intp)))
+    return (Ids.of(ids), _column(key, np.int32), list(key_ids), _column(heads, np.int32),
+            _column(labels, np.int8), _column(exercise, np.int32), metas)
 
 
 def parse_dataset(lines: Iterable[str], track: Track, split: Split) -> Dataset:
@@ -406,14 +527,14 @@ def join_labels(dataset: Dataset, key: dict[str, int]) -> Dataset:
     """
     ids = dataset.ids
     try:
-        labels = list(map(key.__getitem__, ids))
+        labels = np.fromiter(map(key.__getitem__, ids), dtype=np.int8, count=len(ids))
     except KeyError:
         missing = next(i for i in ids if i not in key)
         raise DataError(f"no label for instance id {missing!r}") from None
     extra = len(key) - len(ids)
     if extra > 0:
         log.warning("label key has %d entries not present in the dataset", extra)
-    return replace(dataset, labels=labels)
+    return replace(dataset, labels=_column(labels, np.int8))
 
 
 def _format_meta(meta: ExerciseMeta) -> list[str]:
@@ -439,11 +560,12 @@ def serialize_dataset(dataset: Dataset) -> str:
     """Render a dataset back to SLAM text, one block per exercise, from its
     two tables; re-parsing reproduces it exactly."""
     blocks = [_format_meta(meta) for meta in dataset.metas]
-    rows = zip(dataset.exercise, dataset.ids, dataset.key, dataset.heads, dataset.labels)
+    rows = zip(dataset.exercise.tolist(), dataset.ids, dataset.key.tolist(),
+               dataset.heads.tolist(), dataset.labels.tolist())
     for e, instance_id, k, head, label in rows:
         token, pos, morph, dep = dataset.keys[k]
         line = f"{instance_id} {token} {pos} {morph} {dep} {head}"
-        blocks[e].append(line if label is None else f"{line} {label}")
+        blocks[e].append(line if label < 0 else f"{line} {label}")
     if not blocks:
         return ""
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"

@@ -246,6 +246,24 @@ def encode_dataset(dataset, vocab):
     return [encode(inst, vocab) for inst in dataset.instances]
 
 
+def oracle_exercise_features(metas, vocab):
+    """Per-exercise reference for ``exercise_features``: each exercise's
+    four namespace indices by ``vocab.global_index``, and its days/100,
+    clamped time/60 and time-present values, one exercise at a time."""
+    rows, numeric = [], []
+    for m in metas:
+        rows.append([vocab.global_index("user", m.user_id),
+                     vocab.global_index("format", m.format.value),
+                     vocab.global_index("session", m.session.value),
+                     vocab.global_index("client", m.client.value)])
+        if m.time is None:
+            numeric.append([m.days / 100.0, 0.0, 0.0])
+        else:
+            numeric.append([m.days / 100.0, min(max(float(m.time), 0.0), 60.0) / 60.0, 1.0])
+    return (np.array(rows, dtype=np.intp).reshape(-1, 4),
+            np.array(numeric, dtype=np.float64).reshape(-1, 3))
+
+
 def tree_depth(tree):
     """Internal nodes on the longest path from the root to a leaf, in one
     sweep from the last node back: a child always follows its parent."""

@@ -15,6 +15,7 @@ from slamaudit.features import (
     Vocabulary,
     build_vocab,
     encode,
+    exercise_features,
     labels_array,
     to_dense,
     token_features,
@@ -31,8 +32,8 @@ from slamaudit.slam_format import (
     read_dataset,
 )
 
-from gen_slam import random_dataset
-from oracles import encode_dataset, oracle_build_vocab
+from gen_slam import random_dataset, random_meta
+from oracles import encode_dataset, oracle_build_vocab, oracle_exercise_features
 
 
 def make_instance(
@@ -394,3 +395,22 @@ class TestEncodeRows:
         binary, numeric = token_features(empty, vocab)
         assert binary.shape[0] == 0 and binary.size == 0
         assert numeric.shape == (0, len(NUMERIC_FEATURES))
+
+
+def test_exercise_features_equal_the_per_exercise_reference_bit_for_bit():
+    """Looked up once per distinct value and computed with numpy, the
+    exercise side equals the one-exercise-at-a-time reference byte for
+    byte: times None, 0, negative, 60 and above, users in and out of the
+    vocabulary, repeated and fresh values."""
+    rng = random.Random(3101)
+    train = random_dataset(rng, n_exercises=6)
+    vocab = build_vocab(train)
+    seen = train.metas[0]
+    metas = [dataclasses.replace(seen, time=t, user_id=user)
+             for t in (None, 0, -4, 59, 60, 61, 600) for user in (seen.user_id, "unseen")]
+    metas += train.metas + [random_meta(rng) for _ in range(40)] + train.metas[::-1]
+    for got, want in zip(exercise_features(metas, vocab), oracle_exercise_features(metas, vocab)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    empty = exercise_features([], vocab)
+    assert [a.shape for a in empty] == [(0, len(EXERCISE_NAMESPACES)), (0, len(NUMERIC_FEATURES))]

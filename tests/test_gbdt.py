@@ -317,6 +317,46 @@ class TestTraining:
         scores = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert np.array(scores).tobytes() == dense_scores(model, train).tobytes()
 
+    def test_numeric_cut_between_adjacent_floats(self, tmp_path):
+        """days 1.0 and the float above it scale to adjacent floats whose
+        midpoint rounds up to the larger one. The cut must still separate
+        them, as the oracle trainer's does, and the saved threshold must
+        route each row to the leaf that training gave it."""
+        days = (1.0, float(np.nextafter(1.0, 2.0)))
+        instances = [
+            TokenInstance(
+                instance_id=f"ex{i:06d}01", token="t", part_of_speech="NOUN",
+                morph_features=(), dep_label="nsubj", dep_head=0, label=i % 2,
+                meta=ExerciseMeta(user_id="u1", countries=("US",), days=days[i % 2],
+                                  client=Client.WEB, session=Session.LESSON,
+                                  format=ExerciseFormat.LISTEN, time=5),
+                track=Track.EN_ES,
+            )
+            for i in range(4)
+        ]
+        train = Dataset.from_instances(Track.EN_ES, instances, Split.TRAIN)
+        vocab = build_vocab(train)
+        cfg = GbdtConfig(n_trees=1, max_depth=1, min_samples_leaf=1)
+        model = train_gbdt(train, vocab, cfg)
+        lo, hi = (d / 100.0 for d in days)  # the days feature is days / 100
+        assert float(np.nextafter(lo, 1.0)) == hi and (lo + hi) / 2.0 == hi
+        (tree,) = model.trees
+        assert tree.feature[0] == vocab.numeric_index("days")
+        assert lo <= tree.threshold[0] < hi
+
+        X = to_dense((encode(i, vocab) for i in train.instances), vocab)
+        raw = oracle_train_raw(
+            X, labels_array(train), n_trees=1, max_depth=1, learning_rate=cfg.learning_rate,
+            min_samples_leaf=1, l2_leaf_reg=cfg.l2_leaf_reg,
+        )
+        trained = predict_scores(model, train)
+        assert np.abs(trained - sigmoid(raw)).max() <= 1e-12
+        assert trained[0] < trained[1]  # the two days values reach different leaves
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert predict_scores(load_model(path), train).tobytes() == trained.tobytes()
+
+
 def chain_tree(levels, feature, cut=0.5, leaf=0.1):
     """A tree of ``levels`` splits on ``feature`` at ``cut``: split node 2k
     has the leaf 2k+1 on its right and the next split on its left. The

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from slamaudit.errors import DataError, ParseError, SlamAuditError
@@ -12,6 +13,7 @@ from slamaudit.slam_format import (
     Client,
     Dataset,
     ExerciseFormat,
+    Ids,
     Session,
     Split,
     Track,
@@ -225,7 +227,7 @@ class TestJoinLabels:
             "label key has 3 entries not present in the dataset"
         ]
         assert [i.label for i in joined.instances] == [key[i] for i in ds.ids]
-        assert ds.labels == [None] * len(ds)
+        assert ds.labels.tolist() == [-1] * len(ds)
         assert all(i.label is None for i in ds.instances)
 
 
@@ -353,6 +355,36 @@ def test_parsed_benchmark_dev_split_stays_within_300_bytes_per_token(tmp_path):
     assert live / len(ds) <= 300
 
 
+def test_parsed_train_splits_hold_under_200_bytes_per_token(mini_dir):
+    """The three fixture train splits (4,593 tokens), parsed. When every
+    column was a list and every id and key field its own ``str``, they held
+    316 bytes per token; as arrays, one id string and one object per distinct
+    string, 104. The columns are read-only arrays, and keys that share a POS
+    share its ``str`` object."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        datasets = [read_dataset(mini_dir / f"{t.value}.train.slam", t, Split.TRAIN)
+                    for t in Track]
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tokens = sum(map(len, datasets))
+    assert tokens == 4593
+    assert live / tokens <= 200
+    for ds in datasets:
+        columns = {"key": ds.key, "heads": ds.heads, "exercise": ds.exercise,
+                   "ids.ends": ds.ids.ends, "labels": ds.labels}
+        assert {name: c.dtype for name, c in columns.items()} == {
+            **dict.fromkeys(columns, np.dtype(np.int32)), "labels": np.dtype(np.int8)}
+        assert not any(c.flags.writeable for c in columns.values())
+        pos_of = {}
+        for _, pos, _, _ in ds.keys:
+            assert pos_of.setdefault(pos, pos) is pos
+        assert len(pos_of) < len(ds.keys)
+
+
 class TestSerialize:
     def test_empty_dataset(self):
         ds = Dataset.from_instances(track=Track.EN_ES, instances=(), split=Split.TRAIN)
@@ -378,7 +410,46 @@ class TestSerialize:
         assert again == ds
 
 
+class TestIds:
+    def test_reads_as_a_sequence_of_str(self):
+        ids = ["a", "", "ño\x00", "b" * 5] + [f"x{k}" for k in range(9000)]  # > 2 read steps
+        column = Ids.of(ids)
+        assert len(column) == len(ids)
+        assert list(column) == ids
+        picks = (0, 1, 2, 3, -1, -9000)
+        assert [column[k] for k in picks] == [ids[k] for k in picks]
+        assert column[np.int32(2)] == "ño\x00"
+        with pytest.raises(IndexError):
+            column[len(ids)]
+        assert "x17" in column and "x9000" not in column
+        assert column == Ids.of(ids) and column != Ids.of(ids[::-1])
+        assert list(Ids.of([])) == [] and len(Ids.of([])) == 0
+
+    def test_parsed_ids_round_trip(self):
+        text = f"{HEADER}\n{TOKEN}\nbbbb\x00ü01 tú PRON _ nsubj 2 1\n"
+        ds = parse_dataset(text.splitlines(), Track.EN_ES, Split.TRAIN)
+        assert list(ds.ids) == ["aaaa0001", "bbbb\x00ü01"]
+        assert parse_dataset(serialize_dataset(ds).splitlines(), ds.track, ds.split) == ds
+
+
 class TestDatasetInvariants:
+    def test_head_above_int32_rejected_with_its_line(self):
+        ok = parse_dataset(f"{HEADER}\naaaa0001 Yo PRON _ nsubj 2147483647 0\n".splitlines(),
+                           Track.EN_ES, Split.TRAIN)
+        assert ok.heads.tolist() == [2**31 - 1]
+        with pytest.raises(ParseError) as info:
+            parse_dataset(f"{HEADER}\naaaa0001 Yo PRON _ nsubj 2147483648 0\n".splitlines(),
+                          Track.EN_ES, Split.TRAIN)
+        assert str(info.value) == "line 2: dependency head '2147483648' above 2147483647"
+
+    def test_from_instances_rejects_what_the_columns_cannot_hold(self):
+        (inst,) = parse_dataset(f"{HEADER}\n{TOKEN}\n".splitlines(), Track.EN_ES,
+                                Split.TRAIN).instances
+        with pytest.raises(DataError, match="'aaaa0001' has dependency head 2147483648"):
+            Dataset.from_instances(Track.EN_ES, [replace(inst, dep_head=2**31)], Split.TRAIN)
+        with pytest.raises(DataError, match="'aaaa0001' has label 2, expected 0, 1 or None"):
+            Dataset.from_instances(Track.EN_ES, [replace(inst, label=2)], Split.TRAIN)
+
     def test_duplicate_ids_rejected(self):
         text = f"{HEADER}\n{TOKEN}\n{TOKEN}\n"
         with pytest.raises(DataError, match="duplicate"):
